@@ -10,7 +10,7 @@ from .graph import Graph, GraphBuilder, grad_check, graph_backward, \
 from .runtime import equivalence_check, execute, plan
 from .tensor import Tensor, set_deterministic, tensor_create
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "REGISTRY", "UnitConfig", "VariantSpec", "build_mini_network",

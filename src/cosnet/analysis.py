@@ -17,10 +17,7 @@ from dataclasses import dataclass, replace
 
 from .arch import PAPER_REFERENCE, VariantSpec, build_network
 from .errors import ConfigError, GraphError
-from .graph import Graph, infer_shapes
-from .ops import ConvParams
-
-COUNTED_KINDS = ("conv", "linear")   # kinds that contribute to depth
+from .graph import OPS, Graph, infer_shapes
 
 
 @dataclass(frozen=True)
@@ -51,36 +48,6 @@ class AnalysisReport:
                 (self.total_macs - f) / f)
 
 
-def _node_params(node) -> int:
-    if node.kind == "conv":
-        p: ConvParams = node.config["params"]
-        total = p.out_channels * (p.in_channels // p.groups) \
-            * p.kernel[0] * p.kernel[1]
-        if p.has_bias:
-            total += p.out_channels
-        return total
-    if node.kind == "bn":
-        # affine scale and shift only; running statistics are not trainable
-        return 2 * node.config["channels"]
-    if node.kind == "linear":
-        cin = node.config["in_features"]
-        cout = node.config["out_features"]
-        return cin * cout + cout
-    return 0
-
-
-def _node_macs(node, out_shape) -> int:
-    if node.kind == "conv":
-        p: ConvParams = node.config["params"]
-        _, cout, ho, wo = out_shape
-        return p.kernel[0] * p.kernel[1] * (p.in_channels // p.groups) \
-            * cout * ho * wo
-    if node.kind == "linear":
-        return node.config["in_features"] * node.config["out_features"]
-    # bn / relu / pooling / replication / fusion / add are not counted
-    return 0
-
-
 def count_depth(graph: Graph) -> int:
     """Length of the longest input-to-output path, counting only layers with
     weights applied multiplicatively (convolutions and the linear head)."""
@@ -88,13 +55,14 @@ def count_depth(graph: Graph) -> int:
     for nid in graph.order:
         node = graph.node(nid)
         base = max((depth[src] for src in node.inputs), default=0)
-        depth[nid] = base + (1 if node.kind in COUNTED_KINDS else 0)
+        depth[nid] = base + OPS[node.kind].depth
     return depth[graph.output_id]
 
 
 def count_params(graph: Graph) -> int:
     """Trainable parameter total from layer configurations (closed form)."""
-    return sum(_node_params(graph.node(nid)) for nid in graph.order)
+    return sum(OPS[n.kind].params(n.config)
+               for n in map(graph.node, graph.order))
 
 
 def count_params_enumerated(graph: Graph) -> int:
@@ -112,8 +80,8 @@ def count_flops(graph: Graph, input_shape) -> int:
     pooling, replication and fusion are counted as zero.
     """
     shapes = infer_shapes(graph, input_shape)
-    return sum(_node_macs(graph.node(nid), shapes[nid])
-               for nid in graph.order)
+    return sum(OPS[n.kind].macs(n.config, shapes[n.id])
+               for n in map(graph.node, graph.order))
 
 
 def branch_stats(steps, input_ids=()):
@@ -162,10 +130,11 @@ def emit_report(graph: Graph, input_shape, paper_row=None) -> AnalysisReport:
         node = graph.node(nid)
         if node.kind in ("input", "output"):
             continue
+        op = OPS[node.kind]
         rows.append(AnalysisRow(name=node.name, kind=node.kind,
                                 out_shape=shapes[nid],
-                                params=_node_params(node),
-                                macs=_node_macs(node, shapes[nid])))
+                                params=op.params(node.config),
+                                macs=op.macs(node.config, shapes[nid])))
     return AnalysisReport(rows=rows, depth=count_depth(graph),
                           total_params=sum(r.params for r in rows),
                           total_macs=sum(r.macs for r in rows),

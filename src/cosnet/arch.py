@@ -401,6 +401,14 @@ _ENUM_KEYS = {"fusion": ("fusion", FUSIONS),
               "first_level_input": ("first_level_input", FIRST_LEVEL_INPUTS)}
 
 
+def _parse_int(lineno: int, key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: {key} needs integers, "
+                          f"got {text!r}") from None
+
+
 def parse_variant_text(text: str) -> VariantSpec:
     """Parse the `key = value` variant format (4-tuples comma separated)."""
     fields = {}
@@ -417,9 +425,10 @@ def parse_variant_text(text: str) -> VariantSpec:
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 4:
                 raise ConfigError(f"line {lineno}: {key} needs 4 values")
-            fields[_TUPLE_KEYS[key]] = tuple(int(p) for p in parts)
+            fields[_TUPLE_KEYS[key]] = tuple(_parse_int(lineno, key, p)
+                                             for p in parts)
         elif key in _INT_KEYS:
-            fields[_INT_KEYS[key]] = int(value)
+            fields[_INT_KEYS[key]] = _parse_int(lineno, key, value)
         elif key in _BOOL_KEYS:
             if value.lower() not in ("true", "false"):
                 raise ConfigError(f"line {lineno}: {key} must be true/false")

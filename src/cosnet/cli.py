@@ -35,6 +35,14 @@ def _load_model(name: str, seed: int = 0, init: bool = True):
             arch.render_variant_text(spec))
 
 
+def _input_shape(batch: int, input_res: int):
+    """(batch, 3, res, res), refusing sizes that cannot hold an image."""
+    for flag, value in (("--batch", batch), ("--input-res", input_res)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+    return (batch, 3, input_res, input_res)
+
+
 def _add_model_arg(p):
     p.add_argument("model", help="'mini', a registry variant name, or a "
                                  "path to a variant text file")
@@ -42,12 +50,13 @@ def _add_model_arg(p):
 
 def cmd_describe(args) -> int:
     g, _ = _load_model(args.model, init=False)
-    shape = (1, 3, args.input_res, args.input_res) if args.input_res else None
+    shape = None if args.input_res is None else _input_shape(1, args.input_res)
     print(graphmod.describe(g, shape))
     return 0
 
 
 def cmd_analyze(args) -> int:
+    shape = _input_shape(1, args.input_res)
     if args.calibrate:
         cal = analysis.calibrate_registry(args.input_res)
         for combo, deltas in cal["combos"].items():
@@ -61,8 +70,7 @@ def cmd_analyze(args) -> int:
     g, _ = _load_model(args.model, init=False)
     paper_row = arch.PAPER_REFERENCE.get(args.model) \
         if args.compare_reference else None
-    rep = analysis.emit_report(g, (1, 3, args.input_res, args.input_res),
-                               paper_row=paper_row)
+    rep = analysis.emit_report(g, shape, paper_row=paper_row)
     if args.format == "csv":
         sys.stdout.write(analysis.render_csv(rep))
     else:
@@ -71,8 +79,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    shape = _input_shape(args.batch, args.input_res)
     g, _ = _load_model(args.model, seed=args.seed)
-    shape = (args.batch, 3, args.input_res, args.input_res)
     rep = runtime.equivalence_check(g, shape, trials=args.trials,
                                     seed=args.seed, tol=args.tol)
     for i, d in enumerate(rep.trial_diffs):
@@ -125,9 +133,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    shape = _input_shape(args.batch, args.input_res)
     g, _ = _load_model(args.model, seed=0)
     p = runtime.plan(g, args.mode)
-    shape = (args.batch, 3, args.input_res, args.input_res)
     stats = runtime.bench(p, shape, warmup=args.warmup, iters=args.iters)
     if args.json:
         print(json.dumps(stats))
@@ -141,12 +149,7 @@ def cmd_bench(args) -> int:
 def cmd_export(args) -> int:
     if args.model == "mini":
         raise ConfigError("the mini network has no variant text form")
-    if os.path.exists(args.model):
-        with open(args.model) as f:
-            spec = arch.parse_variant_text(f.read())
-    else:
-        spec = arch.registry_lookup(args.model)
-    text = arch.render_variant_text(spec)
+    _, text = _load_model(args.model, init=False)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)

@@ -1,19 +1,27 @@
-"""Immutable static computation graph, topological execution, reverse-mode
-backward pass, and the finite-difference gradient-check harness."""
+"""Immutable static computation graph, the layer-kind table, the forward
+interpreter, the reverse-mode backward pass, and the finite-difference
+gradient-check harness.
+
+Every layer kind is defined once, as an :class:`OpDef` in :data:`OPS`: its
+shape rule, forward, backward, weight init, parameter and MAC counts and
+description.  Shape propagation, both forward paths (:func:`graph_forward`
+and ``runtime.execute``), the backward pass, weight init, ``describe`` and
+the analyzer all look the kind up there.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, replace
+from math import prod
+from typing import Callable
 
 import numpy as np
 
 from . import ops
 from .errors import GraphError, ShapeError
 from .ops import BatchNormState, ConvParams
-from .tensor import Tensor, elementwise, tensor_create
-
-KINDS = ("input", "conv", "bn", "relu", "pool_max", "pool_avg", "gap",
-         "linear", "ir", "concat", "block_sum", "slice", "add", "output")
+from .tensor import Tensor, _out_hw, elementwise, tensor_create
 
 
 @dataclass(frozen=True)
@@ -23,6 +31,17 @@ class LayerNode:
     config: dict
     inputs: tuple[int, ...]
     name: str
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    id: int
+    kind: str
+    config: dict
+    inputs: tuple
+    name: str
+    src_node: int | None = None   # graph node whose weight table this reads
+    group: int | None = None      # group index for unrolled per-group convs
 
 
 @dataclass
@@ -43,6 +62,8 @@ class Graph:
 
     Node ids are assigned in construction order, which is a topological
     order by construction (a node may only consume already-added nodes).
+    ``steps`` is the graph as a program for :func:`run_steps`: one step per
+    non-input node, each reading its own weight table.
     """
 
     def __init__(self, nodes, input_id, output_id, weights):
@@ -51,16 +72,13 @@ class Graph:
         self.input_id = input_id
         self.output_id = output_id
         self.weights = weights
+        self.steps = [PlanStep(n.id, n.kind, n.config, n.inputs, n.name,
+                               src_node=n.id)
+                      for n in map(self.nodes.get, self.order)
+                      if n.id != input_id]
 
     def node(self, nid) -> LayerNode:
         return self.nodes[nid]
-
-    def consumers(self):
-        cons = {nid: [] for nid in self.nodes}
-        for n in self.nodes.values():
-            for src in n.inputs:
-                cons[src].append(n.id)
-        return cons
 
     def param_names(self):
         """Trainable parameter table entries, in deterministic order."""
@@ -83,23 +101,303 @@ class Graph:
         return out
 
 
+# ---------------------------------------------------------------------------
+# the layer-kind table
+
+
+@dataclass(frozen=True)
+class OpDef:
+    """One layer kind.  ``cfg`` is a node's config dict, ``ins`` its input
+    shapes (shape rule) or tensors, ``table`` its weight table and ``mode``
+    "train" or "eval".  The defaults describe a weightless layer that passes
+    its first input through unchanged."""
+
+    # (cfg, ins) -> output shape; raises ShapeError
+    shape: Callable = lambda cfg, ins: ins[0]
+    # (cfg, ins, table, mode) -> Tensor
+    forward: Callable = lambda cfg, ins, table, mode: ins[0]
+    # (cfg, grad_out, ins, table, mode) -> (per-input grads, param grads)
+    backward: Callable = lambda cfg, grad_out, ins, table, mode: (
+        [grad_out], {})
+    init: Callable = lambda cfg, rng: {}       # -> fresh weight table
+    params: Callable = lambda cfg: 0           # -> trainable parameter count
+    macs: Callable = lambda cfg, out_shape: 0  # -> multiply-accumulates
+    describe: Callable = lambda cfg: ""        # -> detail text
+    min_inputs: int = 1
+    depth: int = 0       # 1 if the layer counts toward network depth
+    # (cfg, input tensor) -> bytes fingerprinting the piecewise-linear
+    # decisions taken (gradient check); empty for smooth layers
+    kinks: Callable = lambda cfg, x: b""
+
+
+def _conv_shape(cfg, ins):
+    p: ConvParams = cfg["params"]
+    n, c, h, w = ins[0]
+    if c != p.in_channels:
+        raise ShapeError(f"{c} channels into conv expecting {p.in_channels}")
+    return (n, p.out_channels, *_out_hw(h, w, p.kernel, p.stride, p.pad))
+
+
+def _conv_backward(cfg, grad_out, ins, table, mode):
+    gx, gw, gb = ops.conv2d_backward(grad_out, ins[0], table["weight"],
+                                     cfg["params"])
+    grads = {"weight": gw}
+    if gb is not None:
+        grads["bias"] = gb
+    return [gx], grads
+
+
+def _conv_init(cfg, rng):
+    """He-style init: normal with std sqrt(2/fan_in)."""
+    p: ConvParams = cfg["params"]
+    fan_in = (p.in_channels // p.groups) * p.kernel[0] * p.kernel[1]
+    w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                   size=p.weight_shape).astype(np.float32)
+    table = {"weight": w}
+    if p.has_bias:
+        table["bias"] = np.zeros(p.out_channels, dtype=np.float32)
+    return table
+
+
+def _conv_params(cfg):
+    p: ConvParams = cfg["params"]
+    return prod(p.weight_shape) + (p.out_channels if p.has_bias else 0)
+
+
+def _conv_macs(cfg, out_shape):
+    _, cout, ho, wo = out_shape
+    return prod(cfg["params"].weight_shape[1:]) * cout * ho * wo
+
+
+def _conv_describe(cfg):
+    p: ConvParams = cfg["params"]
+    g = f" g={p.groups}" if p.groups > 1 else ""
+    return (f" {p.in_channels}->{p.out_channels} "
+            f"k={p.kernel[0]}x{p.kernel[1]} s={p.stride[0]}{g}")
+
+
+def _bn_shape(cfg, ins):
+    if ins[0][1] != cfg["channels"]:
+        raise ShapeError(f"{ins[0][1]} channels into bn expecting "
+                         f"{cfg['channels']}")
+    return ins[0]
+
+
+def _bn_state(cfg, table, mode) -> BatchNormState:
+    return BatchNormState(gamma=table["gamma"], beta=table["beta"],
+                          running_mean=table["running_mean"],
+                          running_var=table["running_var"],
+                          momentum=cfg.get("momentum", 0.1),
+                          epsilon=cfg.get("epsilon", 1e-5), mode=mode)
+
+
+def _bn_backward(cfg, grad_out, ins, table, mode):
+    gx, gg, gb = ops.batchnorm2d_backward(grad_out, ins[0],
+                                          _bn_state(cfg, table, mode))
+    return [gx], {"gamma": gg, "beta": gb}
+
+
+def _bn_init(cfg, rng):
+    """The affine starts as the identity."""
+    c = cfg["channels"]
+    return {"gamma": np.ones(c, dtype=np.float32),
+            "beta": np.zeros(c, dtype=np.float32),
+            "running_mean": np.zeros(c, dtype=np.float32),
+            "running_var": np.ones(c, dtype=np.float32)}
+
+
+def _pool_op(kind: str, **extra) -> OpDef:
+    def shape(cfg, ins):
+        n, c, h, w = ins[0]
+        return (n, c, *_out_hw(h, w, cfg["kernel"], cfg["stride"],
+                               cfg["pad"]))
+
+    def forward(cfg, ins, table, mode):
+        return ops.pool2d(ins[0], kind, cfg["kernel"], cfg["stride"],
+                          cfg["pad"])
+
+    def backward(cfg, grad_out, ins, table, mode):
+        return [ops.pool2d_backward(grad_out, ins[0], kind, cfg["kernel"],
+                                    cfg["stride"], cfg["pad"])], {}
+
+    return OpDef(shape, forward, backward, **extra)
+
+
+def _max_pool_kinks(cfg, x):
+    win, _ = ops._pool_windows(x.data, cfg["kernel"], cfg["stride"],
+                               cfg["pad"], -np.inf)
+    return win.argmax(axis=2).astype(np.uint8).tobytes()
+
+
+def _linear_shape(cfg, ins):
+    n, c, h, w = ins[0]
+    if c != cfg["in_features"] or (h, w) != (1, 1):
+        raise ShapeError(f"linear expects ({cfg['in_features']},1,1) "
+                         f"features, got ({c},{h},{w})")
+    return (n, cfg["out_features"], 1, 1)
+
+
+def _linear_backward(cfg, grad_out, ins, table, mode):
+    gx, gw, gb = ops.linear_backward(grad_out, ins[0], table["weight"])
+    return [gx], {"weight": gw, "bias": gb}
+
+
+def _linear_init(cfg, rng):
+    """He-style init: normal with std sqrt(2/fan_in)."""
+    cin, cout = cfg["in_features"], cfg["out_features"]
+    w = rng.normal(0.0, np.sqrt(2.0 / cin),
+                   size=(cout, cin)).astype(np.float32)
+    return {"weight": w, "bias": np.zeros(cout, dtype=np.float32)}
+
+
+def _concat_shape(cfg, ins):
+    n, _, h, w = ins[0]
+    if any(s[0] != n or tuple(s[2:]) != (h, w) for s in ins):
+        raise ShapeError(f"concat inputs disagree: {ins}")
+    return (n, sum(s[1] for s in ins), h, w)
+
+
+def _block_sum_shape(cfg, ins):
+    n, c, h, w = ins[0]
+    if c % cfg["m"]:
+        raise ShapeError(f"{c} channels not divisible by m={cfg['m']}")
+    return (n, c // cfg["m"], h, w)
+
+
+def _slice_range(cfg, channels):
+    start, stop = cfg["start"], cfg["stop"]
+    if not 0 <= start < stop <= channels:
+        raise ShapeError(f"slice [{start}:{stop}] out of range for "
+                         f"{channels} channels")
+    return start, stop
+
+
+def _slice_shape(cfg, ins):
+    n, c, h, w = ins[0]
+    start, stop = _slice_range(cfg, c)
+    return (n, stop - start, h, w)
+
+
+def _slice_forward(cfg, ins, table, mode):
+    start, stop = _slice_range(cfg, ins[0].c)
+    return Tensor(ins[0].data[:, start:stop].copy())
+
+
+def _slice_backward(cfg, grad_out, ins, table, mode):
+    full = np.zeros((grad_out.n, ins[0].c, grad_out.h, grad_out.w),
+                    dtype=grad_out.dtype)
+    full[:, cfg["start"]:cfg["stop"]] = grad_out.data
+    return [Tensor(full)], {}
+
+
+def _add_shape(cfg, ins):
+    if any(s != ins[0] for s in ins):
+        raise ShapeError(f"add inputs disagree: {ins}")
+    return ins[0]
+
+
+def _add_forward(cfg, ins, table, mode):
+    out = ins[0]
+    for t in ins[1:]:
+        out = elementwise("add", out, t)
+    return out
+
+
+def _m_describe(cfg):
+    return f" m={cfg['m']}"
+
+
+_CONV = OpDef(
+    _conv_shape,
+    lambda cfg, ins, table, mode: ops.conv2d_forward(
+        ins[0], table["weight"], table.get("bias"), cfg["params"]),
+    _conv_backward, init=_conv_init, params=_conv_params, macs=_conv_macs,
+    describe=_conv_describe, depth=1)
+
+OPS: dict[str, OpDef] = {
+    "input": OpDef(min_inputs=0),
+    "conv": _CONV,
+    # a grouped conv evaluated by kernel-position accumulation; plan
+    # lowering emits it for the batched mode
+    "conv_shift": replace(_CONV, forward=lambda cfg, ins, table, mode:
+                          ops.conv2d_shift_forward(
+                              ins[0], table["weight"], table.get("bias"),
+                              cfg["params"])),
+    "bn": OpDef(
+        _bn_shape,
+        lambda cfg, ins, table, mode: ops.batchnorm2d(
+            ins[0], _bn_state(cfg, table, mode)),
+        _bn_backward, init=_bn_init,
+        # affine scale and shift only; running statistics are not trainable
+        params=lambda cfg: 2 * cfg["channels"]),
+    "relu": OpDef(
+        forward=lambda cfg, ins, table, mode: ops.relu(ins[0]),
+        backward=lambda cfg, grad_out, ins, table, mode: (
+            [ops.relu_backward(grad_out, ins[0])], {}),
+        kinks=lambda cfg, x: np.packbits(x.data > 0).tobytes()),
+    "pool_max": _pool_op("max", kinks=_max_pool_kinks),
+    "pool_avg": _pool_op("avg"),
+    "gap": OpDef(
+        lambda cfg, ins: (*ins[0][:2], 1, 1),
+        lambda cfg, ins, table, mode: ops.global_avg_pool(ins[0]),
+        lambda cfg, grad_out, ins, table, mode: (
+            [ops.global_avg_pool_backward(grad_out, ins[0])], {})),
+    "linear": OpDef(
+        _linear_shape,
+        lambda cfg, ins, table, mode: ops.linear(
+            ins[0], table["weight"], table["bias"]),
+        _linear_backward, init=_linear_init,
+        params=lambda cfg: (cfg["in_features"] + 1) * cfg["out_features"],
+        macs=lambda cfg, out_shape: cfg["in_features"] * cfg["out_features"],
+        describe=lambda cfg: f" {cfg['in_features']}->{cfg['out_features']}",
+        depth=1),
+    "ir": OpDef(
+        lambda cfg, ins: (ins[0][0], ins[0][1] * cfg["m"], *ins[0][2:]),
+        lambda cfg, ins, table, mode: ops.input_replicate(ins[0], cfg["m"]),
+        lambda cfg, grad_out, ins, table, mode: (
+            [ops.input_replicate_backward(grad_out, cfg["m"])], {}),
+        describe=_m_describe),
+    "concat": OpDef(
+        _concat_shape,
+        lambda cfg, ins, table, mode: ops.channel_concat(ins),
+        lambda cfg, grad_out, ins, table, mode: (
+            ops.channel_concat_backward(grad_out, [t.c for t in ins]), {}),
+        min_inputs=2),
+    "block_sum": OpDef(
+        _block_sum_shape,
+        lambda cfg, ins, table, mode: ops.channel_block_sum(ins[0], cfg["m"]),
+        lambda cfg, grad_out, ins, table, mode: (
+            [ops.channel_block_sum_backward(grad_out, cfg["m"])], {}),
+        describe=_m_describe),
+    "slice": OpDef(_slice_shape, _slice_forward, _slice_backward),
+    "add": OpDef(_add_shape, _add_forward,
+                 lambda cfg, grad_out, ins, table, mode: (
+                     [grad_out for _ in ins], {}),
+                 min_inputs=2),
+    "output": OpDef(),
+}
+
+
+# ---------------------------------------------------------------------------
+# construction
+
+
 class GraphBuilder:
     def __init__(self):
         self._nodes = []
         self._names = set()
 
     def add(self, kind: str, inputs=(), name: str = "", **config) -> int:
-        if kind not in KINDS:
+        if kind not in OPS:
             raise GraphError(f"unknown node kind {kind!r}")
         nid = len(self._nodes)
         inputs = tuple(inputs)
         for src in inputs:
             if not 0 <= src < nid:
                 raise GraphError(f"node {name!r} references unknown input {src}")
-        if kind != "input" and not inputs:
-            raise GraphError(f"node {name!r} ({kind}) needs a predecessor")
-        if kind in ("add", "concat") and len(inputs) < 2:
-            raise GraphError(f"node {name!r} ({kind}) needs >= 2 inputs")
+        if len(inputs) < OPS[kind].min_inputs:
+            raise GraphError(f"node {name!r} ({kind}) needs >= "
+                             f"{OPS[kind].min_inputs} inputs")
         if not name:
             name = f"{kind}{nid}"
         if name in self._names:
@@ -115,163 +413,90 @@ class GraphBuilder:
         inputs = [n.id for n in self._nodes if n.kind == "input"]
         if len(inputs) != 1:
             raise GraphError(f"graph must have exactly one input, got {len(inputs)}")
-        weights = {}
-        if init:
-            rng = np.random.Generator(np.random.PCG64(seed))
-            for n in self._nodes:
-                w = _init_weights(n, rng)
-                if w:
-                    weights[n.id] = w
+        weights = _init_weights(self._nodes, seed) if init else {}
         return Graph(self._nodes, inputs[0], output_id, weights)
 
 
-def _init_weights(node: LayerNode, rng) -> dict:
-    """He-style init: normal with std sqrt(2/fan_in); BN affine is identity."""
-    if node.kind == "conv":
-        p: ConvParams = node.config["params"]
-        fan_in = (p.in_channels // p.groups) * p.kernel[0] * p.kernel[1]
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                       size=p.weight_shape).astype(np.float32)
-        table = {"weight": w}
-        if p.has_bias:
-            table["bias"] = np.zeros(p.out_channels, dtype=np.float32)
-        return table
-    if node.kind == "bn":
-        c = node.config["channels"]
-        return {"gamma": np.ones(c, dtype=np.float32),
-                "beta": np.zeros(c, dtype=np.float32),
-                "running_mean": np.zeros(c, dtype=np.float32),
-                "running_var": np.ones(c, dtype=np.float32)}
-    if node.kind == "linear":
-        cin = node.config["in_features"]
-        cout = node.config["out_features"]
-        w = rng.normal(0.0, np.sqrt(2.0 / cin),
-                       size=(cout, cin)).astype(np.float32)
-        return {"weight": w, "bias": np.zeros(cout, dtype=np.float32)}
-    return {}
+def _init_weights(nodes, seed: int) -> dict:
+    """Seeded weight tables for ``nodes``, drawn in node order."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights = {}
+    for n in nodes:
+        w = OPS[n.kind].init(n.config, rng)
+        if w:
+            weights[n.id] = w
+    return weights
 
 
 def reinit_weights(graph: Graph, seed: int) -> dict:
     """Fresh seeded weight table for an existing graph (same shapes)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    weights = {}
-    for nid in graph.order:
-        w = _init_weights(graph.node(nid), rng)
-        if w:
-            weights[nid] = w
-    return weights
-
-
-def _bn_state(node, table, mode) -> BatchNormState:
-    return BatchNormState(gamma=table["gamma"], beta=table["beta"],
-                          running_mean=table["running_mean"],
-                          running_var=table["running_var"],
-                          momentum=node.config.get("momentum", 0.1),
-                          epsilon=node.config.get("epsilon", 1e-5),
-                          mode=mode)
+    return _init_weights(map(graph.node, graph.order), seed)
 
 
 def infer_shapes(graph: Graph, input_shape) -> dict:
-    """Propagate (n,c,h,w) shapes through the graph without executing it."""
+    """Propagate (n,c,h,w) shapes through the graph without executing it.
+
+    ``graph`` needs only ``order`` and ``node(id)``, so an execution plan's
+    steps can be walked too; a node without inputs takes ``input_shape``.
+    """
     shapes = {}
     for nid in graph.order:
         n = graph.node(nid)
         try:
-            if n.kind == "input":
-                shapes[nid] = tuple(input_shape)
-                continue
-            ins = [shapes[i] for i in n.inputs]
-            bn, c, h, w = ins[0]
-            if n.kind == "conv":
-                p: ConvParams = n.config["params"]
-                if c != p.in_channels:
-                    raise ShapeError(f"{c} channels into conv expecting "
-                                     f"{p.in_channels}")
-                from .tensor import _out_hw
-                ho, wo = _out_hw(h, w, p.kernel, p.stride, p.pad)
-                shapes[nid] = (bn, p.out_channels, ho, wo)
-            elif n.kind in ("bn", "relu", "output"):
-                if n.kind == "bn" and c != n.config["channels"]:
-                    raise ShapeError(f"{c} channels into bn expecting "
-                                     f"{n.config['channels']}")
-                shapes[nid] = ins[0]
-            elif n.kind in ("pool_max", "pool_avg"):
-                from .tensor import _out_hw
-                ho, wo = _out_hw(h, w, n.config["kernel"], n.config["stride"],
-                                 n.config["pad"])
-                shapes[nid] = (bn, c, ho, wo)
-            elif n.kind == "gap":
-                shapes[nid] = (bn, c, 1, 1)
-            elif n.kind == "linear":
-                if c != n.config["in_features"] or (h, w) != (1, 1):
-                    raise ShapeError(f"linear expects ({n.config['in_features']},"
-                                     f"1,1) features, got ({c},{h},{w})")
-                shapes[nid] = (bn, n.config["out_features"], 1, 1)
-            elif n.kind == "ir":
-                shapes[nid] = (bn, c * n.config["m"], h, w)
-            elif n.kind == "concat":
-                if any(s[0] != bn or s[2:] != (h, w) for s in ins):
-                    raise ShapeError(f"concat inputs disagree: {ins}")
-                shapes[nid] = (bn, sum(s[1] for s in ins), h, w)
-            elif n.kind == "block_sum":
-                m = n.config["m"]
-                if c % m:
-                    raise ShapeError(f"{c} channels not divisible by m={m}")
-                shapes[nid] = (bn, c // m, h, w)
-            elif n.kind == "slice":
-                start, stop = n.config["start"], n.config["stop"]
-                if not 0 <= start < stop <= c:
-                    raise ShapeError(f"slice [{start}:{stop}] out of range "
-                                     f"for {c} channels")
-                shapes[nid] = (bn, stop - start, h, w)
-            elif n.kind == "add":
-                if any(s != ins[0] for s in ins):
-                    raise ShapeError(f"add inputs disagree: {ins}")
-                shapes[nid] = ins[0]
-            else:
-                raise ShapeError(f"unknown kind {n.kind}")
-        except ShapeError as exc:
+            ins = [shapes[i] for i in n.inputs] or [tuple(input_shape)]
+            shapes[nid] = tuple(OPS[n.kind].shape(n.config, ins))
+        except (ShapeError, KeyError) as exc:
             raise GraphError(f"shape propagation failed at node {nid} "
                              f"({n.name}): {exc}") from exc
     return shapes
 
 
-def _eval_node(node: LayerNode, ins, table, mode):
-    if node.kind == "conv":
-        p = node.config["params"]
-        return ops.conv2d_forward(ins[0], table["weight"],
-                                  table.get("bias"), p)
-    if node.kind == "bn":
-        return ops.batchnorm2d(ins[0], _bn_state(node, table, mode))
-    if node.kind == "relu":
-        return ops.relu(ins[0])
-    if node.kind in ("pool_max", "pool_avg"):
-        return ops.pool2d(ins[0], node.kind[5:], node.config["kernel"],
-                          node.config["stride"], node.config["pad"])
-    if node.kind == "gap":
-        return ops.global_avg_pool(ins[0])
-    if node.kind == "linear":
-        return ops.linear(ins[0], table["weight"], table["bias"])
-    if node.kind == "ir":
-        return ops.input_replicate(ins[0], node.config["m"])
-    if node.kind == "concat":
-        return ops.channel_concat(ins)
-    if node.kind == "block_sum":
-        return ops.channel_block_sum(ins[0], node.config["m"])
-    if node.kind == "slice":
-        start, stop = node.config["start"], node.config["stop"]
-        if not 0 <= start < stop <= ins[0].c:
-            raise ShapeError(f"slice [{start}:{stop}] out of range for "
-                             f"{ins[0].c} channels")
-        return Tensor(ins[0].data[:, start:stop].copy())
-    if node.kind == "add":
-        out = ins[0]
-        for t in ins[1:]:
-            out = elementwise("add", out, t)
-        return out
-    if node.kind == "output":
-        return ins[0]
-    raise GraphError(f"cannot evaluate kind {node.kind}")
+# ---------------------------------------------------------------------------
+# execution
+
+
+def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
+    """The forward interpreter of :func:`graph_forward` and
+    ``runtime.execute``.
+
+    ``program`` (a :class:`Graph` or an execution plan) has ``steps``,
+    ``input_id`` and ``output_id``.  Each step runs
+    ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
+    step with a ``group`` index reads only that group's block of the table's
+    rows; the table holds one block per group step reading it.  Tensors are
+    freed at their last use, except in train mode, where every activation
+    is kept as the tape.  Failures are raised as ``error``.
+
+    Returns (output, activations).
+    """
+    steps = program.steps
+    uses = Counter(src for s in steps for src in s.inputs)
+    blocks = Counter(s.src_node for s in steps if s.group is not None)
+    acts = {program.input_id: x}
+    out = None
+    for s in steps:
+        try:
+            table = weights.get(s.src_node, {})
+            if s.group is not None:
+                nb = blocks[s.src_node]
+                table = {f: a[s.group * len(a) // nb:
+                              (s.group + 1) * len(a) // nb]
+                         for f, a in table.items()}
+            ins = [acts[src] for src in s.inputs]
+            acts[s.id] = OPS[s.kind].forward(s.config, ins, table, mode)
+        except (ShapeError, GraphError, KeyError) as exc:
+            raise error(f"forward failed at step {s.id} ({s.name}): "
+                        f"{exc}") from exc
+        if s.id == program.output_id:
+            out = acts[s.id]
+        if mode != "train":
+            for src in s.inputs:
+                uses[src] -= 1
+                if uses[src] == 0:
+                    del acts[src]
+    if out is None:
+        raise error("the program never produced its output tensor")
+    return out, acts
 
 
 def graph_forward(graph: Graph, x: Tensor, mode: str = "eval",
@@ -284,69 +509,9 @@ def graph_forward(graph: Graph, x: Tensor, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise GraphError(f"unknown mode {mode!r}")
     weights = weights if weights is not None else graph.weights
-    acts = {}
-    for nid in graph.order:
-        node = graph.node(nid)
-        if node.kind == "input":
-            acts[nid] = x
-            continue
-        ins = []
-        for src in node.inputs:
-            if src not in acts:
-                raise GraphError(f"node {node.name} reads unevaluated node {src}")
-            ins.append(acts[src])
-        try:
-            acts[nid] = _eval_node(node, ins, weights.get(nid, {}), mode)
-        except (ShapeError, GraphError) as exc:
-            raise GraphError(f"forward failed at node {nid} ({node.name}): "
-                             f"{exc}") from exc
-    out = acts[graph.output_id]
+    out, acts = run_steps(graph, x, weights, mode)
     tape = {"mode": mode, "acts": acts} if mode == "train" else None
     return out, tape
-
-
-def _node_backward(node: LayerNode, grad_out: Tensor, ins, table, mode):
-    """Returns (per-input gradients, parameter gradients dict)."""
-    if node.kind == "conv":
-        p = node.config["params"]
-        gx, gw, gb = ops.conv2d_backward(grad_out, ins[0], table["weight"], p)
-        grads = {"weight": gw}
-        if gb is not None:
-            grads["bias"] = gb
-        return [gx], grads
-    if node.kind == "bn":
-        gx, gg, gb = ops.batchnorm2d_backward(grad_out, ins[0],
-                                              _bn_state(node, table, mode))
-        return [gx], {"gamma": gg, "beta": gb}
-    if node.kind == "relu":
-        return [ops.relu_backward(grad_out, ins[0])], {}
-    if node.kind in ("pool_max", "pool_avg"):
-        gx = ops.pool2d_backward(grad_out, ins[0], node.kind[5:],
-                                 node.config["kernel"], node.config["stride"],
-                                 node.config["pad"])
-        return [gx], {}
-    if node.kind == "gap":
-        return [ops.global_avg_pool_backward(grad_out, ins[0])], {}
-    if node.kind == "linear":
-        gx, gw, gb = ops.linear_backward(grad_out, ins[0], table["weight"])
-        return [gx], {"weight": gw, "bias": gb}
-    if node.kind == "ir":
-        return [ops.input_replicate_backward(grad_out, node.config["m"])], {}
-    if node.kind == "concat":
-        return ops.channel_concat_backward(grad_out, [t.c for t in ins]), {}
-    if node.kind == "block_sum":
-        return [ops.channel_block_sum_backward(grad_out, node.config["m"])], {}
-    if node.kind == "slice":
-        start, stop = node.config["start"], node.config["stop"]
-        full = np.zeros((grad_out.n, ins[0].c, grad_out.h, grad_out.w),
-                        dtype=grad_out.dtype)
-        full[:, start:stop] = grad_out.data
-        return [Tensor(full)], {}
-    if node.kind == "add":
-        return [grad_out for _ in ins], {}
-    if node.kind == "output":
-        return [grad_out], {}
-    raise GraphError(f"cannot differentiate kind {node.kind}")
 
 
 def graph_backward(graph: Graph, tape, grad_output: Tensor, weights=None):
@@ -360,17 +525,16 @@ def graph_backward(graph: Graph, tape, grad_output: Tensor, weights=None):
     acts = tape["acts"]
     out_grads = {graph.output_id: grad_output}
     param_grads = {}
-    for nid in reversed(graph.order):
-        node = graph.node(nid)
-        if nid not in out_grads or node.kind == "input":
+    for s in reversed(graph.steps):
+        if s.id not in out_grads:
             continue
-        go = out_grads.pop(nid)
-        ins = [acts[src] for src in node.inputs]
-        in_grads, pgrads = _node_backward(node, go, ins,
-                                          weights.get(nid, {}), tape["mode"])
+        go = out_grads.pop(s.id)
+        ins = [acts[src] for src in s.inputs]
+        in_grads, pgrads = OPS[s.kind].backward(
+            s.config, go, ins, weights.get(s.id, {}), tape["mode"])
         if pgrads:
-            param_grads[nid] = pgrads
-        for src, g in zip(node.inputs, in_grads):
+            param_grads[s.id] = pgrads
+        for src, g in zip(s.inputs, in_grads):
             if src in out_grads:
                 out_grads[src] = Tensor(out_grads[src].data + g.data)
             else:
@@ -387,18 +551,8 @@ def _activation_signature(graph: Graph, acts) -> bytes:
     pass (ReLU sign masks and max-pool winner indices).  Two evaluations
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
-    parts = []
-    for nid in graph.order:
-        node = graph.node(nid)
-        if node.kind == "relu":
-            parts.append(np.packbits(acts[node.inputs[0]].data > 0).tobytes())
-        elif node.kind == "pool_max":
-            win, _ = ops._pool_windows(acts[node.inputs[0]].data,
-                                       node.config["kernel"],
-                                       node.config["stride"],
-                                       node.config["pad"], -np.inf)
-            parts.append(win.argmax(axis=2).astype(np.uint8).tobytes())
-    return b"".join(parts)
+    return b"".join(OPS[s.kind].kinks(s.config, acts[s.inputs[0]])
+                    for s in graph.steps)
 
 
 def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
@@ -482,18 +636,7 @@ def describe(graph: Graph, input_shape=None) -> str:
     lines = []
     for nid in graph.order:
         n = graph.node(nid)
-        detail = ""
-        if n.kind == "conv":
-            p = n.config["params"]
-            g = f" g={p.groups}" if p.groups > 1 else ""
-            detail = (f" {p.in_channels}->{p.out_channels} "
-                      f"k={p.kernel[0]}x{p.kernel[1]} s={p.stride[0]}{g}")
-        elif n.kind == "ir":
-            detail = f" m={n.config['m']}"
-        elif n.kind == "block_sum":
-            detail = f" m={n.config['m']}"
-        elif n.kind == "linear":
-            detail = f" {n.config['in_features']}->{n.config['out_features']}"
+        detail = OPS[n.kind].describe(n.config)
         shape = f" -> {shapes[nid]}" if shapes else ""
         src = ",".join(str(s) for s in n.inputs)
         lines.append(f"[{nid:3d}] {n.name:<24} {n.kind:<9} in=({src}){detail}{shape}")

@@ -71,6 +71,40 @@ def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
     return Tensor(out)
 
 
+def conv2d_shift_forward(x: Tensor, weight: np.ndarray,
+                         bias: np.ndarray | None, p: ConvParams) -> Tensor:
+    """Grouped convolution by kernel-position accumulation.
+
+    One small gemm per (group, kernel row, kernel col), summed in kernel
+    order — a deliberately different reduction order from the im2col path
+    of :func:`conv2d_forward`, whose gradients it shares.
+    """
+    n = x.n
+    g = p.groups
+    cin_g = p.in_channels // g
+    cout_g = p.out_channels // g
+    kh, kw = p.kernel
+    sh, sw = p.stride
+    ph, pw = p.pad
+    ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((p.out_channels, n * ho * wo), dtype=x.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            patch = xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+            patch = patch.transpose(1, 0, 2, 3).reshape(p.in_channels,
+                                                        n * ho * wo)
+            for gi in range(g):
+                wmat = weight[gi * cout_g:(gi + 1) * cout_g, :, ki, kj]
+                out[gi * cout_g:(gi + 1) * cout_g] += mm(
+                    wmat.astype(x.dtype, copy=False),
+                    patch[gi * cin_g:(gi + 1) * cin_g])
+    out = out.reshape(p.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
+    if bias is not None:
+        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return Tensor(out)
+
+
 def conv2d_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray,
                     params: ConvParams):
     """Exact reverse-mode gradients of :func:`conv2d_forward`.

@@ -1,14 +1,21 @@
 """Reference execution engine: lowering a graph to an execution plan and
 running it, in two column-execution modes.
 
-``batched`` keeps every grouped convolution as one fused step and evaluates
-it with per-kernel-position accumulation (a sequence of small gemms summed in
-kernel order).  ``unrolled`` expands each grouped convolution into explicit
-per-group slice / convolve / concatenate steps, each group evaluated by the
-im2col path.  The two modes are mathematically identical but accumulate in a
-different order, so their float32 outputs differ at rounding level; the
-equivalence checker bounds that difference.  A graph whose convolutions all
-have a single group lowers to step-identical plans in both modes.
+Every layer kind is defined once, in ``graph.OPS``, and one interpreter,
+``graph.run_steps``, runs both a graph (``graph_forward``) and a plan
+(:func:`execute`).  The interpreter never looks at the mode: the lowering
+chooses each step's kind, and through it the kernel.  The modes differ only
+in how they lower a grouped convolution:
+
+``batched`` keeps it as one ``conv_shift`` step, evaluated by
+kernel-position accumulation (``ops.conv2d_shift_forward``: a sequence of
+small gemms summed in kernel order).  ``unrolled`` expands it into explicit
+per-group slice / convolve / concatenate steps; each per-group conv reads
+its group's block of the weight rows and runs the im2col path.  The two
+modes are mathematically identical but accumulate in a different order, so
+their float32 outputs differ at rounding level; the equivalence checker
+bounds that difference.  A graph whose convolutions all have a single group
+lowers to step-identical plans in both modes.
 """
 
 from __future__ import annotations
@@ -18,25 +25,13 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from . import ops
-from .errors import PlanError, ShapeError
-from .graph import Graph, reinit_weights
-from .ops import BatchNormState, ConvParams
-from .tensor import Tensor, elementwise, mm, tensor_create, _out_hw
+from .errors import ConfigError, PlanError
+from .graph import Graph, PlanStep, reinit_weights, run_steps
+from .ops import ConvParams
+from .tensor import Tensor, tensor_create
 
 MODES = ("batched", "unrolled")
 INPUT_ID = -1   # plan-level id of the external input tensor
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    id: int
-    kind: str
-    config: dict
-    inputs: tuple
-    name: str
-    src_node: int | None = None   # graph node whose weight table this reads
-    group: int | None = None      # group index for unrolled per-group convs
 
 
 @dataclass
@@ -45,6 +40,7 @@ class ExecutionPlan:
     graph: Graph
     steps: list
     output_id: int
+    input_id = INPUT_ID   # a constant, not a field: no plan uses another id
 
     def num_steps(self) -> int:
         return len(self.steps)
@@ -69,156 +65,43 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
                               src_node=src_node, group=group))
         return sid
 
-    for nid in graph.order:
-        node = graph.node(nid)
-        if node.kind == "input":
-            continue
+    for node in graph.steps:
+        nid = node.id
         try:
             ins = [produced[src] for src in node.inputs]
         except KeyError as exc:
             raise PlanError(f"node {node.name} reads unplanned node "
                             f"{exc.args[0]}") from None
-        if node.kind == "conv":
-            p: ConvParams = node.config["params"]
-            if mode == "unrolled" and p.groups > 1:
-                g = p.groups
-                cin_g = p.in_channels // g
-                cout_g = p.out_channels // g
-                gp = dc_replace(p, in_channels=cin_g, out_channels=cout_g,
-                                groups=1)
-                parts = []
-                for gi in range(g):
-                    sl = emit("slice",
-                              {"start": gi * cin_g, "stop": (gi + 1) * cin_g},
-                              ins, f"{node.name}.g{gi}.slice")
-                    parts.append(emit("conv", {"params": gp}, [sl],
-                                      f"{node.name}.g{gi}", src_node=nid,
-                                      group=gi))
-                produced[nid] = emit("concat", {}, parts,
-                                     f"{node.name}.join")
+        p: ConvParams | None = node.config.get("params")
+        if node.kind == "conv" and p.groups > 1:
+            if mode == "batched":
+                produced[nid] = emit("conv_shift", dict(node.config), ins,
+                                     node.name, src_node=nid)
                 continue
-            produced[nid] = emit("conv", dict(node.config), ins, node.name,
-                                 src_node=nid)
+            g = p.groups
+            cin_g = p.in_channels // g
+            gp = dc_replace(p, in_channels=cin_g,
+                            out_channels=p.out_channels // g, groups=1)
+            parts = []
+            for gi in range(g):
+                sl = emit("slice",
+                          {"start": gi * cin_g, "stop": (gi + 1) * cin_g},
+                          ins, f"{node.name}.g{gi}.slice")
+                parts.append(emit("conv", {"params": gp}, [sl],
+                                  f"{node.name}.g{gi}", src_node=nid,
+                                  group=gi))
+            produced[nid] = emit("concat", {}, parts, f"{node.name}.join")
             continue
         produced[nid] = emit(node.kind, dict(node.config), ins, node.name,
-                             src_node=nid if nid in graph.weights else None)
+                             src_node=nid)
     return ExecutionPlan(mode=mode, graph=graph, steps=steps,
                          output_id=produced[graph.output_id])
-
-
-def _conv_shift(x: Tensor, weight, bias, p: ConvParams) -> Tensor:
-    """Grouped convolution by kernel-position accumulation.
-
-    One small gemm per (group, kernel row, kernel col), summed in kernel
-    order — a deliberately different reduction order from the im2col path.
-    """
-    n = x.n
-    g = p.groups
-    cin_g = p.in_channels // g
-    cout_g = p.out_channels // g
-    kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.pad
-    ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((p.out_channels, n * ho * wo), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
-            patch = patch.transpose(1, 0, 2, 3).reshape(p.in_channels,
-                                                        n * ho * wo)
-            for gi in range(g):
-                wmat = weight[gi * cout_g:(gi + 1) * cout_g, :, ki, kj]
-                out[gi * cout_g:(gi + 1) * cout_g] += mm(
-                    wmat.astype(x.dtype, copy=False),
-                    patch[gi * cin_g:(gi + 1) * cin_g])
-    out = out.reshape(p.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
-    return Tensor(out)
-
-
-def _exec_step(step: PlanStep, ins, weights, mode):
-    if step.kind == "conv":
-        p: ConvParams = step.config["params"]
-        table = weights[step.src_node]
-        w = table["weight"]
-        b = table.get("bias")
-        if step.group is not None:
-            lo = step.group * p.out_channels
-            hi = lo + p.out_channels
-            w = w[lo:hi]
-            b = b[lo:hi] if b is not None else None
-            return ops.conv2d_forward(ins[0], w, b, p)
-        if mode == "batched" and p.groups > 1:
-            return _conv_shift(ins[0], w, b, p)
-        return ops.conv2d_forward(ins[0], w, b, p)
-    if step.kind == "bn":
-        table = weights[step.src_node]
-        state = BatchNormState(gamma=table["gamma"], beta=table["beta"],
-                               running_mean=table["running_mean"],
-                               running_var=table["running_var"],
-                               momentum=step.config.get("momentum", 0.1),
-                               epsilon=step.config.get("epsilon", 1e-5),
-                               mode="eval")
-        return ops.batchnorm2d(ins[0], state)
-    if step.kind == "relu":
-        return ops.relu(ins[0])
-    if step.kind in ("pool_max", "pool_avg"):
-        return ops.pool2d(ins[0], step.kind[5:], step.config["kernel"],
-                          step.config["stride"], step.config["pad"])
-    if step.kind == "gap":
-        return ops.global_avg_pool(ins[0])
-    if step.kind == "linear":
-        table = weights[step.src_node]
-        return ops.linear(ins[0], table["weight"], table["bias"])
-    if step.kind == "ir":
-        return ops.input_replicate(ins[0], step.config["m"])
-    if step.kind == "concat":
-        return ops.channel_concat(ins)
-    if step.kind == "block_sum":
-        return ops.channel_block_sum(ins[0], step.config["m"])
-    if step.kind == "slice":
-        start, stop = step.config["start"], step.config["stop"]
-        if not 0 <= start < stop <= ins[0].c:
-            raise ShapeError(f"slice [{start}:{stop}] out of range for "
-                             f"{ins[0].c} channels")
-        return Tensor(ins[0].data[:, start:stop].copy())
-    if step.kind == "add":
-        out = ins[0]
-        for t in ins[1:]:
-            out = elementwise("add", out, t)
-        return out
-    if step.kind == "output":
-        return ins[0]
-    raise PlanError(f"cannot execute step kind {step.kind!r}")
 
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
     """Run a plan in inference mode; tensors are freed at last use."""
     weights = weights if weights is not None else p.graph.weights
-    consumers = {INPUT_ID: 0}
-    for s in p.steps:
-        consumers[s.id] = 0
-        for src in s.inputs:
-            consumers[src] += 1
-    acts = {INPUT_ID: x}
-    out = None
-    for s in p.steps:
-        ins = [acts[src] for src in s.inputs]
-        try:
-            acts[s.id] = _exec_step(s, ins, weights, p.mode)
-        except (ShapeError, KeyError) as exc:
-            raise PlanError(f"execution failed at step {s.id} "
-                            f"({s.name}): {exc}") from exc
-        for src in set(s.inputs):
-            consumers[src] -= s.inputs.count(src)
-            if consumers[src] == 0:
-                del acts[src]
-        if s.id == p.output_id:
-            out = acts[s.id]
-    if out is None:
-        raise PlanError("plan never produced its output tensor")
+    out, _ = run_steps(p, x, weights, "eval", error=PlanError)
     return out
 
 
@@ -241,6 +124,8 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
     absolute elementwise difference between the two modes.  Failures are
     reported, not raised.
     """
+    if trials < 1:
+        raise ConfigError(f"equivalence check needs >= 1 trial, got {trials}")
     pb = plan(graph, "batched")
     pu = plan(graph, "unrolled")
     diffs = []
@@ -259,6 +144,8 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
 def bench(p: ExecutionPlan, input_shape, warmup: int = 1, iters: int = 5,
           seed: int = 0) -> dict:
     """Wall-clock timing of :func:`execute`; returns milliseconds."""
+    if iters < 1:
+        raise ConfigError(f"bench needs >= 1 timed iteration, got {iters}")
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0)
     for _ in range(warmup):
         execute(p, x)

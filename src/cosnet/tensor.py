@@ -2,7 +2,7 @@
 
 Storage is 32-bit float in n-major (then channel, row, col) order.  A tensor
 is immutable from the caller's perspective: every operation allocates its
-output.  ``matmul`` has a documented accumulation order: the fast path is a
+output.  :func:`mm` has a documented accumulation order: the fast path is a
 single BLAS call; deterministic mode (``COSNET_DETERMINISTIC=1`` or
 :func:`set_deterministic`) forces a strictly sequential reduction over the
 inner dimension.  The two paths agree within 1e-6 relative on the sizes used
@@ -84,33 +84,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-class Matrix:
-    """Row-major 2-D float matrix (im2col target / gemm operand)."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray):
-        data = np.asarray(data)
-        if data.ndim != 2:
-            raise ShapeError(f"expected 2-D matrix, got shape {data.shape}")
-        if any(d < 1 for d in data.shape):
-            raise ShapeError(f"matrix dimensions must be >= 1, got {data.shape}")
-        if data.dtype not in (np.float32, np.float64):
-            data = data.astype(np.float32)
-        self.data = np.ascontiguousarray(data)
-
-    @property
-    def rows(self):
-        return self.data.shape[0]
-
-    @property
-    def cols(self):
-        return self.data.shape[1]
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-
 def tensor_create(shape, fill: str = "zeros", *, value: float = 0.0,
                   seed: int = 0, lo: float = 0.0, hi: float = 1.0,
                   mean: float = 0.0, std: float = 1.0,
@@ -187,14 +160,6 @@ def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:
     return xp
 
 
-def im2col(x: Tensor, kernel, stride, pad) -> Matrix:
-    """Single-sample im2col: (1,c,h,w) -> (c*kh*kw, Ho*Wo)."""
-    if x.n != 1:
-        raise ShapeError(f"im2col expects a single sample, got batch {x.n}")
-    cols = im2col_nd(x.data, kernel, stride, pad)
-    return Matrix(cols[0])
-
-
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with the package's fixed accumulation contract."""
     if a.shape[1] != b.shape[0]:
@@ -207,23 +172,10 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(mm(a.data, b.data))
-
-
-def elementwise(op: str, a: Tensor, b: Tensor | None = None, *,
-                value: float = 1.0) -> Tensor:
-    """Pointwise add/sub/mul of same-shape tensors, or scale by a scalar."""
-    if op == "scale":
-        return Tensor(a.data * np.asarray(value, dtype=a.dtype))
-    if b is None:
-        raise ShapeError(f"binary op {op!r} requires two tensors")
+def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
+    """Pointwise sum of two same-shape tensors (``op`` must be "add")."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if op == "add":
         return Tensor(a.data + b.data)
-    if op == "sub":
-        return Tensor(a.data - b.data)
-    if op == "mul":
-        return Tensor(a.data * b.data)
     raise ShapeError(f"unknown elementwise op {op!r}")

@@ -209,6 +209,11 @@ class TestVariantText:
         with pytest.raises(ConfigError, match="key = value"):
             parse_variant_text("just words\n")
 
+    @pytest.mark.parametrize("text", ["S = a,b,c,d\n", "zeta = x\n"])
+    def test_non_integer_value(self, text):
+        with pytest.raises(ConfigError, match="needs integers"):
+            parse_variant_text(text)
+
     def test_bad_bool(self):
         with pytest.raises(ConfigError):
             parse_variant_text("pff = maybe\n")

@@ -55,6 +55,13 @@ class TestAnalyze:
         f.write_text("nonsense = 1\n")
         assert main(["analyze", str(f)]) == 2
 
+    @pytest.mark.parametrize("text", ["S = a,b,c,d\n", "zeta = x\n"])
+    def test_non_integer_variant_value(self, tmp_path, capsys, text):
+        f = tmp_path / "v.txt"
+        f.write_text(text)
+        assert main(["analyze", str(f)]) == 2
+        assert "needs integers" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_mini_passes(self, capsys):
@@ -64,6 +71,20 @@ class TestVerify:
     def test_zero_tolerance_fails(self, capsys):
         assert main(["verify", "mini", "--trials", "1", "--tol", "0"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "mini", "--iters", "0"],
+    ["verify", "mini", "--trials", "0"],
+    ["analyze", "mini", "--input-res", "-5"],
+    ["describe", "mini", "--input-res", "0"],
+    ["verify", "mini", "--input-res", "0"],
+    ["bench", "mini", "--input-res", "-1"],
+])
+def test_empty_sample_or_size_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "PASS" not in captured.out
 
 
 class TestGradcheck:

@@ -3,8 +3,8 @@ import pytest
 
 from cosnet import runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
-from cosnet.errors import PlanError
-from cosnet.graph import graph_forward
+from cosnet.errors import ConfigError, PlanError
+from cosnet.graph import LayerNode, graph_forward, infer_shapes
 from cosnet.tensor import tensor_create
 
 
@@ -13,6 +13,20 @@ def _unit(m=2, n=4, l=2, **kw):
                      kernels_per_layer=n, column_depth=l, expand_channels=16,
                      **kw)
     return build_unit_graph(cfg, seed=1)
+
+
+class _PlanAsGraph:
+    """A plan seen as a graph (``order`` and ``node``), the way the
+    benchmark's byte tracker walks plan steps with ``infer_shapes``."""
+
+    def __init__(self, p):
+        self.order = [runtime.INPUT_ID] + [s.id for s in p.steps]
+        self._steps = {s.id: s for s in p.steps}
+        self._steps[runtime.INPUT_ID] = LayerNode(runtime.INPUT_ID, "input",
+                                                  {}, (), "input")
+
+    def node(self, nid):
+        return self._steps[nid]
 
 
 class TestPlan:
@@ -36,6 +50,32 @@ class TestPlan:
         assert sum(1 for s in pu.steps if s.kind == "slice") == 12
         assert sum(1 for s in pu.steps if ".join" in s.name) == 3
 
+    @pytest.mark.parametrize("mode", runtime.MODES)
+    @pytest.mark.parametrize("graph, channels", [
+        (lambda: build_mini_network(columns=4, seed=0), 3),
+        (lambda: _unit(m=3, l=3, pff=True, downsample=False), 8)],
+        ids=["mini", "pff_unit"])
+    def test_infer_shapes_over_plan_steps(self, mode, graph, channels):
+        g = graph()
+        shape = (2, channels, 16, 16)
+        want = infer_shapes(g, shape)
+        p = runtime.plan(g, mode)
+        got = infer_shapes(_PlanAsGraph(p), shape)
+        by_name = {g.node(n).name: n for n in g.order}
+        matched = 0
+        for s in p.steps:
+            if s.src_node is not None and s.group is None:
+                nid = s.src_node
+            elif s.kind == "concat":
+                # the join of an unrolled grouped conv holds the node tensor
+                nid = by_name[s.name.removesuffix(".join")]
+            else:
+                continue
+            assert got[s.id] == want[nid], s.name
+            matched += 1
+        assert matched == len(g.order) - 1   # every node but the input
+        assert got[p.output_id] == want[g.output_id]
+
     def test_single_group_graph_plans_identical(self):
         g = _unit(m=1)
         pb = runtime.plan(g, "batched")
@@ -54,7 +94,8 @@ class TestExecute:
         x = tensor_create((2, 8, 12, 12), "uniform", seed=0, lo=-1, hi=1)
         want, _ = graph_forward(g, x)
         got = runtime.execute(runtime.plan(g, "unrolled"), x)
-        assert float(np.abs(got.data - want.data).max()) < 1e-6
+        # both run each group through the im2col kernel
+        assert np.array_equal(got.data, want.data)
 
     def test_batched_matches_graph_forward(self):
         g = _unit(m=4)
@@ -101,6 +142,10 @@ class TestEquivalence:
         assert rep.identical_plans
         assert rep.max_diff() == 0.0
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ConfigError):
+            runtime.equivalence_check(_unit(m=2), (1, 8, 8, 8), trials=0)
+
     def test_failure_is_reported_not_raised(self):
         g = _unit(m=4)
         rep = runtime.equivalence_check(g, (1, 8, 8, 8), trials=1, tol=0.0)
@@ -113,8 +158,13 @@ class TestBenchAndStats:
         stats = runtime.bench(runtime.plan(g, "batched"), (1, 8, 8, 8),
                               warmup=1, iters=3)
         assert stats["iters"] == 3
-        assert 0 <= stats["p50_ms"] <= stats["p95_ms"] or True
+        assert 0 <= stats["p50_ms"] <= stats["p95_ms"]
         assert stats["mean_ms"] > 0
+
+    def test_bench_zero_iters_rejected(self):
+        with pytest.raises(ConfigError):
+            runtime.bench(runtime.plan(_unit(m=2, l=1), "batched"),
+                          (1, 8, 8, 8), iters=0)
 
     def test_batched_holds_fewer_concurrent_tensors(self):
         g = _unit(m=4, l=3)
