@@ -47,8 +47,8 @@ class CheckpointError(CosnetError):
 
 
 class DivergenceError(CosnetError):
-    """Training loss became NaN; carries the epoch index."""
+    """Training loss became NaN or infinite; carries the epoch index."""
 
     def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(f"loss diverged to NaN at epoch {epoch}")
+        super().__init__(f"loss diverged (not finite) at epoch {epoch}")

@@ -317,12 +317,12 @@ _CONV = OpDef(
 OPS: dict[str, OpDef] = {
     "input": OpDef(min_inputs=0),
     "conv": _CONV,
-    # a grouped conv evaluated by kernel-position accumulation; plan
-    # lowering emits it for the batched mode
-    "conv_shift": replace(_CONV, forward=lambda cfg, ins, table, mode:
-                          ops.conv2d_shift_forward(
-                              ins[0], table["weight"], table.get("bias"),
-                              cfg["params"])),
+    # a grouped conv run as two gemms per group over one im2col (a
+    # different reduction order from "conv"); batched plans lower to it
+    "conv_grouped": replace(_CONV, forward=lambda cfg, ins, table, mode:
+                            ops.conv2d_grouped_forward(
+                                ins[0], table["weight"], table.get("bias"),
+                                cfg["params"])),
     "bn": OpDef(
         _bn_shape,
         lambda cfg, ins, table, mode: ops.batchnorm2d(

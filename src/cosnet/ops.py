@@ -71,34 +71,33 @@ def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
     return Tensor(out)
 
 
-def conv2d_shift_forward(x: Tensor, weight: np.ndarray,
-                         bias: np.ndarray | None, p: ConvParams) -> Tensor:
-    """Grouped convolution by kernel-position accumulation.
+def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
+                           bias: np.ndarray | None, p: ConvParams) -> Tensor:
+    """Grouped convolution as two gemms per group over one im2col.
 
-    One small gemm per (group, kernel row, kernel col), summed in kernel
-    order — a deliberately different reduction order from the im2col path
-    of :func:`conv2d_forward`, whose gradients it shares.
+    Each group's inner dimension is split in two at half its input
+    channels, and the two partial products are summed: a deliberately
+    different reduction order from the single gemm per group of
+    :func:`conv2d_forward`, whose gradients it shares.
     """
     n = x.n
     g = p.groups
     cin_g = p.in_channels // g
     cout_g = p.out_channels // g
     kh, kw = p.kernel
-    sh, sw = p.stride
-    ph, pw = p.pad
     ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((p.out_channels, n * ho * wo), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
-            patch = patch.transpose(1, 0, 2, 3).reshape(p.in_channels,
-                                                        n * ho * wo)
-            for gi in range(g):
-                wmat = weight[gi * cout_g:(gi + 1) * cout_g, :, ki, kj]
-                out[gi * cout_g:(gi + 1) * cout_g] += mm(
-                    wmat.astype(x.dtype, copy=False),
-                    patch[gi * cin_g:(gi + 1) * cin_g])
+    cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
+    cols = cols.transpose(1, 0, 2).reshape(p.in_channels * kh * kw,
+                                           n * ho * wo)
+    out = np.empty((p.out_channels, n * ho * wo), dtype=x.dtype)
+    rows_g = cin_g * kh * kw
+    split = max(cin_g // 2, 1) * kh * kw
+    for gi in range(g):
+        wmat = weight[gi * cout_g:(gi + 1) * cout_g].reshape(
+            cout_g, rows_g).astype(x.dtype, copy=False)
+        cg = cols[gi * rows_g:(gi + 1) * rows_g]
+        out[gi * cout_g:(gi + 1) * cout_g] = (
+            mm(wmat[:, :split], cg[:split]) + mm(wmat[:, split:], cg[split:]))
     out = out.reshape(p.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
@@ -361,7 +360,8 @@ def linear_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray):
 
 
 def softmax_cross_entropy(logits: Tensor, labels):
-    """Mean NLL over the batch with max-subtracted softmax.
+    """Mean NLL over the batch with max-subtracted softmax; the loss is
+    ``log(sum(exp(z))) - z[label]`` on the max-subtracted logits ``z``.
 
     Returns (loss, grad_logits) where grad = (softmax - onehot) / n.
     """
@@ -374,9 +374,13 @@ def softmax_cross_entropy(logits: Tensor, labels):
     z = logits.data.reshape(n, k)
     z = z - z.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    p = ez / ez.sum(axis=1, keepdims=True)
-    loss = float(-np.log(p[np.arange(n), labels] + 0.0).sum() / n)
+    sez = ez.sum(axis=1, keepdims=True)
+    p = ez / sez
+    # log-sum-exp form: finite even where the label's probability
+    # underflows to 0
+    rows = np.arange(n)
+    loss = float((np.log(sez[:, 0]) - z[rows, labels]).sum() / n)
     grad = p.copy()
-    grad[np.arange(n), labels] -= 1
+    grad[rows, labels] -= 1
     grad /= n
     return loss, Tensor(grad.astype(logits.dtype)[:, :, None, None])

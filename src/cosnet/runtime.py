@@ -7,20 +7,25 @@ Every layer kind is defined once, in ``graph.OPS``, and one interpreter,
 chooses each step's kind, and through it the kernel.  The modes differ only
 in how they lower a grouped convolution:
 
-``batched`` keeps it as one ``conv_shift`` step, evaluated by
-kernel-position accumulation (``ops.conv2d_shift_forward``: a sequence of
-small gemms summed in kernel order).  ``unrolled`` expands it into explicit
-per-group slice / convolve / concatenate steps; each per-group conv reads
-its group's block of the weight rows and runs the im2col path.  The two
-modes are mathematically identical but accumulate in a different order, so
-their float32 outputs differ at rounding level; the equivalence checker
-bounds that difference.  A graph whose convolutions all have a single group
-lowers to step-identical plans in both modes.
+``batched`` keeps it as one ``conv_grouped`` step
+(``ops.conv2d_grouped_forward``: one im2col, then per group two gemms over
+the halves of its input channels, summed).  It also folds input
+replication: a grouped conv reading ``ir(M)`` with groups=M becomes one
+dense ``conv`` over the ``ir``'s own input with the same weight table, and
+the ``ir`` step is dropped unless another node reads it.  ``unrolled``
+expands a grouped conv into explicit per-group slice / convolve /
+concatenate steps; each per-group conv reads its group's block of the
+weight rows and runs the im2col path.  The two modes are mathematically
+identical but accumulate in a different order, so their float32 outputs
+differ at rounding level; the equivalence checker bounds that difference.
+A graph whose convolutions all have a single group lowers to
+step-identical plans in both modes.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -51,12 +56,36 @@ def plans_identical(a: ExecutionPlan, b: ExecutionPlan) -> bool:
     return a.steps == b.steps and a.output_id == b.output_id
 
 
+def _replication_folds(graph: Graph):
+    """The batched mode's replication fold.
+
+    ``ir(M)`` feeding a conv with groups=M hands every group the same
+    un-replicated input, so the pair is one dense conv over that input with
+    the identical weight tensor (M*N, S, k, k).  Returns ({conv node: ir
+    node} for each such conv, the ir nodes that nothing else reads).
+    """
+    folds = {}
+    for s in graph.steps:
+        p = s.config.get("params")
+        if s.kind == "conv" and p.groups > 1:
+            src = graph.node(s.inputs[0])
+            if src.kind == "ir" and src.config["m"] == p.groups:
+                folds[s.id] = src.id
+    readers = Counter(src for s in graph.steps if s.id not in folds
+                      for src in s.inputs)
+    dropped = {ir for ir in folds.values()
+               if not readers[ir] and ir != graph.output_id}
+    return folds, dropped
+
+
 def plan(graph: Graph, mode: str) -> ExecutionPlan:
     """Lower a graph into an ordered step list for the chosen mode."""
     if mode not in MODES:
         raise PlanError(f"unknown execution mode {mode!r}; pick from {MODES}")
     steps = []
     produced = {graph.input_id: INPUT_ID}   # graph node -> plan tensor id
+    folds, dropped = (_replication_folds(graph) if mode == "batched"
+                      else ({}, set()))
 
     def emit(kind, config, inputs, name, src_node=None, group=None):
         sid = len(steps)
@@ -67,16 +96,23 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
     for node in graph.steps:
         nid = node.id
+        if nid in dropped:
+            continue
+        kind, config, srcs = node.kind, dict(node.config), node.inputs
+        p: ConvParams | None = config.get("params")
+        if nid in folds:
+            kind, srcs = "conv", graph.node(folds[nid]).inputs
+            p = config["params"] = dc_replace(
+                p, in_channels=p.in_channels // p.groups, groups=1)
         try:
-            ins = [produced[src] for src in node.inputs]
+            ins = [produced[src] for src in srcs]
         except KeyError as exc:
             raise PlanError(f"node {node.name} reads unplanned node "
                             f"{exc.args[0]}") from None
-        p: ConvParams | None = node.config.get("params")
-        if node.kind == "conv" and p.groups > 1:
+        if kind == "conv" and p.groups > 1:
             if mode == "batched":
-                produced[nid] = emit("conv_shift", dict(node.config), ins,
-                                     node.name, src_node=nid)
+                produced[nid] = emit("conv_grouped", config, ins, node.name,
+                                     src_node=nid)
                 continue
             g = p.groups
             cin_g = p.in_channels // g
@@ -92,8 +128,7 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
                                   group=gi))
             produced[nid] = emit("concat", {}, parts, f"{node.name}.join")
             continue
-        produced[nid] = emit(node.kind, dict(node.config), ins, node.name,
-                             src_node=nid)
+        produced[nid] = emit(kind, config, ins, node.name, src_node=nid)
     return ExecutionPlan(mode=mode, graph=graph, steps=steps,
                          output_id=produced[graph.output_id])
 

@@ -11,6 +11,7 @@ matmul path enabled, a rerun reproduces training bitwise.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -137,20 +138,31 @@ def load_dataset(path: str, test_fraction: float = 0.2,
             raise DatasetFormatError(f"unsupported dataset version {version}")
         if count == 0:
             raise DatasetFormatError("dataset file contains no records")
-        images = np.empty((count, c, h, w), dtype=np.float32)
-        labels = np.empty(count, dtype=np.int64)
+        if 0 in (classes, c, h, w):
+            raise DatasetFormatError(
+                f"header has a zero dimension: classes={classes}, "
+                f"c={c}, h={h}, w={w}")
+        # check the declared size against the file before allocating it
         rec_bytes = c * h * w
-        for i in range(count):
-            (label,) = struct.unpack("<H", _read_exact(f, 2, f"label {i}"))
-            if label >= classes:
-                raise DatasetFormatError(
-                    f"record {i}: label {label} out of range [0, {classes})")
-            labels[i] = label
-            raw = _read_exact(f, rec_bytes, f"record {i}")
-            images[i] = np.frombuffer(raw, dtype=np.uint8).reshape(
-                c, h, w).astype(np.float32) / np.float32(255.0)
-        if f.read(1):
+        need = count * (2 + rec_bytes)
+        have = os.fstat(f.fileno()).st_size - f.tell()
+        if have < need:
+            raise DatasetFormatError(
+                f"truncated dataset file: header declares {count} records "
+                f"({need} bytes), file holds {have}")
+        if have > need:
             raise DatasetFormatError("trailing bytes after last record")
+        recs = np.frombuffer(_read_exact(f, need, "records"),
+                             dtype=[("label", "<u2"),
+                                    ("pixels", "u1", (rec_bytes,))])
+    bad = np.flatnonzero(recs["label"] >= classes)
+    if bad.size:
+        i = int(bad[0])
+        raise DatasetFormatError(f"record {i}: label {recs['label'][i]} "
+                                 f"out of range [0, {classes})")
+    images = recs["pixels"].reshape(count, c, h, w).astype(np.float32) \
+        / np.float32(255.0)
+    labels = recs["label"].astype(np.int64)
     train_idx, test_idx = split_indices(count, test_fraction, split_seed)
     return Dataset(images=images, labels=labels, num_classes=classes,
                    train_idx=train_idx, test_idx=test_idx)
@@ -221,7 +233,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
 
     Mutates the graph's weight table in place and returns the per-epoch
     metrics (training-split loss and accuracy).  Raises
-    :class:`DivergenceError` if the loss goes NaN.
+    :class:`DivergenceError` if the loss goes NaN or infinite.
     """
     velocity = {nid: {f: np.zeros_like(graph.weights[nid][f])
                       for f in fields}
@@ -240,7 +252,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
             yb = ds.labels[idx]
             out, tape = graph_forward(graph, xb, mode="train")
             loss, grad = softmax_cross_entropy(out, yb)
-            if math.isnan(loss):
+            if not math.isfinite(loss):
                 raise DivergenceError(epoch)
             pgrads, _ = graph_backward(graph, tape, grad)
             for nid, fields in velocity.items():
@@ -255,7 +267,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
                     theta += v
         loss, acc = evaluate(graph, ds.images[train_idx],
                              ds.labels[train_idx])
-        if math.isnan(loss):
+        if not math.isfinite(loss):
             raise DivergenceError(epoch)
         metrics = EpochMetrics(epoch=epoch, lr=lr, loss=loss, accuracy=acc)
         history.append(metrics)
@@ -315,6 +327,13 @@ def _ck_read(buf, off, n, what):
     return buf[off:off + n], off + n
 
 
+def _ck_text(raw, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
+
+
 def load_checkpoint(path: str, graph: Graph | None = None):
     """Read a checkpoint; returns ``(spec_text, tensors_by_name)``.
 
@@ -327,7 +346,8 @@ def load_checkpoint(path: str, graph: Graph | None = None):
     if len(buf) < 4 + 2 + 4 + 4:
         raise CheckpointError("checkpoint file too short")
     stored_crc = struct.unpack("<I", buf[-4:])[0]
-    if zlib.crc32(buf[:-4]) & 0xFFFFFFFF != stored_crc:
+    buf = buf[:-4]   # every field lies before the checksum
+    if zlib.crc32(buf) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError("checkpoint checksum mismatch")
     off = 0
     magic, off = _ck_read(buf, off, 4, "magic")
@@ -340,7 +360,7 @@ def load_checkpoint(path: str, graph: Graph | None = None):
     raw, off = _ck_read(buf, off, 4, "variant text length")
     (spec_len,) = struct.unpack("<I", raw)
     raw, off = _ck_read(buf, off, spec_len, "variant text")
-    spec_text = raw.decode("utf-8")
+    spec_text = _ck_text(raw, "variant text")
     raw, off = _ck_read(buf, off, 4, "tensor count")
     (count,) = struct.unpack("<I", raw)
     tensors = {}
@@ -348,13 +368,14 @@ def load_checkpoint(path: str, graph: Graph | None = None):
         raw, off = _ck_read(buf, off, 2, f"tensor {i} name length")
         (nlen,) = struct.unpack("<H", raw)
         raw, off = _ck_read(buf, off, nlen, f"tensor {i} name")
-        name = raw.decode("utf-8")
+        name = _ck_text(raw, f"tensor {i} name")
         raw, off = _ck_read(buf, off, 16, f"tensor {name} dims")
         dims = struct.unpack("<4I", raw)
-        size = int(np.prod(dims))
+        # Python ints: a product of four uint32 dims can overflow int64
+        size = math.prod(dims)
         raw, off = _ck_read(buf, off, 4 * size, f"tensor {name} payload")
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-    if off != len(buf) - 4:
+    if off != len(buf):
         raise CheckpointError("trailing bytes after last tensor")
     if graph is not None:
         _install(graph, tensors)

@@ -5,7 +5,8 @@ from conftest import max_rel_err, numeric_grad
 from cosnet import ops
 from cosnet.errors import ConfigError, LabelError, ShapeError
 from cosnet.ops import BatchNormState, ConvParams
-from cosnet.tensor import Tensor, tensor_create
+from cosnet.tensor import (Tensor, deterministic_enabled, im2col_nd,
+                           set_deterministic, tensor_create)
 
 
 def _naive_conv(x, w, p: ConvParams):
@@ -91,6 +92,78 @@ class TestConvForward:
     def test_bad_group_divisibility(self):
         with pytest.raises(ConfigError):
             ConvParams(out_channels=4, in_channels=5, groups=2)
+
+
+class TestConvGroupedForward:
+    @pytest.mark.parametrize("cout, cin, k, stride, g", [
+        (8, 12, 3, 2, 4),    # stride 2
+        (12, 12, 1, 1, 3),   # 1x1 pairwise fusion, odd g
+        (10, 15, 3, 1, 5),   # odd g, odd channels per group
+        (6, 3, 3, 1, 3),     # one input channel per group
+        (4, 4, 1, 2, 4),     # 1x1, one input channel per group, stride 2
+    ], ids=["stride2", "pff_1x1", "odd_g", "cin_g1", "cin_g1_1x1"])
+    def test_matches_im2col_kernel(self, cout, cin, k, stride, g):
+        p = ConvParams(out_channels=cout, in_channels=cin, kernel=(k, k),
+                       stride=(stride, stride), pad=(k // 2, k // 2),
+                       groups=g)
+        x = tensor_create((2, cin, 7, 7), "uniform", seed=6, lo=-1, hi=1)
+        w = np.random.default_rng(7).normal(
+            0.0, 0.5, size=p.weight_shape).astype(np.float32)
+        got = ops.conv2d_grouped_forward(x, w, None, p)
+        want = ops.conv2d_forward(x, w, None, p)
+        assert got.shape == want.shape
+        assert float(np.abs(got.data - want.data).max()) < 1e-5
+        exact = _naive_conv(x.data.astype(np.float64), w.astype(np.float64),
+                            p)
+        assert float(np.abs(got.data - exact).max()) < 1e-5
+
+    def test_bias(self):
+        p = ConvParams(out_channels=4, in_channels=4, groups=2, has_bias=True)
+        x = tensor_create((1, 4, 2, 2), "ones")
+        w = np.ones(p.weight_shape, dtype=np.float32)
+        b = np.array([1.0, -1.0, 0.0, 2.0], dtype=np.float32)
+        out = ops.conv2d_grouped_forward(x, w, b, p)
+        assert np.array_equal(out.data[0, :, 0, 0], [3.0, 1.0, 2.0, 4.0])
+
+    def test_two_gemms_per_group_through_mm(self, monkeypatch):
+        # every gemm goes through tensor.mm, so deterministic mode gives the
+        # sequential reduction inside the grouped kernel too
+        p = ConvParams(out_channels=6, in_channels=12, kernel=(3, 3),
+                       pad=(1, 1), groups=3)
+        x = tensor_create((2, 12, 5, 5), "uniform", seed=8, lo=-1, hi=1)
+        w = np.random.default_rng(9).normal(size=p.weight_shape) \
+            .astype(np.float32)
+        seen = []
+        real_mm = ops.mm
+
+        def spy(a, b):
+            seen.append((a.shape, deterministic_enabled()))
+            return real_mm(a, b)
+
+        monkeypatch.setattr(ops, "mm", spy)
+        set_deterministic(True)
+        try:
+            det = ops.conv2d_grouped_forward(x, w, None, p)
+        finally:
+            set_deterministic(False)
+        # inner dimension split at half the group's channels: 2*9 and 2*9
+        assert seen == [((2, 18), True)] * 6
+        # the sequential reduction, one half after the other
+        cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
+        cols = cols.transpose(1, 0, 2).reshape(12 * 9, -1)
+        want = np.empty((6, cols.shape[1]), dtype=np.float32)
+        for gi in range(3):
+            wg = w[2 * gi:2 * gi + 2].reshape(2, 36)
+            cg = cols[36 * gi:36 * (gi + 1)]
+            halves = []
+            for lo, hi in ((0, 18), (18, 36)):
+                acc = np.zeros((2, cols.shape[1]), dtype=np.float32)
+                for k in range(lo, hi):
+                    acc += wg[:, k][:, None] * cg[k][None, :]
+                halves.append(acc)
+            want[2 * gi:2 * gi + 2] = halves[0] + halves[1]
+        want = want.reshape(6, 2, 5, 5).transpose(1, 0, 2, 3)
+        assert np.array_equal(det.data, want)
 
 
 class TestConvBackward:
@@ -393,6 +466,16 @@ class TestSoftmaxCrossEntropy:
         z = tensor_create((1, 3, 1, 1), "constant", value=1e4)
         loss, grad = ops.softmax_cross_entropy(z, [1])
         assert np.isfinite(loss)
+        assert np.isfinite(grad.data).all()
+
+    def test_underflowing_label_probability_stays_finite(self):
+        # exp(-200) underflows to 0 in float32; the loss must not
+        z = Tensor(np.array([[0.0, -200.0, -1.0]], np.float32)[:, :, None,
+                                                                 None])
+        with np.errstate(divide="raise", invalid="raise"):
+            loss, grad = ops.softmax_cross_entropy(z, [1])
+        want = np.log(1.0 + np.exp(-200.0) + np.exp(-1.0)) + 200.0
+        assert abs(loss - want) < 1e-4
         assert np.isfinite(grad.data).all()
 
     def test_label_out_of_range(self):

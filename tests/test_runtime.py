@@ -1,3 +1,5 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -35,9 +37,47 @@ class TestPlan:
             runtime.plan(_unit(), "jit")
 
     def test_batched_mirrors_graph(self):
+        # one step per non-input node, except the replication the level-1
+        # conv folds in
         g = _unit(m=4)
         p = runtime.plan(g, "batched")
-        assert p.num_steps() == len(g.order) - 1   # input is not a step
+        folded = [n for n in g.order if g.node(n).kind == "ir"]
+        assert len(folded) == 1
+        assert p.num_steps() == len(g.order) - 1 - len(folded)
+        assert [s.src_node for s in p.steps] == [
+            n for n in g.order if n != g.input_id and n not in folded]
+
+    def test_batched_folds_replication_into_level1(self):
+        g = _unit(m=4)
+        p = runtime.plan(g, "batched")
+        assert not [s for s in p.steps if s.kind == "ir"]
+        ir = next(n for n in g.order if g.node(n).kind == "ir")
+        level1 = next(s for s in p.steps if s.name == "u1.col.level1")
+        gp = g.node(level1.src_node).config["params"]
+        assert level1.kind == "conv"
+        assert level1.config["params"] == dc_replace(
+            gp, in_channels=gp.in_channels // 4, groups=1)
+        # it reads what the ir read, with the graph node's weight table
+        src = next(s for s in p.steps if s.src_node == g.node(ir).inputs[0])
+        assert level1.inputs == (src.id,)
+        assert level1.config["params"].weight_shape == \
+            g.weights[level1.src_node]["weight"].shape
+        later = [s for s in p.steps if ".col.level" in s.name
+                 and s.kind.startswith("conv") and s is not level1]
+        assert later and all(s.kind == "conv_grouped" for s in later)
+
+    def test_batched_keeps_replication_with_other_readers(self):
+        # S == N and no downsampling: the level-(1,2) shallow skip reads the
+        # replicated tensor, so the ir step stays; level 1 still folds
+        g = _unit(m=4, n=8, downsample=False)
+        p = runtime.plan(g, "batched")
+        ir = [s for s in p.steps if s.kind == "ir"]
+        assert len(ir) == 1
+        skip = next(s for s in p.steps if ".skip1_2" in s.name)
+        assert ir[0].id in skip.inputs
+        level1 = next(s for s in p.steps if s.name == "u1.col.level1")
+        assert level1.kind == "conv" and ir[0].id not in level1.inputs
+        assert p.num_steps() == len(g.order) - 1
 
     def test_unrolled_expands_grouped_convs(self):
         g = _unit(m=4, l=3)
@@ -62,6 +102,11 @@ class TestPlan:
         p = runtime.plan(g, mode)
         got = infer_shapes(_PlanAsGraph(p), shape)
         by_name = {g.node(n).name: n for n in g.order}
+        # a batched plan folds each replication that only level-1 convs
+        # read into them; every other node keeps a step
+        folded = {n for n in g.order if g.node(n).kind == "ir"
+                  and not any(s.src_node == n for s in p.steps)}
+        assert bool(folded) == (mode == "batched")
         matched = 0
         for s in p.steps:
             if s.src_node is not None and s.group is None:
@@ -73,7 +118,8 @@ class TestPlan:
                 continue
             assert got[s.id] == want[nid], s.name
             matched += 1
-        assert matched == len(g.order) - 1   # every node but the input
+        # every node but the input and the folded replications
+        assert matched == len(g.order) - 1 - len(folded)
         assert got[p.output_id] == want[g.output_id]
 
     def test_single_group_graph_plans_identical(self):
@@ -134,6 +180,17 @@ class TestEquivalence:
         # the tolerance contract is vacuous
         g = _unit(m=4, l=3)
         rep = runtime.equivalence_check(g, (2, 8, 16, 16), trials=3, seed=0)
+        assert rep.max_diff() > 0.0
+
+    @pytest.mark.parametrize("graph, channels", [
+        (lambda: build_mini_network(columns=4, seed=0), 3),
+        (lambda: _unit(m=3, l=3, pff=True, downsample=False), 8),
+        (lambda: _unit(m=4, n=8, downsample=False), 8)],
+        ids=["mini", "pff_unit", "kept_ir"])
+    def test_folded_plans_agree_and_differ(self, graph, channels):
+        rep = runtime.equivalence_check(graph(), (2, channels, 16, 16),
+                                        trials=2, seed=3)
+        assert rep.passed
         assert rep.max_diff() > 0.0
 
     def test_single_column_exact_zero(self):

@@ -1,13 +1,16 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cosnet import training
 from cosnet.arch import build_mini_network, registry_lookup, \
     render_variant_text
-from cosnet.errors import (CheckpointError, ConfigError, DatasetFormatError,
-                           DivergenceError)
+from cosnet.errors import (CheckpointError, ConfigError, CosnetError,
+                           DatasetFormatError, DivergenceError)
 from cosnet.graph import GraphBuilder
 from cosnet.training import (Dataset, TrainConfig, evaluate, load_checkpoint,
                              load_dataset, nearest_centroid_accuracy,
@@ -103,6 +106,36 @@ class TestDatasetFile:
             load_dataset(path)
 
 
+    def test_huge_record_count_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "d.bin"
+        hdr = struct.pack("<HIHHHH", 1, 2**32 - 1, 10, 3, 32, 32)
+        path.write_bytes(b"CSDS" + hdr + b"\0" * (2 + 3 * 32 * 32))
+        with pytest.raises(DatasetFormatError, match="truncated"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["classes", "c", "h", "w"])
+    def test_zero_dimension_rejected(self, tmp_path, field):
+        dims = {"classes": 4, "c": 1, "h": 2, "w": 2, field: 0}
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"CSDS" + struct.pack(
+            "<HIHHHH", 1, 1, dims["classes"], dims["c"], dims["h"],
+            dims["w"]) + b"\0" * (2 + dims["c"] * dims["h"] * dims["w"]))
+        with pytest.raises(DatasetFormatError, match="zero"):
+            load_dataset(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.binary(max_size=64))
+    def test_any_bytes_give_typed_error_or_dataset(self, tmp_path, body):
+        path = tmp_path / "d.bin"
+        path.write_bytes(b"CSDS" + body)
+        try:
+            ds = load_dataset(path)
+        except CosnetError:
+            return
+        assert len(ds.labels) == ds.images.shape[0] > 0
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"batch_size": 1}, {"lr": 0.0}, {"momentum": 1.0},
@@ -132,6 +165,29 @@ class TestTraining:
         g = build_mini_network(seed=0)
         nid = next(iter(g.weights))
         g.weights[nid]["weight"][0, 0, 0, 0] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            train(g, ds, TrainConfig(epochs=1, batch_size=8))
+        assert exc.value.epoch == 0
+
+    def test_large_loss_is_finite(self):
+        # a batch whose label probability underflows used to report an
+        # infinite loss that the divergence check let through
+        ds = synth_dataset(count=64, seed=2)
+        g = build_mini_network(columns=4, seed=2)
+        with np.errstate(divide="raise"):
+            hist = train(g, ds, TrainConfig(epochs=2, batch_size=16, seed=2))
+        assert all(np.isfinite(m.loss) for m in hist)
+
+    def test_infinite_loss_raises(self, monkeypatch):
+        real = training.softmax_cross_entropy
+
+        def inf_loss(logits, labels):
+            _, grad = real(logits, labels)
+            return float("inf"), grad
+
+        monkeypatch.setattr(training, "softmax_cross_entropy", inf_loss)
+        ds = synth_dataset(count=16, seed=0)
+        g = build_mini_network(seed=0)
         with pytest.raises(DivergenceError) as exc:
             train(g, ds, TrainConfig(epochs=1, batch_size=8))
         assert exc.value.epoch == 0
@@ -217,6 +273,54 @@ class TestCheckpoint:
         path.write_bytes(body)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _with_crc(body):
+        return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+    def _one_tensor(self, name, dims, payload=b""):
+        return self._with_crc(
+            b"COSN" + struct.pack("<HI", 1, 0) + struct.pack("<I", 1)
+            + struct.pack("<H", len(name)) + name
+            + struct.pack("<4I", *dims) + payload)
+
+    def test_overflowing_dims_rejected(self, tmp_path):
+        # 2**16 * 2**16 * 2**16 * 2**16 wraps to 0 in int64 arithmetic
+        path = tmp_path / "c.bin"
+        path.write_bytes(self._one_tensor(b"w", (2**16,) * 4))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        path.write_bytes(self._one_tensor(b"w", (2**32 - 1,) * 4))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_payload_cannot_reach_into_checksum(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(self._one_tensor(b"w", (1, 1, 1, 2), b"\0" * 4))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "c.bin"
+        path.write_bytes(self._one_tensor(b"\xff\xfe", (1, 1, 1, 1),
+                                          b"\0" * 4))
+        with pytest.raises(CheckpointError, match="UTF-8"):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.binary(max_size=64))
+    def test_any_checksummed_bytes_give_typed_error_or_tensors(
+            self, tmp_path, body):
+        path = tmp_path / "c.bin"
+        path.write_bytes(self._with_crc(b"COSN" + struct.pack("<H", 1)
+                                        + body))
+        try:
+            text, tensors = load_checkpoint(path)
+        except CosnetError:
+            return
+        assert isinstance(text, str)
+        assert all(a.ndim == 4 for a in tensors.values())
 
     def test_architecture_mismatch_names_tensor(self, tmp_path):
         g = build_mini_network(seed=0, kernels=8)
