@@ -13,7 +13,7 @@ import sys
 
 from . import analysis, arch, graph as graphmod, runtime, training
 from .errors import ConfigError, CosnetError, VariantLookupError
-from .tensor import set_deterministic
+from .tensor import deterministic_enabled, set_deterministic
 
 
 def _log(msg: str) -> None:
@@ -109,27 +109,31 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
+    previous = deterministic_enabled()
     if args.deterministic:
         set_deterministic(True)
-    g, spec_text = _load_model(args.model, seed=args.seed)
-    if args.dataset:
-        ds = training.load_dataset(args.dataset)
-    else:
-        ds = training.synth_dataset(count=args.synth_count, seed=args.seed)
-    config = training.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-        momentum=args.momentum, weight_decay=args.weight_decay,
-        seed=args.seed, lr_schedule=args.lr_schedule)
-    history = training.train(g, ds, config, log=_log)
-    test_loss, test_acc = training.evaluate(
-        g, ds.images[ds.test_idx], ds.labels[ds.test_idx])
-    final = history[-1]
-    print(f"train loss {final.loss:.4f}  train acc {final.accuracy:.3f}  "
-          f"test loss {test_loss:.4f}  test acc {test_acc:.3f}")
-    if args.out:
-        training.save_checkpoint(args.out, g, spec_text)
-        _log(f"checkpoint written to {args.out}")
-    return 0
+    try:
+        g, spec_text = _load_model(args.model, seed=args.seed)
+        if args.dataset:
+            ds = training.load_dataset(args.dataset)
+        else:
+            ds = training.synth_dataset(count=args.synth_count, seed=args.seed)
+        config = training.TrainConfig(
+            epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+            momentum=args.momentum, weight_decay=args.weight_decay,
+            seed=args.seed, lr_schedule=args.lr_schedule)
+        history = training.train(g, ds, config, log=_log)
+        test_loss, test_acc = training.evaluate(
+            g, ds.images[ds.test_idx], ds.labels[ds.test_idx])
+        final = history[-1]
+        print(f"train loss {final.loss:.4f}  train acc {final.accuracy:.3f}  "
+              f"test loss {test_loss:.4f}  test acc {test_acc:.3f}")
+        if args.out:
+            training.save_checkpoint(args.out, g, spec_text)
+            _log(f"checkpoint written to {args.out}")
+        return 0
+    finally:
+        set_deterministic(previous)
 
 
 def cmd_bench(args) -> int:

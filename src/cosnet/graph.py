@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import ops
-from .errors import GraphError, ShapeError
+from .errors import CosnetError, GraphError, ShapeError
 from .ops import BatchNormState, ConvParams
 from .tensor import Tensor, _out_hw, elementwise, tensor_create
 
@@ -465,7 +465,8 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
     step with a ``group`` index reads only that group's block of the table's
     rows; the table holds one block per group step reading it.  Tensors are
     freed at their last use, except in train mode, where every activation
-    is kept as the tape.  Failures are raised as ``error``.
+    is kept as the tape.  Any :class:`CosnetError` or missing table entry
+    raised inside a step is re-raised as ``error``, naming the step.
 
     Returns (output, activations).
     """
@@ -484,7 +485,7 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
                          for f, a in table.items()}
             ins = [acts[src] for src in s.inputs]
             acts[s.id] = OPS[s.kind].forward(s.config, ins, table, mode)
-        except (ShapeError, GraphError, KeyError) as exc:
+        except (CosnetError, KeyError) as exc:
             raise error(f"forward failed at step {s.id} ({s.name}): "
                         f"{exc}") from exc
         if s.id == program.output_id:

@@ -5,8 +5,11 @@ is immutable from the caller's perspective: every operation allocates its
 output.  :func:`mm` has a documented accumulation order: the fast path is a
 single BLAS call; deterministic mode (``COSNET_DETERMINISTIC=1`` or
 :func:`set_deterministic`) forces a strictly sequential reduction over the
-inner dimension.  The two paths agree within 1e-6 relative on the sizes used
-here.
+inner dimension: every output element is ``((0 + p0) + p1) + ...`` with its
+products in k order.  Deterministic mode evaluates that order a block of k
+at a time (see :func:`mm`), so a result depends only on the operands, never
+on the block size.  The two paths agree within 1e-6 relative on the sizes
+used here.
 """
 
 from __future__ import annotations
@@ -18,6 +21,11 @@ import numpy as np
 from .errors import GeometryError, ShapeError
 
 _DETERMINISTIC = os.environ.get("COSNET_DETERMINISTIC", "0") == "1"
+
+# Deterministic mm: byte size of the block buffer, and the output size (m*n)
+# from which one k per step is as fast as a block of them.
+_BLOCK_BYTES = 1 << 19
+_BLOCK_MAX_OUTPUT = 1 << 15
 
 
 def set_deterministic(flag: bool) -> None:
@@ -161,14 +169,41 @@ def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with the package's fixed accumulation contract."""
+    """Matrix product with the package's fixed accumulation contract.
+
+    Fast mode is ``a @ b``.  Deterministic mode sums each output element's
+    products strictly in k order from +0.0, bitwise equal to the loop
+    ``out += a[:, k, None] * b[k]`` over k, but takes a block of ``kc``
+    inner indices per step: the block's products fill rows 1..kc of a
+    buffer, the running sum row 0, and ``np.add.reduce`` over that outer
+    axis adds the rows to each element one after another.  (numpy starts
+    that reduce from +0.0, which leaves a running sum unchanged: a sum
+    begun at +0.0 is never -0.0.)  Two output sizes keep the per-k loop:
+    m*n == 1, where the reduced axis would become numpy's inner loop and be
+    summed pairwise, and m*n >= ``_BLOCK_MAX_OUTPUT``, where a block
+    measured no faster.
+    """
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {a.shape} x {b.shape}")
     if not _DETERMINISTIC:
         return a @ b
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for k in range(a.shape[1]):
-        out += a[:, k][:, None] * b[k][None, :]
+    (m, kdim), n = a.shape, b.shape[1]
+    out = np.zeros((m, n), dtype=np.result_type(a, b))
+    if m * n == 1 or m * n >= _BLOCK_MAX_OUTPUT:
+        for k in range(kdim):
+            out += a[:, k][:, None] * b[k][None, :]
+        return out
+    kc = max(_BLOCK_BYTES // out.nbytes - 1, 1)
+    buf = np.empty((min(kc, kdim) + 1, m, n), dtype=out.dtype)
+    for k0 in range(0, kdim, kc):
+        k1 = min(k0 + kc, kdim)
+        blk = buf[:k1 - k0 + 1]
+        # a broadcast copy and an in-place multiply beat one broadcasting
+        # multiply here; both read contiguous copies of the operand blocks
+        np.copyto(blk[1:], np.ascontiguousarray(a[:, k0:k1].T)[:, :, None])
+        blk[1:] *= np.ascontiguousarray(b[k0:k1])[:, None, :]
+        blk[0] = out
+        np.add.reduce(blk, axis=0, out=out)
     return out
 
 

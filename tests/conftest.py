@@ -1,4 +1,19 @@
 import numpy as np
+import pytest
+
+from cosnet.tensor import deterministic_enabled, set_deterministic
+
+
+@pytest.fixture(autouse=True)
+def _deterministic_mode_restored():
+    """Fail a test that leaves the process-wide deterministic flag changed,
+    then restore the flag so the rest of the suite runs as configured."""
+    before = deterministic_enabled()
+    yield
+    after = deterministic_enabled()
+    set_deterministic(before)
+    if after != before:
+        pytest.fail(f"test left deterministic mode {'on' if after else 'off'}")
 
 
 def numeric_grad(f, arr, eps=1e-5):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosnet.arch import (CANONICAL_FIRST_LEVEL, CANONICAL_FUSION, REGISTRY,
                          UnitConfig, VariantSpec, build_mini_network,
@@ -8,6 +10,29 @@ from cosnet.arch import (CANONICAL_FIRST_LEVEL, CANONICAL_FUSION, REGISTRY,
 from cosnet.errors import ConfigError, VariantLookupError
 from cosnet.graph import graph_forward, infer_shapes
 from cosnet.tensor import tensor_create
+
+
+def _variant_lines():
+    """One line of variant text: mostly known keys with values that are
+    valid, nearly valid or junk, plus blanks, comments and free text."""
+    ints = st.integers(-3, 600).map(str)
+    tuples = st.lists(st.one_of(ints, st.text(max_size=3)), min_size=3,
+                      max_size=5).map(",".join)
+    canonical = st.sampled_from(["64,128,256,512", "256,512,1024,2048",
+                                 "2,2,2,2", "1, 1 ,1,1", "4"])
+    keys = st.sampled_from(["name", "S", "P", "N", "l", "M", "zeta",
+                            "stem_channels", "num_classes", "pff",
+                            "shallow_proj", "deep_proj", "deep_proj_pooling",
+                            "fusion", "first_level_input", "reference"])
+    values = st.one_of(canonical, tuples, ints,
+                       st.sampled_from(["true", "False", "TRUE", "concat",
+                                        "block_sum", "squeezed",
+                                        "pre_narrowed", ""]),
+                       st.text(max_size=12))
+    pairs = st.builds(lambda k, sep, v, note: f"{k}{sep}{v}{note}", keys,
+                      st.sampled_from(["=", " = ", "= ", " =", ":"]), values,
+                      st.sampled_from(["", "  # note", "#"]))
+    return st.one_of(pairs, pairs, pairs, st.just(""), st.text(max_size=20))
 
 
 def _unit(m=2, n=4, l=2, pff=False, **kw):
@@ -221,3 +246,12 @@ class TestVariantText:
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigError):
             parse_variant_text("S = 32,64,128,256\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_variant_lines(), max_size=12).map("\n".join))
+    def test_any_text_is_rejected_or_round_trips(self, text):
+        try:
+            spec = parse_variant_text(text)
+        except ConfigError:
+            return
+        assert parse_variant_text(render_variant_text(spec)) == spec

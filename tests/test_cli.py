@@ -5,6 +5,7 @@ import pytest
 
 from cosnet import analysis
 from cosnet.cli import main
+from cosnet.tensor import deterministic_enabled
 from cosnet.training import load_checkpoint, save_dataset, synth_dataset
 
 
@@ -119,6 +120,20 @@ class TestTrain:
 
     def test_bad_config_is_usage_error(self, capsys):
         assert main(["train", "mini", "--lr", "-1"]) == 2
+
+    def test_deterministic_reruns_write_equal_checkpoints(self, tmp_path,
+                                                          capsys):
+        argv = ["train", "mini", "--epochs", "1", "--synth-count", "32",
+                "--batch-size", "8", "--deterministic"]
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for path in paths:
+            assert main(argv + ["--out", str(path)]) == 0
+            assert not deterministic_enabled()
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_failed_deterministic_run_restores_the_flag(self, capsys):
+        assert main(["train", "mini", "--lr", "-1", "--deterministic"]) == 2
+        assert not deterministic_enabled()
 
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["train", "mini", "--dataset", "/no/such/file"]) in (1, 2)

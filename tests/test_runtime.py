@@ -5,7 +5,7 @@ import pytest
 
 from cosnet import runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
-from cosnet.errors import ConfigError, PlanError
+from cosnet.errors import ConfigError, GraphError, PlanError
 from cosnet.graph import LayerNode, graph_forward, infer_shapes
 from cosnet.tensor import tensor_create
 
@@ -159,6 +159,17 @@ class TestExecute:
         y1 = runtime.execute(p, x)
         y2 = runtime.execute(p, x, weights=w2)
         assert not np.array_equal(y1.data, y2.data)
+
+    def test_kernel_error_names_the_step(self):
+        g = build_mini_network(seed=0)
+        x = tensor_create((2, 8, 32, 32), "uniform", seed=1)   # 3 expected
+        for mode in runtime.MODES:
+            with pytest.raises(PlanError, match="stem") as info:
+                runtime.execute(runtime.plan(g, mode), x)
+            assert isinstance(info.value.__cause__, ConfigError)
+        with pytest.raises(GraphError, match="stem") as info:
+            graph_forward(g, x)
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_mini_network_executes(self):
         g = build_mini_network(seed=0)

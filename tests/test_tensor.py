@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosnet.errors import GeometryError, ShapeError
-from cosnet.tensor import (Tensor, col2im_nd, conv_output_size,
-                           deterministic_enabled, elementwise, im2col_nd, mm,
-                           set_deterministic, tensor_create)
+from cosnet.tensor import (_BLOCK_MAX_OUTPUT, Tensor, col2im_nd,
+                           conv_output_size, deterministic_enabled,
+                           elementwise, im2col_nd, mm, set_deterministic,
+                           tensor_create)
 
 
 class TestTensor:
@@ -109,7 +110,69 @@ class TestIm2col:
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
 
 
+def _sequential_mm(a, b):
+    """The deterministic contract spelled out: one k at a time from +0.0."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out += a[:, k][:, None] * b[k][None, :]
+    return out
+
+
+def _operands(m, k, n, a_dtype=np.float32, b_dtype=np.float32):
+    def make(rng):
+        # magnitudes over six decades, so the summation order shows
+        a = rng.normal(size=(m, k)) * 10.0 ** rng.integers(-3, 4, (m, k))
+        return a.astype(a_dtype), rng.normal(size=(k, n)).astype(b_dtype)
+    return make
+
+
+def _views(rng):
+    a = rng.normal(size=(90, 40)).astype(np.float32)
+    b = rng.normal(size=(60, 21)).astype(np.float32)
+    return a.T[::2, 1::3], b[::2, ::3]
+
+
+def _signed_zeros(rng):
+    a = rng.normal(size=(6, 50)).astype(np.float32)
+    b = rng.normal(size=(50, 5)).astype(np.float32)
+    a[:, ::3] = 0.0
+    a[:, 1::3] = -0.0
+    b[::4] = -0.0
+    a[0] = -0.0
+    b[:, 0] = np.abs(b[:, 0]) + 1.0   # out[0, 0] sums only -0.0: gives +0.0
+    return a, b
+
+
+MM_CASES = {
+    "scalar-output": _operands(1, 300, 1),
+    "empty-inner": _operands(4, 0, 3),
+    "row-output": _operands(1, 300, 5),
+    "column-output": _operands(7, 300, 1),
+    "below-large-output": _operands(8, 20, _BLOCK_MAX_OUTPUT // 8 - 1),
+    "at-large-output": _operands(8, 20, _BLOCK_MAX_OUTPUT // 8),
+    "weight-gradient": _operands(16, 8192, 27),
+    "float64": _operands(5, 700, 7, np.float64, np.float64),
+    "mixed-f32-f64": _operands(9, 500, 11, np.float32, np.float64),
+    "mixed-f64-f32": _operands(9, 500, 11, np.float64, np.float32),
+    "strided-views": _views,
+    "signed-zeros": _signed_zeros,
+}
+
+
 class TestMatmul:
+    @pytest.mark.parametrize("case", MM_CASES)
+    def test_deterministic_is_the_sequential_loop(self, case):
+        """Byte-equal to the per-k loop, signed zeros and dtype included."""
+        a, b = MM_CASES[case](np.random.default_rng(7))
+        want = _sequential_mm(a, b)
+        set_deterministic(True)
+        try:
+            got = mm(a, b)
+        finally:
+            set_deterministic(False)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mm(np.zeros((2, 3)), np.zeros((4, 2)))
