@@ -35,11 +35,16 @@ def _load_model(name: str, seed: int = 0, init: bool = True):
             arch.render_variant_text(spec))
 
 
-def _input_shape(batch: int, input_res: int):
-    """(batch, 3, res, res), refusing sizes that cannot hold an image."""
-    for flag, value in (("--batch", batch), ("--input-res", input_res)):
+def _check_sizes(*flags):
+    """Refuse sizes that cannot hold an image, given (flag, value) pairs."""
+    for flag, value in flags:
         if value < 1:
             raise ConfigError(f"{flag} must be positive, got {value}")
+
+
+def _input_shape(batch: int, input_res: int):
+    """(batch, 3, res, res), refusing sizes that cannot hold an image."""
+    _check_sizes(("--batch", batch), ("--input-res", input_res))
     return (batch, 3, input_res, input_res)
 
 
@@ -92,6 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _check_sizes(("--size", args.size))
     cfg = arch.UnitConfig(
         in_channels=args.in_channels, squeeze_channels=args.squeeze,
         columns=args.columns, kernels_per_layer=args.kernels,
@@ -123,11 +129,13 @@ def cmd_train(args) -> int:
             momentum=args.momentum, weight_decay=args.weight_decay,
             seed=args.seed, lr_schedule=args.lr_schedule)
         history = training.train(g, ds, config, log=_log)
-        test_loss, test_acc = training.evaluate(
-            g, ds.images[ds.test_idx], ds.labels[ds.test_idx])
         final = history[-1]
-        print(f"train loss {final.loss:.4f}  train acc {final.accuracy:.3f}  "
-              f"test loss {test_loss:.4f}  test acc {test_acc:.3f}")
+        line = f"train loss {final.loss:.4f}  train acc {final.accuracy:.3f}"
+        if len(ds.test_idx):
+            test_loss, test_acc = training.evaluate(
+                g, ds.images[ds.test_idx], ds.labels[ds.test_idx])
+            line += f"  test loss {test_loss:.4f}  test acc {test_acc:.3f}"
+        print(line)
         if args.out:
             training.save_checkpoint(args.out, g, spec_text)
             _log(f"checkpoint written to {args.out}")

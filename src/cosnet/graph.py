@@ -13,15 +13,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from math import prod
+from math import inf, prod
 from typing import Callable
 
 import numpy as np
 
 from . import ops
-from .errors import CosnetError, GraphError, ShapeError
-from .ops import BatchNormState, ConvParams
-from .tensor import Tensor, _out_hw, elementwise, tensor_create
+from .errors import ConfigError, CosnetError, GraphError, ShapeError
+from .ops import ConvParams
+from .tensor import Tensor, _out_hw, elementwise, seeded_rng, tensor_create
 
 
 @dataclass(frozen=True)
@@ -183,17 +183,8 @@ def _bn_shape(cfg, ins):
     return ins[0]
 
 
-def _bn_state(cfg, table, mode) -> BatchNormState:
-    return BatchNormState(gamma=table["gamma"], beta=table["beta"],
-                          running_mean=table["running_mean"],
-                          running_var=table["running_var"],
-                          momentum=cfg.get("momentum", 0.1),
-                          epsilon=cfg.get("epsilon", 1e-5), mode=mode)
-
-
 def _bn_backward(cfg, grad_out, ins, table, mode):
-    gx, gg, gb = ops.batchnorm2d_backward(grad_out, ins[0],
-                                          _bn_state(cfg, table, mode))
+    gx, gg, gb = ops.batchnorm2d_backward(grad_out, ins[0], table, mode)
     return [gx], {"gamma": gg, "beta": gb}
 
 
@@ -325,8 +316,7 @@ OPS: dict[str, OpDef] = {
                                 cfg["params"])),
     "bn": OpDef(
         _bn_shape,
-        lambda cfg, ins, table, mode: ops.batchnorm2d(
-            ins[0], _bn_state(cfg, table, mode)),
+        lambda cfg, ins, table, mode: ops.batchnorm2d(ins[0], table, mode),
         _bn_backward, init=_bn_init,
         # affine scale and shift only; running statistics are not trainable
         params=lambda cfg: 2 * cfg["channels"]),
@@ -419,7 +409,7 @@ class GraphBuilder:
 
 def _init_weights(nodes, seed: int) -> dict:
     """Seeded weight tables for ``nodes``, drawn in node order."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     weights = {}
     for n in nodes:
         w = OPS[n.kind].init(n.config, rng)
@@ -567,6 +557,10 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     a ReLU or max-pool kink are skipped: the difference quotient there does
     not measure a derivative.
     """
+    if not 0 < eps < inf:
+        raise ConfigError(f"eps must be positive and finite, got {eps}")
+    if not tol >= 0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
     if graph.num_params() > 10_000:
         raise GraphError(f"grad_check guard: {graph.num_params()} parameters "
                          "exceeds the 10,000 limit")
@@ -583,20 +577,11 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     ones = Tensor(np.ones(out.shape, dtype=np.float64))
     pgrads, gin = graph_backward(graph, tape, ones, weights=w64)
 
-    def rel(a, f):
-        return abs(a - f) / max(abs(a), abs(f), 1.0)
-
-    per_param = {}
-    for nid, fname in graph.param_names():
-        arr = w64[nid][fname]
-        analytic = pgrads.get(nid, {}).get(fname)
-        if analytic is None:
-            analytic = np.zeros_like(arr)
-        else:
-            analytic = np.asarray(analytic)
+    def worst_error(arr, analytic):
+        """Max relative error of ``analytic`` over the elements of ``arr``,
+        each perturbed in place by +-eps and restored."""
+        flat, aflat = arr.reshape(-1), np.asarray(analytic).reshape(-1)
         worst = 0.0
-        flat = arr.reshape(-1)
-        aflat = analytic.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
@@ -604,26 +589,19 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
             flat[i] = orig - eps
             lm, sm = loss_of(w64, x)
             flat[i] = orig
-            if sp != sm:
-                continue
-            fd = (lp - lm) / (2 * eps)
-            worst = max(worst, rel(aflat[i], fd))
-        per_param[f"{graph.node(nid).name}.{fname}"] = worst
+            if sp == sm:
+                fd = (lp - lm) / (2 * eps)
+                worst = max(worst, abs(aflat[i] - fd)
+                            / max(abs(aflat[i]), abs(fd), 1.0))
+        return worst
 
-    xin = x.data.reshape(-1)
-    ginf = gin.data.reshape(-1)
-    worst_in = 0.0
-    for i in range(xin.size):
-        orig = xin[i]
-        xin[i] = orig + eps
-        lp, sp = loss_of(w64, x)
-        xin[i] = orig - eps
-        lm, sm = loss_of(w64, x)
-        xin[i] = orig
-        if sp != sm:
-            continue
-        fd = (lp - lm) / (2 * eps)
-        worst_in = max(worst_in, rel(ginf[i], fd))
+    per_param = {}
+    for nid, fname in graph.param_names():
+        arr = w64[nid][fname]
+        analytic = pgrads.get(nid, {}).get(fname)
+        per_param[f"{graph.node(nid).name}.{fname}"] = worst_error(
+            arr, np.zeros_like(arr) if analytic is None else analytic)
+    worst_in = worst_error(x.data, gin.data)
 
     errs = list(per_param.values()) + [worst_in]
     passed = all(e <= tol for e in errs)

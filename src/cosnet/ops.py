@@ -1,10 +1,14 @@
 """Differentiable layer operations: convolution (incl. grouped), pooling,
 batch norm, activation, input replication, channel fusion, linear, loss.
 
-Forward functions are pure; backward functions recompute whatever cheap
-intermediate state they need from the original inputs, so the caller only has
-to retain the forward inputs.  Everything follows the dtype of its inputs
-(float32 in normal use, float64 during gradient checking).
+Forward functions are pure, except that train-mode batch norm updates the
+running statistics in its weight table.  Backward functions recompute
+whatever cheap intermediate state they need from the original inputs, so the
+caller only has to retain the forward inputs.  A backward recomputes that
+state through the same helper as its forward: :func:`_patches` for the conv
+patch matrix, :func:`_bn_normalize` for batch norm's statistics and x-hat.
+Everything follows the dtype of its inputs (float32 in normal use, float64
+during gradient checking).
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError
 from .tensor import Tensor, _out_hw, col2im_nd, im2col_nd, mm
+
+# batch norm: weight of the newest batch in the running statistics, and the
+# variance floor under the square root
+BN_MOMENTUM = 0.1
+BN_EPSILON = 1e-5
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,50 @@ class ConvParams:
                 *self.kernel)
 
 
+def _patches(x: Tensor, p: ConvParams):
+    """The im2col lowering in gemm layout: the patch matrix
+    (in_channels*kh*kw, n*Ho*Wo), and (Ho, Wo).
+
+    Patch rows are channel-major, so each group's rows are contiguous.
+    """
+    ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
+    cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
+    return cols.transpose(1, 0, 2).reshape(-1, x.n * ho * wo), (ho, wo)
+
+
+def _patches_adjoint(grad_cols: np.ndarray, x: Tensor, p: ConvParams,
+                     hw) -> np.ndarray:
+    """Adjoint of :func:`_patches`: scatter-add a patch-matrix gradient back
+    onto the input."""
+    cols = grad_cols.reshape(-1, x.n, hw[0] * hw[1]).transpose(1, 0, 2)
+    return col2im_nd(cols, x.shape, p.kernel, p.stride, p.pad)
+
+
+def _group_slices(p: ConvParams):
+    """Per group: its slice of output (and weight-matrix) rows and its
+    slice of patch-matrix rows."""
+    cout_g = p.out_channels // p.groups
+    rows_g = p.in_channels // p.groups * p.kernel[0] * p.kernel[1]
+    return [(slice(gi * cout_g, (gi + 1) * cout_g),
+             slice(gi * rows_g, (gi + 1) * rows_g))
+            for gi in range(p.groups)]
+
+
+def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
+                  p: ConvParams, gemm) -> Tensor:
+    """Both forward kernels: ``gemm(weight rows, patch rows)`` per group,
+    then back to NCHW with any bias added."""
+    cols, (ho, wo) = _patches(x, p)
+    wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
+    out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
+    for o, r in _group_slices(p):
+        out[o] = gemm(wmat[o], cols[r])
+    out = out.reshape(p.out_channels, x.n, ho, wo).transpose(1, 0, 2, 3)
+    if bias is not None:
+        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return Tensor(out)
+
+
 def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
                    params: ConvParams) -> Tensor:
     """im2col + gemm convolution; groups split channels into independent slices."""
@@ -50,25 +103,7 @@ def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
     if tuple(weight.shape) != params.weight_shape:
         raise ShapeError(
             f"weight shape {weight.shape} != expected {params.weight_shape}")
-    n = x.n
-    g = params.groups
-    cin_g = params.in_channels // g
-    cout_g = params.out_channels // g
-    kh, kw = params.kernel
-    ho, wo = _out_hw(x.h, x.w, params.kernel, params.stride, params.pad)
-    cols = im2col_nd(x.data, params.kernel, params.stride, params.pad)
-    # (n, rows, L) -> (rows, n*L); group rows are contiguous (channel-major)
-    cols = cols.transpose(1, 0, 2).reshape(params.in_channels * kh * kw, n * ho * wo)
-    out = np.empty((params.out_channels, n * ho * wo), dtype=x.dtype)
-    rows_g = cin_g * kh * kw
-    for gi in range(g):
-        wmat = weight[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, rows_g)
-        out[gi * cout_g:(gi + 1) * cout_g] = mm(
-            wmat.astype(x.dtype, copy=False), cols[gi * rows_g:(gi + 1) * rows_g])
-    out = out.reshape(params.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
-    return Tensor(out)
+    return _conv_forward(x, weight, bias, params, mm)
 
 
 def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
@@ -80,28 +115,12 @@ def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
     different reduction order from the single gemm per group of
     :func:`conv2d_forward`, whose gradients it shares.
     """
-    n = x.n
-    g = p.groups
-    cin_g = p.in_channels // g
-    cout_g = p.out_channels // g
-    kh, kw = p.kernel
-    ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
-    cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
-    cols = cols.transpose(1, 0, 2).reshape(p.in_channels * kh * kw,
-                                           n * ho * wo)
-    out = np.empty((p.out_channels, n * ho * wo), dtype=x.dtype)
-    rows_g = cin_g * kh * kw
-    split = max(cin_g // 2, 1) * kh * kw
-    for gi in range(g):
-        wmat = weight[gi * cout_g:(gi + 1) * cout_g].reshape(
-            cout_g, rows_g).astype(x.dtype, copy=False)
-        cg = cols[gi * rows_g:(gi + 1) * rows_g]
-        out[gi * cout_g:(gi + 1) * cout_g] = (
-            mm(wmat[:, :split], cg[:split]) + mm(wmat[:, split:], cg[split:]))
-    out = out.reshape(p.out_channels, n, ho, wo).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
-    return Tensor(out)
+    split = max(p.in_channels // p.groups // 2, 1) * p.kernel[0] * p.kernel[1]
+
+    def two_gemms(w, c):
+        return mm(w[:, :split], c[:split]) + mm(w[:, split:], c[split:])
+
+    return _conv_forward(x, weight, bias, p, two_gemms)
 
 
 def conv2d_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray,
@@ -111,44 +130,27 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray,
     Returns (grad_input, grad_weight, grad_bias); grad_bias is None when the
     layer has no bias.
     """
-    n = x.n
-    g = params.groups
-    cin_g = params.in_channels // g
-    cout_g = params.out_channels // g
-    kh, kw = params.kernel
-    ho, wo = _out_hw(x.h, x.w, params.kernel, params.stride, params.pad)
-    if grad_out.shape != (n, params.out_channels, ho, wo):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != forward output "
-            f"{(n, params.out_channels, ho, wo)}")
-    go = grad_out.data.transpose(1, 0, 2, 3).reshape(params.out_channels, n * ho * wo)
-    cols = im2col_nd(x.data, params.kernel, params.stride, params.pad)
-    cols = cols.transpose(1, 0, 2).reshape(params.in_channels * kh * kw, n * ho * wo)
-    rows_g = cin_g * kh * kw
-    grad_w = np.empty_like(weight, dtype=x.dtype)
+    cout = params.out_channels
+    cols, hw = _patches(x, params)
+    if grad_out.shape != (x.n, cout, *hw):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
+                         f"{(x.n, cout, *hw)}")
+    go = grad_out.data.transpose(1, 0, 2, 3).reshape(cout, -1)
+    wmat = weight.reshape(cout, -1).astype(x.dtype, copy=False)
+    grad_w = np.empty(wmat.shape, dtype=x.dtype)
     grad_cols = np.empty_like(cols)
-    for gi in range(g):
-        go_g = go[gi * cout_g:(gi + 1) * cout_g]
-        wmat = weight[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, rows_g)
-        grad_w[gi * cout_g:(gi + 1) * cout_g] = mm(
-            go_g, cols[gi * rows_g:(gi + 1) * rows_g].T).reshape(
-                cout_g, cin_g, kh, kw)
-        grad_cols[gi * rows_g:(gi + 1) * rows_g] = mm(
-            wmat.T.astype(x.dtype, copy=False), go_g)
-    grad_cols = grad_cols.reshape(params.in_channels * kh * kw, n, ho * wo)
-    grad_cols = grad_cols.transpose(1, 0, 2)
-    grad_x = col2im_nd(grad_cols, x.shape, params.kernel, params.stride,
-                       params.pad)
+    for o, r in _group_slices(params):
+        grad_w[o] = mm(go[o], cols[r].T)
+        grad_cols[r] = mm(wmat[o].T, go[o])
+    grad_x = _patches_adjoint(grad_cols, x, params, hw)
     grad_b = grad_out.data.sum(axis=(0, 2, 3)) if params.has_bias else None
-    return Tensor(grad_x), grad_w, grad_b
+    return Tensor(grad_x), grad_w.reshape(weight.shape), grad_b
 
 
 def input_replicate(x: Tensor, m: int) -> Tensor:
     """Tile the channel block m times: (n,c,h,w) -> (n, m*c, h, w)."""
     if m < 1:
         raise ShapeError("replication factor must be >= 1")
-    if m == 1:
-        return Tensor(x.data.copy())
     return Tensor(np.concatenate([x.data] * m, axis=1))
 
 
@@ -208,72 +210,50 @@ def pool2d_backward(grad_out: Tensor, x: Tensor, kind: str, kernel, stride,
     return Tensor(col2im_nd(cols, x.shape, kernel, stride, pad))
 
 
-@dataclass
-class BatchNormState:
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
-    mode: str = "eval"
-
-    @classmethod
-    def create(cls, channels: int, momentum: float = 0.1,
-               epsilon: float = 1e-5, mode: str = "eval"):
-        return cls(gamma=np.ones(channels, dtype=np.float32),
-                   beta=np.zeros(channels, dtype=np.float32),
-                   running_mean=np.zeros(channels, dtype=np.float32),
-                   running_var=np.ones(channels, dtype=np.float32),
-                   momentum=momentum, epsilon=epsilon, mode=mode)
-
-
-def batchnorm2d(x: Tensor, state: BatchNormState) -> Tensor:
-    """Normalize per channel; train mode uses batch stats over (n,h,w) and
-    updates the running stats in place with the configured momentum."""
-    if x.c != state.gamma.shape[0]:
-        raise ShapeError(
-            f"input has {x.c} channels, batch norm has {state.gamma.shape[0]}")
-    eps = np.asarray(state.epsilon, dtype=x.dtype)
-    if state.mode == "train":
+def _bn_normalize(x: Tensor, table, mode: str):
+    """Per-channel (mean, var, 1/sigma, x-hat) in x's dtype: batch
+    statistics over (n, h, w) in train mode, the table's running statistics
+    otherwise."""
+    if mode == "train":
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        m = state.momentum
-        state.running_mean[...] = ((1 - m) * state.running_mean
-                                   + m * mean.astype(np.float32))
-        state.running_var[...] = ((1 - m) * state.running_var
-                                  + m * var.astype(np.float32))
     else:
-        mean = state.running_mean.astype(x.dtype)
-        var = state.running_var.astype(x.dtype)
-    inv = 1.0 / np.sqrt(var.astype(x.dtype) + eps)
-    xhat = (x.data - mean.astype(x.dtype)[None, :, None, None]) \
-        * inv[None, :, None, None]
-    out = xhat * state.gamma.astype(x.dtype)[None, :, None, None] \
-        + state.beta.astype(x.dtype)[None, :, None, None]
+        mean = table["running_mean"].astype(x.dtype)
+        var = table["running_var"].astype(x.dtype)
+    inv = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
+    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
+    return mean, var, inv, xhat
+
+
+def batchnorm2d(x: Tensor, table, mode: str) -> Tensor:
+    """Normalize per channel with the affine ``gamma``/``beta`` of a bn weight
+    table; train mode uses batch statistics and blends them into the table's
+    running statistics in place with :data:`BN_MOMENTUM`."""
+    gamma = table["gamma"]
+    if x.c != gamma.shape[0]:
+        raise ShapeError(
+            f"input has {x.c} channels, batch norm has {gamma.shape[0]}")
+    mean, var, _, xhat = _bn_normalize(x, table, mode)
+    if mode == "train":
+        for name, stat in (("running_mean", mean), ("running_var", var)):
+            table[name][...] = ((1 - BN_MOMENTUM) * table[name]
+                                + BN_MOMENTUM * stat.astype(np.float32))
+    out = xhat * gamma.astype(x.dtype)[None, :, None, None] \
+        + table["beta"].astype(x.dtype)[None, :, None, None]
     return Tensor(out)
 
 
-def batchnorm2d_backward(grad_out: Tensor, x: Tensor, state: BatchNormState):
-    """Gradients w.r.t. input, gamma, beta (train-mode batch statistics)."""
+def batchnorm2d_backward(grad_out: Tensor, x: Tensor, table, mode: str):
+    """Gradients w.r.t. input, gamma, beta (batch statistics in train
+    mode)."""
     if grad_out.shape != x.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input {x.shape}")
-    dtype = x.dtype
-    eps = np.asarray(state.epsilon, dtype=dtype)
-    if state.mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-    else:
-        mean = state.running_mean.astype(dtype)
-        var = state.running_var.astype(dtype)
-    inv = 1.0 / np.sqrt(var.astype(dtype) + eps)
-    xhat = (x.data - mean.astype(dtype)[None, :, None, None]) \
-        * inv[None, :, None, None]
+    _, _, inv, xhat = _bn_normalize(x, table, mode)
     go = grad_out.data
     grad_gamma = (go * xhat).sum(axis=(0, 2, 3))
     grad_beta = go.sum(axis=(0, 2, 3))
-    gxh = go * state.gamma.astype(dtype)[None, :, None, None]
-    if state.mode == "train":
+    gxh = go * table["gamma"].astype(x.dtype)[None, :, None, None]
+    if mode == "train":
         m = x.n * x.h * x.w
         grad_x = (inv[None, :, None, None] / m) * (
             m * gxh

@@ -161,6 +161,8 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
     """
     if trials < 1:
         raise ConfigError(f"equivalence check needs >= 1 trial, got {trials}")
+    if not tol >= 0:
+        raise ConfigError(f"tol must be >= 0, got {tol}")
     pb = plan(graph, "batched")
     pu = plan(graph, "unrolled")
     diffs = []
@@ -181,6 +183,8 @@ def bench(p: ExecutionPlan, input_shape, warmup: int = 1, iters: int = 5,
     """Wall-clock timing of :func:`execute`; returns milliseconds."""
     if iters < 1:
         raise ConfigError(f"bench needs >= 1 timed iteration, got {iters}")
+    if warmup < 0:
+        raise ConfigError(f"bench needs >= 0 warm-up iterations, got {warmup}")
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0)
     for _ in range(warmup):
         execute(p, x)

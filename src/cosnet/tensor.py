@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .errors import GeometryError, ShapeError
+from .errors import ConfigError, GeometryError, ShapeError
 
 _DETERMINISTIC = os.environ.get("COSNET_DETERMINISTIC", "0") == "1"
 
@@ -36,6 +36,14 @@ def set_deterministic(flag: bool) -> None:
 
 def deterministic_enabled() -> bool:
     return _DETERMINISTIC
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The package's random generator; every seed must be a non-negative
+    integer."""
+    if seed < 0:
+        raise ConfigError(f"seeds must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _check_shape(shape):
@@ -105,10 +113,10 @@ def tensor_create(shape, fill: str = "zeros", *, value: float = 0.0,
     elif fill == "constant":
         data = np.full(shape, value, dtype=dtype)
     elif fill == "uniform":
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         data = rng.uniform(lo, hi, size=shape).astype(dtype)
     elif fill == "normal":
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         data = rng.normal(mean, std, size=shape).astype(dtype)
     else:
         raise ShapeError(f"unknown fill kind {fill!r}")

@@ -22,7 +22,7 @@ from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      DivergenceError, LabelError)
 from .graph import Graph, graph_backward, graph_forward
 from .ops import softmax_cross_entropy
-from .tensor import Tensor
+from .tensor import Tensor, seeded_rng
 
 DATASET_MAGIC = b"CSDS"
 DATASET_VERSION = 1
@@ -53,7 +53,7 @@ class Dataset:
 
 def split_indices(count: int, test_fraction: float = 0.2, seed: int = 0):
     """Seeded train/test index split."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     perm = rng.permutation(count)
     n_test = int(round(count * test_fraction))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
@@ -67,7 +67,9 @@ def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
     Pixels are quantized to the 8-bit grid so the raw-file round trip is
     exact.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if count < 1:
+        raise ConfigError(f"a synthetic dataset needs >= 1 image, got {count}")
+    rng = seeded_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float32) / size
     images = np.empty((count, channels, size, size), dtype=np.float32)
     labels = rng.integers(0, num_classes, size=count).astype(np.int64)
@@ -187,12 +189,13 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch statistics)")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        # written so that NaN fails each test
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be >= 0 and finite")
         if self.lr_schedule not in LR_SCHEDULES:
             raise ConfigError(f"lr_schedule must be one of {LR_SCHEDULES}")
 
@@ -213,9 +216,11 @@ class EpochMetrics:
 def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64):
     """Mean loss and accuracy in eval mode; argmax ties pick the lower index."""
+    count = len(labels)
+    if count == 0:
+        raise ConfigError("cannot evaluate over zero images")
     total_loss = 0.0
     correct = 0
-    count = len(labels)
     for lo in range(0, count, batch_size):
         xb = Tensor(images[lo:lo + batch_size])
         yb = labels[lo:lo + batch_size]
@@ -235,6 +240,9 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     metrics (training-split loss and accuracy).  Raises
     :class:`DivergenceError` if the loss goes NaN or infinite.
     """
+    if len(ds.train_idx) < 2:
+        raise ConfigError("batch statistics need >= 2 training images, got "
+                          f"{len(ds.train_idx)}")
     velocity = {nid: {f: np.zeros_like(graph.weights[nid][f])
                       for f in fields}
                 for nid, fields in _param_fields(graph).items()}
@@ -242,7 +250,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     train_idx = ds.train_idx
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        rng = np.random.Generator(np.random.PCG64(config.seed + epoch))
+        rng = seeded_rng(config.seed + epoch)
         order = train_idx[rng.permutation(len(train_idx))]
         for lo in range(0, len(order), config.batch_size):
             idx = order[lo:lo + config.batch_size]

@@ -1,8 +1,11 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosnet import analysis, runtime
 from cosnet.arch import (CANONICAL_FIRST_LEVEL, CANONICAL_FUSION, REGISTRY,
                          UnitConfig, VariantSpec, build_mini_network,
                          build_network, build_unit_graph, parse_variant_text,
@@ -115,6 +118,28 @@ class TestUnitStructure:
         g = build_unit_graph(_unit(m=3, n=4, l=2))
         shapes = infer_shapes(g, (2, 8, 16, 16))
         assert shapes[g.output_id] == (2, 16, 8, 8)
+
+    @pytest.mark.parametrize("downsample", [True, False])
+    @pytest.mark.parametrize("knob, marker", [
+        ("deep_proj", ".Lp"), ("deep_proj_pooling", ".Lp.pool"),
+        ("shallow_proj", ".skip")])
+    def test_projection_knob_off(self, knob, marker, downsample):
+        # n == squeeze: the (1,2) skip exists when level 1 keeps the stride
+        assert getattr(parse_variant_text(f"name = v\n{knob} = false\n"),
+                       knob) is False
+        cfg = _unit(m=2, n=8, l=4, downsample=downsample)
+        on = build_unit_graph(cfg)
+        off = build_unit_graph(dc_replace(cfg, **{knob: False}))
+        assert any(marker in on.node(n).name for n in on.order)
+        assert not any(marker in off.node(n).name for n in off.order)
+        side = 4 if downsample else 8
+        shape = (2, 8, 8, 8)
+        assert infer_shapes(off, shape)[off.output_id] == (2, 16, side, side)
+        assert analysis.count_depth(off) == 4 + 2
+        assert (analysis.count_params(off)
+                == analysis.count_params_enumerated(off))
+        rep = runtime.equivalence_check(off, shape, trials=2, tol=1e-5)
+        assert rep.passed
 
     def test_pff_layer_count_even_m(self):
         base = build_unit_graph(_unit(m=4, n=2, l=3))

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosnet import analysis
 from cosnet.cli import main
@@ -81,6 +85,14 @@ class TestVerify:
     ["describe", "mini", "--input-res", "0"],
     ["verify", "mini", "--input-res", "0"],
     ["bench", "mini", "--input-res", "-1"],
+    ["bench", "mini", "--warmup", "-1"],
+    ["gradcheck", "--size", "0"],
+    ["gradcheck", "--eps", "0"],
+    ["gradcheck", "--tol", "-1"],
+    ["verify", "mini", "--tol", "-1"],
+    ["verify", "mini", "--seed", "-1"],
+    ["train", "mini", "--lr", "nan"],
+    ["train", "mini", "--weight-decay", "nan"],
 ])
 def test_empty_sample_or_size_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -135,6 +147,19 @@ class TestTrain:
         assert main(["train", "mini", "--lr", "-1", "--deterministic"]) == 2
         assert not deterministic_enabled()
 
+    @pytest.mark.parametrize("count", [-1, 0, 1])
+    def test_too_few_images_is_usage_error(self, count, capsys):
+        assert main(["train", "mini", "--synth-count", str(count),
+                     "--batch-size", "2", "--epochs", "1"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_two_images_train_without_held_out_metrics(self, capsys):
+        # both images land in the training split; there is nothing to test
+        assert main(["train", "mini", "--synth-count", "2",
+                     "--batch-size", "2", "--epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "train acc" in out and "test" not in out
+
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["train", "mini", "--dataset", "/no/such/file"]) in (1, 2)
 
@@ -163,3 +188,52 @@ class TestExport:
 
     def test_mini_has_no_text_form(self, capsys):
         assert main(["export", "mini"]) == 2
+
+
+# Each subcommand with its numeric flags and its boolean flags.  The CLI
+# property draws every numeric flag from {-1, 0, 1, 2} and every boolean
+# flag on or off; the fixed arguments keep each run small.
+_CLI_SURFACE = {
+    "describe": (["describe", "mini"], ["--input-res"], []),
+    "analyze": (["analyze", "mini"], ["--input-res"],
+                ["--compare-reference", "--calibrate"]),
+    "verify": (["verify", "mini"],
+               ["--trials", "--seed", "--tol", "--input-res", "--batch"], []),
+    "gradcheck": (["gradcheck"],
+                  ["--in-channels", "--squeeze", "--expand", "--columns",
+                   "--kernels", "--column-depth", "--size", "--eps", "--tol",
+                   "--seed"],
+                  ["--pff", "--no-downsample"]),
+    "train": (["train", "mini"],
+              ["--synth-count", "--epochs", "--batch-size", "--lr",
+               "--momentum", "--weight-decay", "--seed"],
+              ["--deterministic"]),
+    "bench": (["bench", "mini"],
+              ["--input-res", "--batch", "--warmup", "--iters"], ["--json"]),
+    "export": (["export", "CoSNet-A0"], [], []),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    argv, numeric, flags = _CLI_SURFACE[draw(st.sampled_from(
+        sorted(_CLI_SURFACE)))]
+    argv = list(argv)
+    for flag in numeric:
+        argv += [flag, str(draw(st.sampled_from([-1, 0, 1, 2])))]
+    return argv + [flag for flag in flags if draw(st.booleans())]
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_cli_argv())
+def test_any_small_numeric_flags_exit_cleanly(argv):
+    """Every run ends in exit 0, 1 or 2 with no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

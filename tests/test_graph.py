@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cosnet.errors import GraphError
+from cosnet.errors import ConfigError, GraphError
 from cosnet.graph import (GraphBuilder, describe, grad_check, graph_backward,
                           graph_forward, infer_shapes, reinit_weights)
 from cosnet.ops import ConvParams
@@ -184,6 +184,13 @@ class TestGradCheck:
     def test_diamond_with_nonlinearity(self):
         rep = grad_check(_diamond_graph(seed=1), (2, 2, 3, 3), seed=1)
         assert rep.passed
+
+    @pytest.mark.parametrize("kw", [
+        {"eps": 0.0}, {"eps": -1e-3}, {"eps": float("nan")},
+        {"eps": float("inf")}, {"tol": -1.0}, {"tol": float("nan")}])
+    def test_bad_eps_or_tol_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            grad_check(_diamond_graph(seed=1), (2, 2, 3, 3), **kw)
 
     def test_parameter_guard(self):
         b = GraphBuilder()

@@ -4,7 +4,8 @@ import pytest
 from conftest import max_rel_err, numeric_grad
 from cosnet import ops
 from cosnet.errors import ConfigError, LabelError, ShapeError
-from cosnet.ops import BatchNormState, ConvParams
+from cosnet.graph import OPS
+from cosnet.ops import ConvParams
 from cosnet.tensor import (Tensor, deterministic_enabled, im2col_nd,
                            set_deterministic, tensor_create)
 
@@ -278,79 +279,78 @@ class TestPooling:
                        (1, 1), (0, 0))
 
 
+def _bn_table(channels):
+    """A fresh bn weight table, as the graph builds it."""
+    return OPS["bn"].init({"channels": channels}, None)
+
+
 class TestBatchNorm:
     def test_train_normalizes_and_updates_running(self):
-        state = BatchNormState.create(3, mode="train")
+        table = _bn_table(3)
         x = tensor_create((4, 3, 5, 5), "uniform", seed=0, lo=2.0, hi=4.0)
-        y = ops.batchnorm2d(x, state)
+        y = ops.batchnorm2d(x, table, "train")
         assert np.abs(y.data.mean(axis=(0, 2, 3))).max() < 1e-5
         assert np.abs(y.data.var(axis=(0, 2, 3)) - 1).max() < 1e-3
         # momentum 0.1 blend from (0, 1) toward batch stats
         batch_mean = x.data.mean(axis=(0, 2, 3))
-        assert np.allclose(state.running_mean, 0.1 * batch_mean, atol=1e-6)
+        assert np.allclose(table["running_mean"], 0.1 * batch_mean,
+                           atol=1e-6)
 
     def test_eval_uses_running_stats(self):
-        state = BatchNormState.create(2, mode="eval")
-        state.running_mean[:] = [1.0, -1.0]
-        state.running_var[:] = [4.0, 4.0]
+        table = _bn_table(2)
+        table["running_mean"][:] = [1.0, -1.0]
+        table["running_var"][:] = [4.0, 4.0]
         x = tensor_create((1, 2, 2, 2), "ones")
-        y = ops.batchnorm2d(x, state)
+        y = ops.batchnorm2d(x, table, "eval")
         assert np.allclose(y.data[0, 0], 0.0, atol=1e-3)
         assert np.allclose(y.data[0, 1], 1.0, atol=1e-3)
 
     def test_affine(self):
-        state = BatchNormState.create(1, mode="eval")
-        state.gamma[:] = 3.0
-        state.beta[:] = 1.0
+        table = _bn_table(1)
+        table["gamma"][:] = 3.0
+        table["beta"][:] = 1.0
         x = tensor_create((1, 1, 2, 2), "constant", value=2.0)
-        y = ops.batchnorm2d(x, state)
+        y = ops.batchnorm2d(x, table, "eval")
         assert np.allclose(y.data, 7.0, atol=1e-3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.batchnorm2d(tensor_create((1, 3, 2, 2)),
-                            BatchNormState.create(2))
+            ops.batchnorm2d(tensor_create((1, 3, 2, 2)), _bn_table(2), "eval")
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_backward_finite_difference(self, mode):
         rng = np.random.default_rng(5)
-        state = BatchNormState.create(2, mode=mode)
-        state.gamma[:] = rng.uniform(0.5, 1.5, 2)
-        state.beta[:] = rng.uniform(-0.5, 0.5, 2)
-        state.running_mean[:] = rng.uniform(-0.2, 0.2, 2)
-        state.running_var[:] = rng.uniform(0.5, 1.5, 2)
+        table = _bn_table(2)
+        table["gamma"][:] = rng.uniform(0.5, 1.5, 2)
+        table["beta"][:] = rng.uniform(-0.5, 0.5, 2)
+        table["running_mean"][:] = rng.uniform(-0.2, 0.2, 2)
+        table["running_var"][:] = rng.uniform(0.5, 1.5, 2)
         x = Tensor(rng.normal(size=(3, 2, 3, 3)))
         go = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        gx, gg, gb = ops.batchnorm2d_backward(go, x, state)
+        gx, gg, gb = ops.batchnorm2d_backward(go, x, table, mode)
+
+        def _frozen(**fields):
+            # a copy, so train-mode forwards leave the running stats alone
+            return {**{k: v.copy() for k, v in table.items()}, **fields}
 
         def loss_x(xx):
-            return float((ops.batchnorm2d(Tensor(xx),
-                                          _frozen(state, mode)).data
+            return float((ops.batchnorm2d(Tensor(xx), _frozen(), mode).data
                           * go.data).sum())
-
-        def _frozen(s, m):
-            return BatchNormState(gamma=s.gamma.copy(), beta=s.beta.copy(),
-                                  running_mean=s.running_mean.copy(),
-                                  running_var=s.running_var.copy(),
-                                  momentum=s.momentum, epsilon=s.epsilon,
-                                  mode=m)
 
         assert max_rel_err(gx.data, numeric_grad(loss_x, x.data)) < 1e-3
 
         def loss_gamma(gam):
-            s = _frozen(state, mode)
-            s.gamma = gam
-            return float((ops.batchnorm2d(x, s).data * go.data).sum())
+            return float((ops.batchnorm2d(x, _frozen(gamma=gam), mode).data
+                          * go.data).sum())
 
         def loss_beta(bet):
-            s = _frozen(state, mode)
-            s.beta = bet
-            return float((ops.batchnorm2d(x, s).data * go.data).sum())
+            return float((ops.batchnorm2d(x, _frozen(beta=bet), mode).data
+                          * go.data).sum())
 
         assert max_rel_err(gg, numeric_grad(loss_gamma,
-                                            state.gamma.astype(np.float64))) < 1e-3
+                                            table["gamma"].astype(np.float64))) < 1e-3
         assert max_rel_err(gb, numeric_grad(loss_beta,
-                                            state.beta.astype(np.float64))) < 1e-3
+                                            table["beta"].astype(np.float64))) < 1e-3
 
 
 class TestRelu:

@@ -214,6 +214,12 @@ class TestEquivalence:
         with pytest.raises(ConfigError):
             runtime.equivalence_check(_unit(m=2), (1, 8, 8, 8), trials=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ConfigError):
+            runtime.equivalence_check(_unit(m=2), (1, 8, 8, 8), trials=1,
+                                      tol=tol)
+
     def test_failure_is_reported_not_raised(self):
         g = _unit(m=4)
         rep = runtime.equivalence_check(g, (1, 8, 8, 8), trials=1, tol=0.0)
@@ -233,6 +239,11 @@ class TestBenchAndStats:
         with pytest.raises(ConfigError):
             runtime.bench(runtime.plan(_unit(m=2, l=1), "batched"),
                           (1, 8, 8, 8), iters=0)
+
+    def test_bench_negative_warmup_rejected(self):
+        with pytest.raises(ConfigError):
+            runtime.bench(runtime.plan(_unit(m=2, l=1), "batched"),
+                          (1, 8, 8, 8), warmup=-1)
 
     def test_batched_holds_fewer_concurrent_tensors(self):
         g = _unit(m=4, l=3)

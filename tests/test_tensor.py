@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosnet.errors import GeometryError, ShapeError
+from cosnet.errors import ConfigError, GeometryError, ShapeError
 from cosnet.tensor import (_BLOCK_MAX_OUTPUT, Tensor, col2im_nd,
                            conv_output_size, deterministic_enabled,
                            elementwise, im2col_nd, mm, set_deterministic,
@@ -48,6 +48,12 @@ class TestCreate:
         c = tensor_create((2, 3, 4, 4), "uniform", seed=8)
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
+
+    @pytest.mark.parametrize("fill", ["uniform", "normal"])
+    def test_negative_seed_rejected(self, fill):
+        # every seeded generator of the package goes through seeded_rng
+        with pytest.raises(ConfigError, match="seeds"):
+            tensor_create((1, 1, 2, 2), fill, seed=-1)
 
     def test_normal_stats(self):
         t = tensor_create((4, 16, 16, 16), "normal", std=2.0, seed=0)

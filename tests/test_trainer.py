@@ -48,6 +48,11 @@ class TestSynthDataset:
         acc = nearest_centroid_accuracy(ds)
         assert acc > 2.0 / ds.num_classes   # clearly better than chance
 
+    @pytest.mark.parametrize("count", [-1, 0])
+    def test_empty_count_rejected(self, count):
+        with pytest.raises(ConfigError):
+            synth_dataset(count=count)
+
     def test_label_validation(self):
         with pytest.raises(Exception):
             Dataset(images=np.zeros((2, 1, 2, 2), np.float32),
@@ -140,7 +145,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [
         {"epochs": 0}, {"batch_size": 1}, {"lr": 0.0}, {"momentum": 1.0},
         {"momentum": -0.1}, {"weight_decay": -1e-4},
-        {"lr_schedule": "step"},
+        {"lr_schedule": "step"}, {"lr": float("nan")}, {"lr": float("inf")},
+        {"momentum": float("nan")}, {"weight_decay": float("nan")},
+        {"weight_decay": float("inf")},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
@@ -159,6 +166,19 @@ class TestTraining:
         hist = train(g, ds, TrainConfig(epochs=6, batch_size=16, lr=0.02,
                                         seed=0))
         assert hist[-1].loss < hist[0].loss
+
+    def test_training_split_under_two_images_rejected(self):
+        ds = synth_dataset(count=1, seed=0)
+        assert len(ds.train_idx) == 1
+        with pytest.raises(ConfigError, match="2 training images"):
+            train(build_mini_network(seed=0), ds, TrainConfig(epochs=1))
+
+    def test_evaluate_over_no_images_rejected(self):
+        ds = synth_dataset(count=2, seed=0)
+        assert len(ds.test_idx) == 0
+        with pytest.raises(ConfigError, match="zero images"):
+            evaluate(build_mini_network(seed=0), ds.images[ds.test_idx],
+                     ds.labels[ds.test_idx])
 
     def test_divergence_raises_with_epoch(self):
         ds = synth_dataset(count=16, seed=0)
