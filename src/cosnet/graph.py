@@ -215,8 +215,8 @@ def _pool_op(kind: str, **extra) -> OpDef:
 
 
 def _max_pool_kinks(cfg, x):
-    win, _ = ops._pool_windows(x.data, cfg["kernel"], cfg["stride"],
-                               cfg["pad"], -np.inf)
+    win = ops._pool_windows(x.data, cfg["kernel"], cfg["stride"],
+                            cfg["pad"], -np.inf)
     return win.argmax(axis=2).astype(np.uint8).tobytes()
 
 

@@ -7,8 +7,11 @@ whatever cheap intermediate state they need from the original inputs, so the
 caller only has to retain the forward inputs.  A backward recomputes that
 state through the same helper as its forward: :func:`_patches` for the conv
 patch matrix, :func:`_bn_normalize` for batch norm's statistics and x-hat.
-Everything follows the dtype of its inputs (float32 in normal use, float64
-during gradient checking).
+Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
+matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back;
+max and average pool backward build their window gradients in that layout
+too.  Everything follows the dtype of its inputs (float32 in normal use,
+float64 during gradient checking).
 """
 
 from __future__ import annotations
@@ -51,22 +54,14 @@ class ConvParams:
 
 
 def _patches(x: Tensor, p: ConvParams):
-    """The im2col lowering in gemm layout: the patch matrix
-    (in_channels*kh*kw, n*Ho*Wo), and (Ho, Wo).
+    """The im2col patch matrix (in_channels*kh*kw, n*Ho*Wo), as
+    :func:`im2col_nd` builds it, and (Ho, Wo).
 
-    Patch rows are channel-major, so each group's rows are contiguous.
+    Patch rows are channel-major, so each group's rows are contiguous; its
+    adjoint is :func:`col2im_nd` on the same geometry.
     """
-    ho, wo = _out_hw(x.h, x.w, p.kernel, p.stride, p.pad)
-    cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
-    return cols.transpose(1, 0, 2).reshape(-1, x.n * ho * wo), (ho, wo)
-
-
-def _patches_adjoint(grad_cols: np.ndarray, x: Tensor, p: ConvParams,
-                     hw) -> np.ndarray:
-    """Adjoint of :func:`_patches`: scatter-add a patch-matrix gradient back
-    onto the input."""
-    cols = grad_cols.reshape(-1, x.n, hw[0] * hw[1]).transpose(1, 0, 2)
-    return col2im_nd(cols, x.shape, p.kernel, p.stride, p.pad)
+    return (im2col_nd(x.data, p.kernel, p.stride, p.pad),
+            _out_hw(x.h, x.w, p.kernel, p.stride, p.pad))
 
 
 def _group_slices(p: ConvParams):
@@ -81,13 +76,17 @@ def _group_slices(p: ConvParams):
 
 def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
                   p: ConvParams, gemm) -> Tensor:
-    """Both forward kernels: ``gemm(weight rows, patch rows)`` per group,
-    then back to NCHW with any bias added."""
+    """Both forward kernels: ``gemm(weight rows, patch rows)`` per group
+    into one (out_channels, n*Ho*Wo) buffer, then back to NCHW with any
+    bias added.  With one group the gemm result is that buffer."""
     cols, (ho, wo) = _patches(x, p)
     wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
-    out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
-    for o, r in _group_slices(p):
-        out[o] = gemm(wmat[o], cols[r])
+    if p.groups == 1:
+        out = gemm(wmat, cols)
+    else:
+        out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
+        for o, r in _group_slices(p):
+            out[o] = gemm(wmat[o], cols[r])
     out = out.reshape(p.out_channels, x.n, ho, wo).transpose(1, 0, 2, 3)
     if bias is not None:
         out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
@@ -142,7 +141,8 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray,
     for o, r in _group_slices(params):
         grad_w[o] = mm(go[o], cols[r].T)
         grad_cols[r] = mm(wmat[o].T, go[o])
-    grad_x = _patches_adjoint(grad_cols, x, params, hw)
+    grad_x = col2im_nd(grad_cols, x.shape, params.kernel, params.stride,
+                       params.pad)
     grad_b = grad_out.data.sum(axis=(0, 2, 3)) if params.has_bias else None
     return Tensor(grad_x), grad_w.reshape(weight.shape), grad_b
 
@@ -161,53 +161,70 @@ def input_replicate_backward(grad_out: Tensor, m: int) -> Tensor:
     return Tensor(grad_out.data.reshape(n, m, c // m, h, w).sum(axis=1))
 
 
-def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
-    n, c, h, w = x.shape
-    kh, kw = kernel
+def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
+    """The kh*kw strided (n, c, Ho, Wo) views of x padded with ``fill``,
+    one per kernel offset in (row, col) order."""
+    h, w = x.shape[2:]
     sh, sw = stride
     ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
                 constant_values=fill)
-    win = np.empty((n, c, kh * kw, ho, wo), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            win[:, :, ki * kw + kj] = xp[:, :, ki:ki + sh * ho:sh,
-                                         kj:kj + sw * wo:sw]
-    return win, (ho, wo)
+    return [xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+            for ki in range(kernel[0]) for kj in range(kernel[1])]
+
+
+def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
+    """The window stack (n, c, kh*kw, Ho, Wo) of :func:`_window_slices`."""
+    return np.stack(_window_slices(x, kernel, stride, pad, fill), axis=2)
 
 
 def pool2d(x: Tensor, kind: str, kernel, stride, pad) -> Tensor:
     """Per-window max or mean; mean divides by the full window size
-    (padded zeros count toward the divisor)."""
+    (padded zeros count toward the divisor).
+
+    The mean is a running sum from +0.0 over the windows in (row, col)
+    order, the order in which numpy sums a window stack over its window
+    axis (so a one-element window of -0.0 sums to +0.0 here too).  A 1x1
+    output keeps the stack: there the window axis is innermost, and numpy
+    sums it pairwise.
+    """
     if kind == "max":
-        win, _ = _pool_windows(x.data, kernel, stride, pad, -np.inf)
-        return Tensor(win.max(axis=2))
+        return Tensor(_pool_windows(x.data, kernel, stride, pad,
+                                    -np.inf).max(axis=2))
     if kind == "avg":
-        win, _ = _pool_windows(x.data, kernel, stride, pad, 0.0)
-        return Tensor(win.sum(axis=2) / np.asarray(kernel[0] * kernel[1],
-                                                   dtype=x.dtype))
+        wins = _window_slices(x.data, kernel, stride, pad, 0.0)
+        if wins[0].shape[2:] == (1, 1):
+            out = np.stack(wins, axis=2).sum(axis=2)
+        else:
+            out = wins[0] + 0.0
+            for win in wins[1:]:
+                out += win
+        out /= np.asarray(kernel[0] * kernel[1], dtype=x.dtype)
+        return Tensor(out)
     raise ShapeError(f"unknown pool kind {kind!r}")
 
 
 def pool2d_backward(grad_out: Tensor, x: Tensor, kind: str, kernel, stride,
                     pad) -> Tensor:
-    n, c, h, w = x.shape
-    kh, kw = kernel
+    """Scatter the window gradients back through :func:`col2im_nd`; they
+    are built as its (c, kh*kw, n, Ho, Wo) patch matrix."""
+    n, c = x.shape[:2]
+    kk = kernel[0] * kernel[1]
     ho, wo = grad_out.shape[2:]
+    go = grad_out.data.transpose(1, 0, 2, 3)[:, None]
     if kind == "max":
-        win, _ = _pool_windows(x.data, kernel, stride, pad, -np.inf)
-        arg = win.argmax(axis=2)
-        gcols = np.zeros((n, c, kh * kw, ho, wo), dtype=x.dtype)
-        np.put_along_axis(gcols, arg[:, :, None], grad_out.data[:, :, None], axis=2)
+        arg = _pool_windows(x.data, kernel, stride, pad,
+                            -np.inf).argmax(axis=2)
+        gcols = np.zeros((c, kk, n, ho, wo), dtype=x.dtype)
+        np.put_along_axis(gcols, arg.transpose(1, 0, 2, 3)[:, None], go,
+                          axis=1)
     elif kind == "avg":
-        gcols = np.broadcast_to(
-            grad_out.data[:, :, None] / np.asarray(kh * kw, dtype=x.dtype),
-            (n, c, kh * kw, ho, wo)).copy()
+        gcols = np.broadcast_to(go / np.asarray(kk, dtype=x.dtype),
+                                (c, kk, n, ho, wo))
     else:
         raise ShapeError(f"unknown pool kind {kind!r}")
-    cols = gcols.reshape(n, c * kh * kw, ho * wo)
-    return Tensor(col2im_nd(cols, x.shape, kernel, stride, pad))
+    return Tensor(col2im_nd(gcols, x.shape, kernel, stride, pad))
 
 
 def _bn_normalize(x: Tensor, table, mode: str):

@@ -141,39 +141,55 @@ def _out_hw(h, w, kernel, stride, pad):
 
 
 def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
-    """Lower a batch (n,c,h,w) to patch columns (n, c*kh*kw, Ho*Wo).
+    """Lower a batch (n,c,h,w) to the gemm patch matrix (c*kh*kw, n*Ho*Wo).
 
-    Patch rows are ordered channel-major, then kernel row, then kernel col.
-    Out-of-bounds elements are zero.
+    Patch rows are ordered channel-major, then kernel row, then kernel col;
+    columns are ordered by sample, then output row, then output col.  The
+    matrix is written as (c, kh, kw, n, Ho, Wo) from a channel-major view
+    of the input.  Out-of-bounds elements are zero.  A 1x1 kernel with
+    stride 1 and no padding is one transpose-reshape of the input.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    xc = x.transpose(1, 0, 2, 3)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return xc.reshape(c, n * h * w)
+    if ph or pw:
+        xc = np.pad(xc, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for ki in range(kh):
         for kj in range(kw):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+            cols[:, ki, kj] = xc[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+    return cols.reshape(c * kh * kw, n * ho * wo)
 
 
 def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:
-    """Adjoint of :func:`im2col_nd`: scatter-add patch columns back."""
+    """Adjoint of :func:`im2col_nd`: scatter-add a (c*kh*kw, n*Ho*Wo) patch
+    matrix back onto an (n,c,h,w) batch.
+
+    Each input element is ``((0 + p0) + p1) + ...`` over its patches in
+    (kernel row, kernel col) order, so a lone -0.0 patch value lands as
+    +0.0; the 1x1 shortcut adds its single patch to +0.0 the same way.  The
+    scatter runs on a channel-major buffer, so the general result is an
+    (n,c,h,w) view of it.
+    """
     n, c, h, w = in_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        return np.add(cols.reshape(c, n, h, w).transpose(1, 0, 2, 3), 0.0,
+                      order="C")
+    cols = cols.reshape(c, kh, kw, n, ho, wo)
+    xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for ki in range(kh):
         for kj in range(kw):
-            xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += cols[:, :, ki, kj]
-    if ph or pw:
-        return xp[:, :, ph:ph + h, pw:pw + w]
-    return xp
+            xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += cols[:, ki, kj]
+    return xp[:, :, ph:ph + h, pw:pw + w].transpose(1, 0, 2, 3)
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

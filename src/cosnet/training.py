@@ -52,7 +52,11 @@ class Dataset:
 
 
 def split_indices(count: int, test_fraction: float = 0.2, seed: int = 0):
-    """Seeded train/test index split."""
+    """Seeded train/test index split; ``test_fraction`` lies in [0, 1)."""
+    # written so that NaN fails the test
+    if not 0.0 <= test_fraction < 1.0:
+        raise ConfigError(
+            f"test_fraction must lie in [0, 1), got {test_fraction}")
     rng = seeded_rng(seed)
     perm = rng.permutation(count)
     n_test = int(round(count * test_fraction))
@@ -67,8 +71,11 @@ def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
     Pixels are quantized to the 8-bit grid so the raw-file round trip is
     exact.
     """
-    if count < 1:
-        raise ConfigError(f"a synthetic dataset needs >= 1 image, got {count}")
+    for name, value in (("count", count), ("num_classes", num_classes),
+                        ("size", size), ("channels", channels)):
+        if value < 1:
+            raise ConfigError(
+                f"synthetic dataset {name} must be >= 1, got {value}")
     rng = seeded_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float32) / size
     images = np.empty((count, channels, size, size), dtype=np.float32)
@@ -91,7 +98,17 @@ def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
 
 
 def nearest_centroid_accuracy(ds: Dataset) -> float:
-    """Train-centroid classifier accuracy on the test split (sanity oracle)."""
+    """Train-centroid classifier accuracy on the test split (sanity oracle).
+
+    Needs a held-out image and a training image of every class.
+    """
+    if not len(ds.test_idx):
+        raise ConfigError("nearest-centroid accuracy needs a held-out image")
+    missing = np.setdiff1d(np.arange(ds.num_classes),
+                           ds.labels[ds.train_idx])
+    if missing.size:
+        raise ConfigError("nearest-centroid accuracy needs a training image "
+                          f"of every class; none of {missing.tolist()}")
     flat = ds.images.reshape(len(ds.labels), -1)
     centroids = np.stack([
         flat[ds.train_idx][ds.labels[ds.train_idx] == k].mean(axis=0)
@@ -219,6 +236,8 @@ def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
     count = len(labels)
     if count == 0:
         raise ConfigError("cannot evaluate over zero images")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
     for lo in range(0, count, batch_size):

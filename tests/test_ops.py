@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import max_rel_err, numeric_grad
 from cosnet import ops
@@ -151,7 +153,7 @@ class TestConvGroupedForward:
         assert seen == [((2, 18), True)] * 6
         # the sequential reduction, one half after the other
         cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
-        cols = cols.transpose(1, 0, 2).reshape(12 * 9, -1)
+        assert cols.shape == (12 * 9, 2 * 5 * 5)
         want = np.empty((6, cols.shape[1]), dtype=np.float32)
         for gi in range(3):
             wg = w[2 * gi:2 * gi + 2].reshape(2, 36)
@@ -272,6 +274,30 @@ class TestPooling:
                                          (1, 1)).data * go.data).sum()),
             x.data)
         assert max_rel_err(gx.data, fx) < 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 3), st.integers(1, 2), st.integers(0, 1),
+           st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 10**6))
+    # a 1x1 output, where numpy sums the stack's window axis pairwise
+    @example(1, 2, 3, 3, 1, 0, np.float32, 0)
+    def test_avg_running_sum_matches_window_stack(self, n, c, hw, k, s, p,
+                                                  dtype, seed):
+        # the running sum adds in the window stack's order from +0.0, so
+        # the bytes agree, -0.0 and one-element windows included
+        if hw + 2 * p < k:
+            return
+        rng = np.random.default_rng(seed)
+        # magnitudes over six decades, so the summation order shows
+        x = (rng.normal(size=(n, c, hw, hw))
+             * 10.0 ** rng.integers(-3, 4, (n, c, hw, hw))).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        args = ((k, k), (s, s), (p, p))
+        want = ops._pool_windows(x, *args, 0.0).sum(axis=2) \
+            / np.asarray(k * k, dtype=dtype)
+        assert ops.pool2d(Tensor(x), "avg", *args).data.tobytes() == \
+            want.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):

@@ -80,24 +80,98 @@ class TestGeometry:
             im2col_nd(x, (5, 5), (1, 1), (0, 0))
 
 
+def _im2col_by_index(x, kernel, stride, pad):
+    """The patch matrix element by element: row (ci, ki, kj), column
+    (ni, oi, oj) holds x[ni, ci, oi*sh + ki - ph, oj*sw + kj - pw], or +0.0
+    outside the input."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    cols = np.zeros((c * kh * kw, n * ho * wo), dtype=x.dtype)
+    for ci, ki, kj, ni, oi, oj in np.ndindex(c, kh, kw, n, ho, wo):
+        i, j = oi * sh + ki - ph, oj * sw + kj - pw
+        if 0 <= i < h and 0 <= j < w:
+            cols[(ci * kh + ki) * kw + kj,
+                 (ni * ho + oi) * wo + oj] = x[ni, ci, i, j]
+    return cols
+
+
+def _col2im_by_index(cols, in_shape, kernel, stride, pad):
+    """The scatter-add element by element: each input element is
+    ``((0 + p0) + p1) + ...`` over its patches in (ki, kj) order."""
+    n, c, h, w = in_shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    for ki, kj, ci, ni, oi, oj in np.ndindex(kh, kw, c, n, ho, wo):
+        xp[ni, ci, oi * sh + ki, oj * sw + kj] += \
+            cols[(ci * kh + ki) * kw + kj, (ni * ho + oi) * wo + oj]
+    return xp[:, :, ph:ph + h, pw:pw + w]
+
+
+# geometries (kh, kw, sh, sw, ph, pw); the 1x1 shortcut is drawn often
+_GEOMETRY = st.one_of(
+    st.just((1, 1, 1, 1, 0, 0)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+              st.integers(1, 3), st.integers(0, 2), st.integers(0, 2)))
+
+
+def _signed_zero_data(rng, shape, dtype):
+    """Normal values with about a quarter of them -0.0."""
+    a = rng.normal(size=shape).astype(dtype)
+    a[rng.random(shape) < 0.25] = -0.0
+    return a
+
+
 class TestIm2col:
     def test_identity_1x1(self):
-        x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
+        x = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
         cols = im2col_nd(x, (1, 1), (1, 1), (0, 0))
-        assert np.array_equal(cols, x.reshape(1, 2, 4))
+        # one row per channel, one column per (sample, row, col)
+        assert cols.shape == (2, 8)
+        assert np.array_equal(cols, [[0, 1, 2, 3, 8, 9, 10, 11],
+                                     [4, 5, 6, 7, 12, 13, 14, 15]])
 
     def test_known_3x3_patch(self):
-        x = np.arange(9, dtype=np.float32).reshape(1, 1, 3, 3)
+        x = np.arange(18, dtype=np.float32).reshape(2, 1, 3, 3)
         cols = im2col_nd(x, (3, 3), (1, 1), (0, 0))
-        assert cols.shape == (1, 9, 1)
-        assert np.array_equal(cols[0, :, 0], np.arange(9))
+        # one row per kernel offset, one column per sample
+        assert cols.shape == (9, 2)
+        assert np.array_equal(cols[:, 0], np.arange(9))
+        assert np.array_equal(cols[:, 1], np.arange(9, 18))
 
     def test_padding_zeros(self):
         x = np.ones((1, 1, 2, 2), dtype=np.float32)
         cols = im2col_nd(x, (3, 3), (1, 1), (1, 1))
         # center column sees the full 2x2 block plus 5 zeros
-        assert cols.shape == (1, 9, 4)
+        assert cols.shape == (9, 4)
         assert cols.sum() == 4 * 4   # each input pixel appears 4 times
+        # output (0, 0) sees the input's top-left 2x2 in the kernel's
+        # bottom-right 2x2, zeros elsewhere
+        assert np.array_equal(cols[:, 0], [0, 0, 0, 0, 1, 1, 0, 1, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 6), _GEOMETRY,
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_matches_index_formula_bytewise(self, n, c, h, w, geom, dtype,
+                                            data):
+        kh, kw, sh, sw, ph, pw = geom
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        x = _signed_zero_data(rng, (n, c, h, w), dtype)
+        args = ((kh, kw), (sh, sw), (ph, pw))
+        cols = im2col_nd(x, *args)
+        assert cols.dtype == dtype
+        assert cols.tobytes() == _im2col_by_index(x, *args).tobytes()
+        # the scatter: the 1x1 shortcut adds to +0.0 like the general path,
+        # so its -0.0 patch values land as +0.0
+        g = _signed_zero_data(rng, cols.shape, dtype)
+        back = col2im_nd(g, x.shape, *args)
+        assert back.shape == x.shape
+        assert back.tobytes() == \
+            _col2im_by_index(g, x.shape, *args).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 7),

@@ -14,8 +14,8 @@ from cosnet.errors import (CheckpointError, ConfigError, CosnetError,
 from cosnet.graph import GraphBuilder
 from cosnet.training import (Dataset, TrainConfig, evaluate, load_checkpoint,
                              load_dataset, nearest_centroid_accuracy,
-                             save_checkpoint, save_dataset, synth_dataset,
-                             train)
+                             save_checkpoint, save_dataset, split_indices,
+                             synth_dataset, train)
 
 
 class TestSynthDataset:
@@ -52,6 +52,29 @@ class TestSynthDataset:
     def test_empty_count_rejected(self, count):
         with pytest.raises(ConfigError):
             synth_dataset(count=count)
+
+    @pytest.mark.parametrize("field", ["size", "num_classes", "channels"])
+    @pytest.mark.parametrize("value", [-1, 0])
+    def test_empty_geometry_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            synth_dataset(count=4, **{field: value})
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0, 1.5, float("nan")])
+    def test_split_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="test_fraction"):
+            split_indices(10, fraction)
+
+    def test_centroids_need_held_out_images(self):
+        ds = synth_dataset(count=2, seed=0)
+        assert len(ds.test_idx) == 0
+        with pytest.raises(ConfigError, match="held-out"):
+            nearest_centroid_accuracy(ds)
+
+    def test_centroids_need_every_class_in_training(self):
+        ds = synth_dataset(count=12, num_classes=40, seed=0)
+        assert len(ds.test_idx) > 0
+        with pytest.raises(ConfigError, match="every class"):
+            nearest_centroid_accuracy(ds)
 
     def test_label_validation(self):
         with pytest.raises(Exception):
@@ -103,6 +126,13 @@ class TestDatasetFile:
         path.write_bytes(bytes(blob))
         with pytest.raises(DatasetFormatError, match="label"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5])
+    def test_bad_test_fraction_rejected(self, tmp_path, fraction):
+        path = tmp_path / "d.bin"
+        save_dataset(path, synth_dataset(count=3, seed=0))
+        with pytest.raises(ConfigError, match="test_fraction"):
+            load_dataset(path, test_fraction=fraction)
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "d.bin"
@@ -179,6 +209,13 @@ class TestTraining:
         with pytest.raises(ConfigError, match="zero images"):
             evaluate(build_mini_network(seed=0), ds.images[ds.test_idx],
                      ds.labels[ds.test_idx])
+
+    @pytest.mark.parametrize("batch_size", [-1, 0])
+    def test_evaluate_batch_size_below_one_rejected(self, batch_size):
+        ds = synth_dataset(count=4, seed=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(build_mini_network(seed=0), ds.images, ds.labels,
+                     batch_size=batch_size)
 
     def test_divergence_raises_with_epoch(self):
         ds = synth_dataset(count=16, seed=0)
