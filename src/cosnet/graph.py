@@ -7,6 +7,12 @@ shape rule, forward, backward, weight init, parameter and MAC counts and
 description.  Shape propagation, both forward paths (:func:`graph_forward`
 and ``runtime.execute``), the backward pass, weight init, ``describe`` and
 the analyzer all look the kind up there.
+
+:func:`graph_forward` and :func:`graph_backward` run any step program: a
+:class:`Graph` or an execution plan.  Training and the gradient check run
+the batched plan (``runtime.plan(graph, "batched")``), whose folded
+level-1 conv reads the un-replicated input; only a plan with per-group
+steps (``unrolled``) cannot be differentiated.
 """
 
 from __future__ import annotations
@@ -109,16 +115,21 @@ class Graph:
 class OpDef:
     """One layer kind.  ``cfg`` is a node's config dict, ``ins`` its input
     shapes (shape rule) or tensors, ``table`` its weight table and ``mode``
-    "train" or "eval".  The defaults describe a weightless layer that passes
-    its first input through unchanged."""
+    "train" or "eval".  ``saved`` is a dict in train mode and None in eval
+    mode.  An op that ``saves`` puts into it, in its forward, everything its
+    backward reads, and its backward gets that dict in place of the input
+    tensors, so the tape need not keep them.  The defaults describe a
+    weightless layer that passes its first input through unchanged."""
 
     # (cfg, ins) -> output shape; raises ShapeError
     shape: Callable = lambda cfg, ins: ins[0]
-    # (cfg, ins, table, mode) -> Tensor
-    forward: Callable = lambda cfg, ins, table, mode: ins[0]
-    # (cfg, grad_out, ins, table, mode) -> (per-input grads, param grads)
+    # (cfg, ins, table, mode, saved) -> Tensor
+    forward: Callable = lambda cfg, ins, table, mode, saved: ins[0]
+    # (cfg, grad_out, ins or saved, table, mode) -> (per-input grads,
+    # param grads)
     backward: Callable = lambda cfg, grad_out, ins, table, mode: (
         [grad_out], {})
+    saves: bool = False  # the backward reads ``saved``, not the inputs
     init: Callable = lambda cfg, rng: {}       # -> fresh weight table
     params: Callable = lambda cfg: 0           # -> trainable parameter count
     macs: Callable = lambda cfg, out_shape: 0  # -> multiply-accumulates
@@ -126,8 +137,8 @@ class OpDef:
     min_inputs: int = 1
     depth: int = 0       # 1 if the layer counts toward network depth
     # (cfg, input tensor) -> bytes fingerprinting the piecewise-linear
-    # decisions taken (gradient check); empty for smooth layers
-    kinks: Callable = lambda cfg, x: b""
+    # decisions taken (gradient check); None for smooth layers
+    kinks: Callable | None = None
 
 
 def _conv_shape(cfg, ins):
@@ -138,8 +149,8 @@ def _conv_shape(cfg, ins):
     return (n, p.out_channels, *_out_hw(h, w, p.kernel, p.stride, p.pad))
 
 
-def _conv_backward(cfg, grad_out, ins, table, mode):
-    gx, gw, gb = ops.conv2d_backward(grad_out, ins[0], table["weight"],
+def _conv_backward(cfg, grad_out, saved, table, mode):
+    gx, gw, gb = ops.conv2d_backward(grad_out, saved, table["weight"],
                                      cfg["params"])
     grads = {"weight": gw}
     if gb is not None:
@@ -183,8 +194,8 @@ def _bn_shape(cfg, ins):
     return ins[0]
 
 
-def _bn_backward(cfg, grad_out, ins, table, mode):
-    gx, gg, gb = ops.batchnorm2d_backward(grad_out, ins[0], table, mode)
+def _bn_backward(cfg, grad_out, saved, table, mode):
+    gx, gg, gb = ops.batchnorm2d_backward(grad_out, saved, table, mode)
     return [gx], {"gamma": gg, "beta": gb}
 
 
@@ -203,7 +214,7 @@ def _pool_op(kind: str, **extra) -> OpDef:
         return (n, c, *_out_hw(h, w, cfg["kernel"], cfg["stride"],
                                cfg["pad"]))
 
-    def forward(cfg, ins, table, mode):
+    def forward(cfg, ins, table, mode, saved):
         return ops.pool2d(ins[0], kind, cfg["kernel"], cfg["stride"],
                           cfg["pad"])
 
@@ -269,7 +280,7 @@ def _slice_shape(cfg, ins):
     return (n, stop - start, h, w)
 
 
-def _slice_forward(cfg, ins, table, mode):
+def _slice_forward(cfg, ins, table, mode, saved):
     start, stop = _slice_range(cfg, ins[0].c)
     return Tensor(ins[0].data[:, start:stop].copy())
 
@@ -287,7 +298,7 @@ def _add_shape(cfg, ins):
     return ins[0]
 
 
-def _add_forward(cfg, ins, table, mode):
+def _add_forward(cfg, ins, table, mode, saved):
     out = ins[0]
     for t in ins[1:]:
         out = elementwise("add", out, t)
@@ -300,28 +311,29 @@ def _m_describe(cfg):
 
 _CONV = OpDef(
     _conv_shape,
-    lambda cfg, ins, table, mode: ops.conv2d_forward(
-        ins[0], table["weight"], table.get("bias"), cfg["params"]),
-    _conv_backward, init=_conv_init, params=_conv_params, macs=_conv_macs,
-    describe=_conv_describe, depth=1)
+    lambda cfg, ins, table, mode, saved: ops.conv2d_forward(
+        ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
+    _conv_backward, saves=True, init=_conv_init, params=_conv_params,
+    macs=_conv_macs, describe=_conv_describe, depth=1)
 
 OPS: dict[str, OpDef] = {
     "input": OpDef(min_inputs=0),
     "conv": _CONV,
     # a grouped conv run as two gemms per group over one im2col (a
     # different reduction order from "conv"); batched plans lower to it
-    "conv_grouped": replace(_CONV, forward=lambda cfg, ins, table, mode:
-                            ops.conv2d_grouped_forward(
-                                ins[0], table["weight"], table.get("bias"),
-                                cfg["params"])),
+    "conv_grouped": replace(
+        _CONV, forward=lambda cfg, ins, table, mode, saved:
+        ops.conv2d_grouped_forward(ins[0], table["weight"],
+                                   table.get("bias"), cfg["params"], saved)),
     "bn": OpDef(
         _bn_shape,
-        lambda cfg, ins, table, mode: ops.batchnorm2d(ins[0], table, mode),
-        _bn_backward, init=_bn_init,
+        lambda cfg, ins, table, mode, saved: ops.batchnorm2d(
+            ins[0], table, mode, saved),
+        _bn_backward, saves=True, init=_bn_init,
         # affine scale and shift only; running statistics are not trainable
         params=lambda cfg: 2 * cfg["channels"]),
     "relu": OpDef(
-        forward=lambda cfg, ins, table, mode: ops.relu(ins[0]),
+        forward=lambda cfg, ins, table, mode, saved: ops.relu(ins[0]),
         backward=lambda cfg, grad_out, ins, table, mode: (
             [ops.relu_backward(grad_out, ins[0])], {}),
         kinks=lambda cfg, x: np.packbits(x.data > 0).tobytes()),
@@ -329,12 +341,12 @@ OPS: dict[str, OpDef] = {
     "pool_avg": _pool_op("avg"),
     "gap": OpDef(
         lambda cfg, ins: (*ins[0][:2], 1, 1),
-        lambda cfg, ins, table, mode: ops.global_avg_pool(ins[0]),
+        lambda cfg, ins, table, mode, saved: ops.global_avg_pool(ins[0]),
         lambda cfg, grad_out, ins, table, mode: (
             [ops.global_avg_pool_backward(grad_out, ins[0])], {})),
     "linear": OpDef(
         _linear_shape,
-        lambda cfg, ins, table, mode: ops.linear(
+        lambda cfg, ins, table, mode, saved: ops.linear(
             ins[0], table["weight"], table["bias"]),
         _linear_backward, init=_linear_init,
         params=lambda cfg: (cfg["in_features"] + 1) * cfg["out_features"],
@@ -343,28 +355,30 @@ OPS: dict[str, OpDef] = {
         depth=1),
     "ir": OpDef(
         lambda cfg, ins: (ins[0][0], ins[0][1] * cfg["m"], *ins[0][2:]),
-        lambda cfg, ins, table, mode: ops.input_replicate(ins[0], cfg["m"]),
-        lambda cfg, grad_out, ins, table, mode: (
+        lambda cfg, ins, table, mode, saved: ops.input_replicate(
+            ins[0], cfg["m"]),
+        lambda cfg, grad_out, saved, table, mode: (
             [ops.input_replicate_backward(grad_out, cfg["m"])], {}),
-        describe=_m_describe),
+        saves=True, describe=_m_describe),
     "concat": OpDef(
         _concat_shape,
-        lambda cfg, ins, table, mode: ops.channel_concat(ins),
+        lambda cfg, ins, table, mode, saved: ops.channel_concat(ins),
         lambda cfg, grad_out, ins, table, mode: (
             ops.channel_concat_backward(grad_out, [t.c for t in ins]), {}),
         min_inputs=2),
     "block_sum": OpDef(
         _block_sum_shape,
-        lambda cfg, ins, table, mode: ops.channel_block_sum(ins[0], cfg["m"]),
-        lambda cfg, grad_out, ins, table, mode: (
+        lambda cfg, ins, table, mode, saved: ops.channel_block_sum(
+            ins[0], cfg["m"]),
+        lambda cfg, grad_out, saved, table, mode: (
             [ops.channel_block_sum_backward(grad_out, cfg["m"])], {}),
-        describe=_m_describe),
+        saves=True, describe=_m_describe),
     "slice": OpDef(_slice_shape, _slice_forward, _slice_backward),
     "add": OpDef(_add_shape, _add_forward,
                  lambda cfg, grad_out, ins, table, mode: (
                      [grad_out for _ in ins], {}),
                  min_inputs=2),
-    "output": OpDef(),
+    "output": OpDef(saves=True),
 }
 
 
@@ -454,18 +468,23 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
     ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
     step with a ``group`` index reads only that group's block of the table's
     rows; the table holds one block per group step reading it.  Tensors are
-    freed at their last use, except in train mode, where every activation
-    is kept as the tape.  Any :class:`CosnetError` or missing table entry
-    raised inside a step is re-raised as ``error``, naming the step.
+    freed at their last use.  In train mode each step also records what its
+    backward reads, keyed by step id: the dict its forward filled if its op
+    ``saves``, else its input tensors.  That tape keeps a tensor alive only
+    while some backward reads it.  Any :class:`CosnetError` or missing
+    table entry raised inside a step is re-raised as ``error``, naming the
+    step.
 
-    Returns (output, activations).
+    Returns (output, tape); the tape is None in eval mode.
     """
     steps = program.steps
     uses = Counter(src for s in steps for src in s.inputs)
     blocks = Counter(s.src_node for s in steps if s.group is not None)
     acts = {program.input_id: x}
+    tape = {} if mode == "train" else None
     out = None
     for s in steps:
+        op = OPS[s.kind]
         try:
             table = weights.get(s.src_node, {})
             if s.group is not None:
@@ -474,81 +493,101 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
                               (s.group + 1) * len(a) // nb]
                          for f, a in table.items()}
             ins = [acts[src] for src in s.inputs]
-            acts[s.id] = OPS[s.kind].forward(s.config, ins, table, mode)
+            saved = {} if tape is not None and op.saves else None
+            acts[s.id] = op.forward(s.config, ins, table, mode, saved)
         except (CosnetError, KeyError) as exc:
             raise error(f"forward failed at step {s.id} ({s.name}): "
                         f"{exc}") from exc
+        if tape is not None:
+            tape[s.id] = saved if op.saves else ins
         if s.id == program.output_id:
             out = acts[s.id]
-        if mode != "train":
-            for src in s.inputs:
-                uses[src] -= 1
-                if uses[src] == 0:
-                    del acts[src]
+        for src in s.inputs:
+            uses[src] -= 1
+            if uses[src] == 0:
+                del acts[src]
     if out is None:
         raise error("the program never produced its output tensor")
-    return out, acts
-
-
-def graph_forward(graph: Graph, x: Tensor, mode: str = "eval",
-                  weights=None):
-    """Evaluate nodes in topological order.
-
-    Returns (output, tape); the tape retains per-node activations and is only
-    produced in train mode (eval returns tape=None).
-    """
-    if mode not in ("train", "eval"):
-        raise GraphError(f"unknown mode {mode!r}")
-    weights = weights if weights is not None else graph.weights
-    out, acts = run_steps(graph, x, weights, mode)
-    tape = {"mode": mode, "acts": acts} if mode == "train" else None
     return out, tape
 
 
-def graph_backward(graph: Graph, tape, grad_output: Tensor, weights=None):
-    """Reverse-mode gradients; fan-out accumulates by summation.
+def _weights_of(program, weights):
+    """``weights``, or the table of the graph that ``program`` (a graph or
+    a plan of one) runs."""
+    if weights is not None:
+        return weights
+    return getattr(program, "graph", program).weights
 
-    Returns (grad table keyed like the weight table, grad w.r.t. the input).
+
+def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
+    """Run a graph or an execution plan; ``weights`` defaults to the
+    graph's table.
+
+    Returns (output, tape); the tape holds what each step's backward reads
+    and is only produced in train mode (eval returns tape=None).
     """
-    if tape is None or tape.get("mode") != "train":
-        raise GraphError("backward requires a tape from a train-mode forward")
-    weights = weights if weights is not None else graph.weights
-    acts = tape["acts"]
-    out_grads = {graph.output_id: grad_output}
+    if mode not in ("train", "eval"):
+        raise GraphError(f"unknown mode {mode!r}")
+    out, steps = run_steps(program, x, _weights_of(program, weights), mode)
+    tape = ({"steps": steps, "input_shape": x.shape}
+            if mode == "train" else None)
+    return out, tape
+
+
+def graph_backward(program, tape, grad_output: Tensor, weights=None):
+    """Reverse-mode gradients over the program a train-mode
+    :func:`graph_forward` ran; fan-out accumulates by summation.  The pass
+    takes each step's entry off the tape as it reaches the step, so a tape
+    serves one backward pass.
+
+    Returns (grad table keyed like the weight table, by each step's
+    ``src_node``; grad w.r.t. the input).
+    """
+    if tape is None or "steps" not in tape:
+        raise GraphError("backward requires an unused tape from a "
+                         "train-mode forward")
+    grouped = next((s for s in program.steps if s.group is not None), None)
+    if grouped is not None:
+        raise GraphError(f"cannot differentiate the per-group step "
+                         f"{grouped.name}; run the graph or its batched plan")
+    weights = _weights_of(program, weights)
+    saved = tape.pop("steps")
+    out_grads = {program.output_id: grad_output}
     param_grads = {}
-    for s in reversed(graph.steps):
+    for s in reversed(program.steps):
+        ctx = saved.pop(s.id)
         if s.id not in out_grads:
             continue
         go = out_grads.pop(s.id)
-        ins = [acts[src] for src in s.inputs]
         in_grads, pgrads = OPS[s.kind].backward(
-            s.config, go, ins, weights.get(s.id, {}), tape["mode"])
+            s.config, go, ctx, weights.get(s.src_node, {}), "train")
         if pgrads:
-            param_grads[s.id] = pgrads
+            param_grads[s.src_node] = pgrads
         for src, g in zip(s.inputs, in_grads):
             if src in out_grads:
                 out_grads[src] = Tensor(out_grads[src].data + g.data)
             else:
                 out_grads[src] = g
-    grad_input = out_grads.get(graph.input_id)
+    grad_input = out_grads.get(program.input_id)
     if grad_input is None:
-        grad_input = Tensor(np.zeros(acts[graph.input_id].shape,
+        grad_input = Tensor(np.zeros(tape["input_shape"],
                                      dtype=grad_output.dtype))
     return param_grads, grad_input
 
 
-def _activation_signature(graph: Graph, acts) -> bytes:
+def _activation_signature(program, tape) -> bytes:
     """Fingerprint of every piecewise-linear decision taken in a forward
     pass (ReLU sign masks and max-pool winner indices).  Two evaluations
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
-    return b"".join(OPS[s.kind].kinks(s.config, acts[s.inputs[0]])
-                    for s in graph.steps)
+    return b"".join(OPS[s.kind].kinks(s.config, tape["steps"][s.id][0])
+                    for s in program.steps if OPS[s.kind].kinks is not None)
 
 
 def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
                tol: float = 1e-3) -> GradCheckReport:
-    """Central finite differences against the analytic backward pass.
+    """Central finite differences against the analytic backward pass, over
+    the graph's batched plan (the program training differentiates).
 
     The loss is the sum of all network outputs; everything is re-executed in
     64-bit.  BN runs in train mode so normalization gradients are exercised.
@@ -557,6 +596,8 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     a ReLU or max-pool kink are skipped: the difference quotient there does
     not measure a derivative.
     """
+    from .runtime import plan
+
     if not 0 < eps < inf:
         raise ConfigError(f"eps must be positive and finite, got {eps}")
     if not tol >= 0:
@@ -564,18 +605,18 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     if graph.num_params() > 10_000:
         raise GraphError(f"grad_check guard: {graph.num_params()} parameters "
                          "exceeds the 10,000 limit")
+    program = plan(graph, "batched")
     w64 = graph.copy_weights(dtype=np.float64)
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0,
                       dtype=np.float64)
 
     def loss_of(weights, xt):
-        out, tape = graph_forward(graph, xt, mode="train", weights=weights)
-        return float(out.data.sum()), _activation_signature(graph,
-                                                            tape["acts"])
+        out, tape = graph_forward(program, xt, mode="train", weights=weights)
+        return float(out.data.sum()), _activation_signature(program, tape)
 
-    out, tape = graph_forward(graph, x, mode="train", weights=w64)
+    out, tape = graph_forward(program, x, mode="train", weights=w64)
     ones = Tensor(np.ones(out.shape, dtype=np.float64))
-    pgrads, gin = graph_backward(graph, tape, ones, weights=w64)
+    pgrads, gin = graph_backward(program, tape, ones, weights=w64)
 
     def worst_error(arr, analytic):
         """Max relative error of ``analytic`` over the elements of ``arr``,

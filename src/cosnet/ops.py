@@ -2,11 +2,13 @@
 batch norm, activation, input replication, channel fusion, linear, loss.
 
 Forward functions are pure, except that train-mode batch norm updates the
-running statistics in its weight table.  Backward functions recompute
-whatever cheap intermediate state they need from the original inputs, so the
-caller only has to retain the forward inputs.  A backward recomputes that
-state through the same helper as its forward: :func:`_patches` for the conv
-patch matrix, :func:`_bn_normalize` for batch norm's statistics and x-hat.
+running statistics in its weight table.  Convolution and batch norm take
+an optional ``saved`` dict that their forward fills with everything their
+backward reads: the conv patch matrix (from :func:`_patches`) and input
+shape, or batch norm's 1/sigma and x-hat (from :func:`_bn_normalize`).
+Their backward functions take that dict instead of the forward input, so
+no backward recomputes forward state; the caller keeps the dict between
+the two passes.  Every other backward reads the forward inputs.
 Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
 matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back;
 max and average pool backward build their window gradients in that layout
@@ -75,11 +77,14 @@ def _group_slices(p: ConvParams):
 
 
 def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
-                  p: ConvParams, gemm) -> Tensor:
+                  p: ConvParams, gemm, saved) -> Tensor:
     """Both forward kernels: ``gemm(weight rows, patch rows)`` per group
     into one (out_channels, n*Ho*Wo) buffer, then back to NCHW with any
-    bias added.  With one group the gemm result is that buffer."""
+    bias added.  With one group the gemm result is that buffer.  A
+    ``saved`` dict receives the patch matrix and the input shape."""
     cols, (ho, wo) = _patches(x, p)
+    if saved is not None:
+        saved["cols"], saved["in_shape"] = cols, x.shape
     wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
     if p.groups == 1:
         out = gemm(wmat, cols)
@@ -94,19 +99,22 @@ def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
 
 
 def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
-                   params: ConvParams) -> Tensor:
-    """im2col + gemm convolution; groups split channels into independent slices."""
+                   params: ConvParams, saved: dict | None = None) -> Tensor:
+    """im2col + gemm convolution; groups split channels into independent
+    slices.  A ``saved`` dict receives the state :func:`conv2d_backward`
+    reads."""
     if x.c != params.in_channels:
         raise ConfigError(
             f"input has {x.c} channels, conv expects {params.in_channels}")
     if tuple(weight.shape) != params.weight_shape:
         raise ShapeError(
             f"weight shape {weight.shape} != expected {params.weight_shape}")
-    return _conv_forward(x, weight, bias, params, mm)
+    return _conv_forward(x, weight, bias, params, mm, saved)
 
 
 def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
-                           bias: np.ndarray | None, p: ConvParams) -> Tensor:
+                           bias: np.ndarray | None, p: ConvParams,
+                           saved: dict | None = None) -> Tensor:
     """Grouped convolution as two gemms per group over one im2col.
 
     Each group's inner dimension is split in two at half its input
@@ -119,29 +127,32 @@ def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
     def two_gemms(w, c):
         return mm(w[:, :split], c[:split]) + mm(w[:, split:], c[split:])
 
-    return _conv_forward(x, weight, bias, p, two_gemms)
+    return _conv_forward(x, weight, bias, p, two_gemms, saved)
 
 
-def conv2d_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray,
+def conv2d_backward(grad_out: Tensor, saved: dict, weight: np.ndarray,
                     params: ConvParams):
-    """Exact reverse-mode gradients of :func:`conv2d_forward`.
+    """Exact reverse-mode gradients of :func:`conv2d_forward`, from the
+    ``saved`` dict its forward filled (patch matrix and input shape).
 
     Returns (grad_input, grad_weight, grad_bias); grad_bias is None when the
     layer has no bias.
     """
+    cols, in_shape = saved["cols"], saved["in_shape"]
     cout = params.out_channels
-    cols, hw = _patches(x, params)
-    if grad_out.shape != (x.n, cout, *hw):
+    want = (in_shape[0], cout, *_out_hw(*in_shape[2:], params.kernel,
+                                        params.stride, params.pad))
+    if grad_out.shape != want:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
-                         f"{(x.n, cout, *hw)}")
+                         f"{want}")
     go = grad_out.data.transpose(1, 0, 2, 3).reshape(cout, -1)
-    wmat = weight.reshape(cout, -1).astype(x.dtype, copy=False)
-    grad_w = np.empty(wmat.shape, dtype=x.dtype)
+    wmat = weight.reshape(cout, -1).astype(cols.dtype, copy=False)
+    grad_w = np.empty(wmat.shape, dtype=cols.dtype)
     grad_cols = np.empty_like(cols)
     for o, r in _group_slices(params):
         grad_w[o] = mm(go[o], cols[r].T)
         grad_cols[r] = mm(wmat[o].T, go[o])
-    grad_x = col2im_nd(grad_cols, x.shape, params.kernel, params.stride,
+    grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
                        params.pad)
     grad_b = grad_out.data.sum(axis=(0, 2, 3)) if params.has_bias else None
     return Tensor(grad_x), grad_w.reshape(weight.shape), grad_b
@@ -211,7 +222,10 @@ def pool2d_backward(grad_out: Tensor, x: Tensor, kind: str, kernel, stride,
     are built as its (c, kh*kw, n, Ho, Wo) patch matrix."""
     n, c = x.shape[:2]
     kk = kernel[0] * kernel[1]
-    ho, wo = grad_out.shape[2:]
+    ho, wo = _out_hw(x.h, x.w, kernel, stride, pad)
+    if grad_out.shape != (n, c, ho, wo):
+        raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
+                         f"{(n, c, ho, wo)}")
     go = grad_out.data.transpose(1, 0, 2, 3)[:, None]
     if kind == "max":
         arg = _pool_windows(x.data, kernel, stride, pad,
@@ -242,15 +256,19 @@ def _bn_normalize(x: Tensor, table, mode: str):
     return mean, var, inv, xhat
 
 
-def batchnorm2d(x: Tensor, table, mode: str) -> Tensor:
+def batchnorm2d(x: Tensor, table, mode: str,
+                saved: dict | None = None) -> Tensor:
     """Normalize per channel with the affine ``gamma``/``beta`` of a bn weight
     table; train mode uses batch statistics and blends them into the table's
-    running statistics in place with :data:`BN_MOMENTUM`."""
+    running statistics in place with :data:`BN_MOMENTUM`.  A ``saved`` dict
+    receives 1/sigma and x-hat, which :func:`batchnorm2d_backward` reads."""
     gamma = table["gamma"]
     if x.c != gamma.shape[0]:
         raise ShapeError(
             f"input has {x.c} channels, batch norm has {gamma.shape[0]}")
-    mean, var, _, xhat = _bn_normalize(x, table, mode)
+    mean, var, inv, xhat = _bn_normalize(x, table, mode)
+    if saved is not None:
+        saved["inv"], saved["xhat"] = inv, xhat
     if mode == "train":
         for name, stat in (("running_mean", mean), ("running_var", var)):
             table[name][...] = ((1 - BN_MOMENTUM) * table[name]
@@ -260,18 +278,20 @@ def batchnorm2d(x: Tensor, table, mode: str) -> Tensor:
     return Tensor(out)
 
 
-def batchnorm2d_backward(grad_out: Tensor, x: Tensor, table, mode: str):
-    """Gradients w.r.t. input, gamma, beta (batch statistics in train
+def batchnorm2d_backward(grad_out: Tensor, saved: dict, table, mode: str):
+    """Gradients w.r.t. input, gamma, beta from the 1/sigma and x-hat that
+    :func:`batchnorm2d` put in ``saved`` (batch statistics in train
     mode)."""
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != input {x.shape}")
-    _, _, inv, xhat = _bn_normalize(x, table, mode)
+    inv, xhat = saved["inv"], saved["xhat"]
+    if grad_out.shape != xhat.shape:
+        raise ShapeError(f"grad shape {grad_out.shape} != input {xhat.shape}")
     go = grad_out.data
     grad_gamma = (go * xhat).sum(axis=(0, 2, 3))
     grad_beta = go.sum(axis=(0, 2, 3))
-    gxh = go * table["gamma"].astype(x.dtype)[None, :, None, None]
+    gxh = go * table["gamma"].astype(xhat.dtype)[None, :, None, None]
     if mode == "train":
-        m = x.n * x.h * x.w
+        n, _, h, w = xhat.shape
+        m = n * h * w
         grad_x = (inv[None, :, None, None] / m) * (
             m * gxh
             - gxh.sum(axis=(0, 2, 3))[None, :, None, None]

@@ -20,6 +20,10 @@ identical but accumulate in a different order, so their float32 outputs
 differ at rounding level; the equivalence checker bounds that difference.
 A graph whose convolutions all have a single group lowers to
 step-identical plans in both modes.
+
+Training, evaluation and the gradient check also run the ``batched`` plan,
+through ``graph.graph_forward`` and ``graph.graph_backward``; an
+``unrolled`` plan's per-group steps cannot be differentiated.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ sinusoidal grating plus seeded noise, so a nearest-centroid baseline already
 beats chance and a small network can fit the training split to high accuracy
 in a few epochs.  All randomness is seed-driven; with the deterministic
 matmul path enabled, a rerun reproduces training bitwise.
+
+Training and evaluation run the network's batched execution plan
+(``runtime.plan(graph, "batched")``), lowered once per call: each column
+level is one grouped conv, and the level-1 conv reads the squeezed input
+once instead of M replicated copies.  The train-mode tape keeps each conv's
+patch matrix and each batch norm's 1/sigma and x-hat for the backward pass.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      DivergenceError, LabelError)
 from .graph import Graph, graph_backward, graph_forward
 from .ops import softmax_cross_entropy
+from .runtime import plan
 from .tensor import Tensor, seeded_rng
 
 DATASET_MAGIC = b"CSDS"
@@ -232,18 +239,20 @@ class EpochMetrics:
 
 def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 64):
-    """Mean loss and accuracy in eval mode; argmax ties pick the lower index."""
+    """Mean loss and accuracy in eval mode over the batched plan; argmax
+    ties pick the lower index."""
     count = len(labels)
     if count == 0:
         raise ConfigError("cannot evaluate over zero images")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    program = plan(graph, "batched")
     total_loss = 0.0
     correct = 0
     for lo in range(0, count, batch_size):
         xb = Tensor(images[lo:lo + batch_size])
         yb = labels[lo:lo + batch_size]
-        out, _ = graph_forward(graph, xb, mode="eval")
+        out, _ = graph_forward(program, xb, mode="eval")
         loss, _ = softmax_cross_entropy(out, yb)
         total_loss += loss * len(yb)
         pred = out.data.reshape(len(yb), -1).argmax(axis=1)
@@ -255,8 +264,9 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     """SGD with momentum and decoupled-from-nothing L2 (decay folded into the
     gradient): v <- mu*v - lr*(g + wd*theta); theta += v.
 
-    Mutates the graph's weight table in place and returns the per-epoch
-    metrics (training-split loss and accuracy).  Raises
+    Runs the graph's batched plan.  Mutates the graph's weight table in
+    place and returns the per-epoch metrics (training-split loss and
+    accuracy).  Raises
     :class:`DivergenceError` if the loss goes NaN or infinite.
     """
     if len(ds.train_idx) < 2:
@@ -265,6 +275,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     velocity = {nid: {f: np.zeros_like(graph.weights[nid][f])
                       for f in fields}
                 for nid, fields in _param_fields(graph).items()}
+    program = plan(graph, "batched")
     history = []
     train_idx = ds.train_idx
     for epoch in range(config.epochs):
@@ -277,11 +288,11 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
                 continue   # batch statistics need at least two samples
             xb = Tensor(ds.images[idx])
             yb = ds.labels[idx]
-            out, tape = graph_forward(graph, xb, mode="train")
+            out, tape = graph_forward(program, xb, mode="train")
             loss, grad = softmax_cross_entropy(out, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            pgrads, _ = graph_backward(graph, tape, grad)
+            pgrads, _ = graph_backward(program, tape, grad)
             for nid, fields in velocity.items():
                 for f, v in fields.items():
                     theta = graph.weights[nid][f]

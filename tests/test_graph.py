@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError
 from cosnet.graph import (GraphBuilder, describe, grad_check, graph_backward,
                           graph_forward, infer_shapes, reinit_weights)
-from cosnet.ops import ConvParams
+from cosnet.ops import ConvParams, softmax_cross_entropy
+from cosnet.runtime import plan
 from cosnet.tensor import Tensor, tensor_create
 
 
@@ -166,6 +168,88 @@ class TestForwardBackward:
         g = _chain_graph()
         with pytest.raises(GraphError):
             graph_forward(g, tensor_create((1, 2, 4, 4)), mode="predict")
+
+
+def _mini_pff(columns, seed=0):
+    """``build_mini_network``'s three units, each with pairwise fusion."""
+    b = GraphBuilder()
+    cur = b.add("input", name="input")
+    cur = b.add("conv", [cur], "stem", params=ConvParams(
+        out_channels=16, in_channels=3, kernel=(3, 3), stride=(2, 2),
+        pad=(1, 1)))
+    cur = b.add("relu", [b.add("bn", [cur], "stem.bn", channels=16)])
+    cin = 16
+    for stage, (s, p) in enumerate(zip((16, 32, 64), (32, 64, 128))):
+        cur = build_unit(b, UnitConfig(
+            in_channels=cin, squeeze_channels=s, columns=columns,
+            kernels_per_layer=8, column_depth=2, expand_channels=p,
+            pff=True), f"u{stage + 1}", cur)
+        cin = p
+    cur = b.add("linear", [b.add("gap", [cur])], "fc", in_features=cin,
+                out_features=10)
+    return b.freeze(b.add("output", [cur]), seed=seed)
+
+
+def _sgd_gradients(program, g, x, labels):
+    """One training step's gradients over ``program``, on a copy of g's
+    weights (the train-mode forward updates BN running statistics)."""
+    weights = g.copy_weights()
+    out, tape = graph_forward(program, x, mode="train", weights=weights)
+    _, grad = softmax_cross_entropy(out, labels)
+    return graph_backward(program, tape, grad, weights=weights)
+
+
+class TestBackwardOverPlans:
+    def _inputs(self, seed):
+        x = tensor_create((8, 3, 32, 32), "uniform", seed=seed)
+        return x, np.arange(8) % 10
+
+    def test_single_column_plan_is_bitwise_the_graph(self):
+        g = build_mini_network(columns=1, seed=3)
+        x, labels = self._inputs(3)
+        want_p, want_x = _sgd_gradients(g, g, x, labels)
+        got_p, got_x = _sgd_gradients(plan(g, "batched"), g, x, labels)
+        assert set(got_p) == set(want_p)
+        for nid, fields in want_p.items():
+            for f, arr in fields.items():
+                assert got_p[nid][f].tobytes() == arr.tobytes()
+        assert got_x.data.tobytes() == want_x.data.tobytes()
+
+    @pytest.mark.parametrize("columns", [2, 3, 4])
+    @pytest.mark.parametrize("pff", [False, True])
+    def test_batched_plan_matches_the_graph(self, columns, pff):
+        g = (_mini_pff(columns, seed=columns) if pff
+             else build_mini_network(columns=columns, seed=columns))
+        p = plan(g, "batched")
+        # the level-1 convs read the un-replicated input
+        assert not any(s.kind == "ir" for s in p.steps)
+        x, labels = self._inputs(columns)
+        want_p, want_x = _sgd_gradients(g, g, x, labels)
+        got_p, got_x = _sgd_gradients(p, g, x, labels)
+        pairs = [(got_p[nid][f], arr) for nid, fields in want_p.items()
+                 for f, arr in fields.items()] + [(got_x.data, want_x.data)]
+        assert set(got_p) == set(want_p)
+        for got, want in pairs:
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-4 * scale
+
+    def test_unrolled_plan_refused(self):
+        g = build_mini_network(columns=2, seed=0)
+        p = plan(g, "unrolled")
+        x, labels = self._inputs(0)
+        out, tape = graph_forward(p, x, mode="train")
+        _, grad = softmax_cross_entropy(out, labels)
+        with pytest.raises(GraphError, match="per-group"):
+            graph_backward(p, tape, grad)
+
+    def test_tape_serves_one_backward(self):
+        g = _chain_graph()
+        x = tensor_create((2, 2, 6, 6), "uniform", seed=1, lo=-1, hi=1)
+        out, tape = graph_forward(g, x, mode="train")
+        go = Tensor(np.ones(out.shape, np.float32))
+        graph_backward(g, tape, go)
+        with pytest.raises(GraphError, match="unused tape"):
+            graph_backward(g, tape, go)
 
 
 class TestGradCheck:

@@ -179,7 +179,9 @@ class TestConvBackward:
         b = rng.normal(size=2)
         go = Tensor(rng.normal(size=(1, 2, 4, 4)))
 
-        gx, gw, gb = ops.conv2d_backward(go, x, w, p)
+        saved = {}
+        ops.conv2d_forward(x, w, b, p, saved)
+        gx, gw, gb = ops.conv2d_backward(go, saved, w, p)
         fx = numeric_grad(
             lambda xx: float((ops.conv2d_forward(Tensor(xx), w, b, p).data
                               * go.data).sum()), x.data)
@@ -200,7 +202,9 @@ class TestConvBackward:
         x = Tensor(rng.normal(size=(2, 4, 5, 5)))
         w = rng.normal(size=p.weight_shape)
         go = Tensor(rng.normal(size=(2, 4, 3, 3)))
-        gx, gw, gb = ops.conv2d_backward(go, x, w, p)
+        saved = {}
+        ops.conv2d_forward(x, w, None, p, saved)
+        gx, gw, gb = ops.conv2d_backward(go, saved, w, p)
         assert gb is None
         fx = numeric_grad(
             lambda xx: float((ops.conv2d_forward(Tensor(xx), w, None, p).data
@@ -213,10 +217,23 @@ class TestConvBackward:
 
     def test_grad_shape_mismatch(self):
         p = ConvParams(out_channels=1, in_channels=1)
+        w = np.zeros(p.weight_shape, np.float32)
+        saved = {}
+        ops.conv2d_forward(tensor_create((1, 1, 2, 2)), w, None, p, saved)
         with pytest.raises(ShapeError):
-            ops.conv2d_backward(tensor_create((1, 1, 3, 3)),
-                                tensor_create((1, 1, 2, 2)),
-                                np.zeros(p.weight_shape, np.float32), p)
+            ops.conv2d_backward(tensor_create((1, 1, 3, 3)), saved, w, p)
+
+    @pytest.mark.parametrize("forward", [ops.conv2d_forward,
+                                         ops.conv2d_grouped_forward])
+    def test_saved_state_is_the_forward_patch_matrix(self, forward):
+        p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
+                       stride=(2, 2), pad=(1, 1), groups=2)
+        x = tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1, hi=1)
+        saved = {}
+        forward(x, np.ones(p.weight_shape, np.float32), None, p, saved)
+        assert saved["in_shape"] == x.shape
+        assert np.array_equal(saved["cols"],
+                              im2col_nd(x.data, p.kernel, p.stride, p.pad))
 
 
 class TestInputReplicate:
@@ -274,6 +291,15 @@ class TestPooling:
                                          (1, 1)).data * go.data).sum()),
             x.data)
         assert max_rel_err(gx.data, fx) < 1e-3
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("go_shape", [(2, 2, 3, 3), (2, 3, 2, 2),
+                                          (1, 2, 2, 2)])
+    def test_backward_grad_shape_mismatch(self, kind, go_shape):
+        x = tensor_create((2, 2, 4, 4), "uniform", seed=0)
+        with pytest.raises(ShapeError, match="forward output"):
+            ops.pool2d_backward(tensor_create(go_shape), x, kind, (3, 3),
+                                (2, 2), (1, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
@@ -353,11 +379,14 @@ class TestBatchNorm:
         table["running_var"][:] = rng.uniform(0.5, 1.5, 2)
         x = Tensor(rng.normal(size=(3, 2, 3, 3)))
         go = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        gx, gg, gb = ops.batchnorm2d_backward(go, x, table, mode)
 
         def _frozen(**fields):
             # a copy, so train-mode forwards leave the running stats alone
             return {**{k: v.copy() for k, v in table.items()}, **fields}
+
+        saved = {}
+        ops.batchnorm2d(x, _frozen(), mode, saved)
+        gx, gg, gb = ops.batchnorm2d_backward(go, saved, table, mode)
 
         def loss_x(xx):
             return float((ops.batchnorm2d(Tensor(xx), _frozen(), mode).data

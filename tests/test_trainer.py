@@ -1,17 +1,19 @@
 import struct
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cosnet import training
+from cosnet import ops, training
 from cosnet.arch import build_mini_network, registry_lookup, \
     render_variant_text
 from cosnet.errors import (CheckpointError, ConfigError, CosnetError,
                            DatasetFormatError, DivergenceError)
 from cosnet.graph import GraphBuilder
+from cosnet.runtime import plan
 from cosnet.training import (Dataset, TrainConfig, evaluate, load_checkpoint,
                              load_dataset, nearest_centroid_accuracy,
                              save_checkpoint, save_dataset, split_indices,
@@ -248,6 +250,47 @@ class TestTraining:
         with pytest.raises(DivergenceError) as exc:
             train(g, ds, TrainConfig(epochs=1, batch_size=8))
         assert exc.value.epoch == 0
+
+    def test_backward_recomputes_nothing(self, monkeypatch):
+        """One SGD step of mini M=2: the forward builds one patch matrix
+        per conv step of the batched plan and normalises each BN once; the
+        backward reads that state from the tape and builds none."""
+        calls = []
+        phase = ["other"]
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((phase[0], name))
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def in_phase(fn, name):
+            def wrapped(*args, **kwargs):
+                phase[0] = name if kwargs.get("mode") != "eval" else "eval"
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = "other"
+            return wrapped
+
+        monkeypatch.setattr(ops, "im2col_nd", spy("im2col", ops.im2col_nd))
+        monkeypatch.setattr(ops, "_bn_normalize",
+                            spy("bn", ops._bn_normalize))
+        monkeypatch.setattr(training, "graph_forward",
+                            in_phase(training.graph_forward, "forward"))
+        monkeypatch.setattr(training, "graph_backward",
+                            in_phase(training.graph_backward, "backward"))
+        ds = synth_dataset(count=40, seed=0)
+        assert len(ds.train_idx) == 32   # one batch of 32: one SGD step
+        g = build_mini_network(columns=2, seed=0)
+        train(g, ds, TrainConfig(epochs=1, batch_size=32))
+        kinds = [s.kind for s in plan(g, "batched").steps]
+        counts = Counter(calls)
+        assert counts["backward", "im2col"] == 0
+        assert counts["backward", "bn"] == 0
+        assert counts["forward", "im2col"] == (kinds.count("conv")
+                                               + kinds.count("conv_grouped"))
+        assert counts["forward", "bn"] == kinds.count("bn")
 
     def test_evaluate_tie_breaks_to_lower_index(self):
         b = GraphBuilder()
