@@ -10,9 +10,9 @@ the analyzer all look the kind up there.
 
 :func:`graph_forward` and :func:`graph_backward` run any step program: a
 :class:`Graph` or an execution plan.  Training and the gradient check run
-the batched plan (``runtime.plan(graph, "batched")``), whose folded
-level-1 conv reads the un-replicated input; only a plan with per-group
-steps (``unrolled``) cannot be differentiated.
+the batched plan (:meth:`Graph.batched_plan`), whose folded level-1 conv
+reads the un-replicated input; only a plan with per-group steps
+(``unrolled``) cannot be differentiated.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ class Graph:
     Node ids are assigned in construction order, which is a topological
     order by construction (a node may only consume already-added nodes).
     ``steps`` is the graph as a program for :func:`run_steps`: one step per
-    non-input node, each reading its own weight table.
+    non-input node, each reading its own weight table.  The nodes never
+    change after :meth:`GraphBuilder.freeze`, so the graph keeps its batched
+    execution plan once :meth:`batched_plan` has lowered it.
     """
 
     def __init__(self, nodes, input_id, output_id, weights):
@@ -82,6 +84,16 @@ class Graph:
                                src_node=n.id)
                       for n in map(self.nodes.get, self.order)
                       if n.id != input_id]
+        self._batched_plan = None
+
+    def batched_plan(self):
+        """``runtime.plan(self, "batched")``, lowered on the first call and
+        kept: the program training, evaluation and the gradient check
+        run."""
+        if self._batched_plan is None:
+            from .runtime import plan
+            self._batched_plan = plan(self, "batched")
+        return self._batched_plan
 
     def node(self, nid) -> LayerNode:
         return self.nodes[nid]
@@ -118,17 +130,16 @@ class OpDef:
     "train" or "eval".  ``saved`` is a dict in train mode and None in eval
     mode.  An op that ``saves`` puts into it, in its forward, everything its
     backward reads, and its backward gets that dict in place of the input
-    tensors, so the tape need not keep them.  The defaults describe a
-    weightless layer that passes its first input through unchanged."""
+    tensors, so the tape need not keep them.  Backward runs only after a
+    train-mode forward.  The defaults describe a weightless layer that
+    passes its first input through unchanged."""
 
     # (cfg, ins) -> output shape; raises ShapeError
     shape: Callable = lambda cfg, ins: ins[0]
     # (cfg, ins, table, mode, saved) -> Tensor
     forward: Callable = lambda cfg, ins, table, mode, saved: ins[0]
-    # (cfg, grad_out, ins or saved, table, mode) -> (per-input grads,
-    # param grads)
-    backward: Callable = lambda cfg, grad_out, ins, table, mode: (
-        [grad_out], {})
+    # (cfg, grad_out, ins or saved, table) -> (per-input grads, param grads)
+    backward: Callable = lambda cfg, grad_out, ins, table: ([grad_out], {})
     saves: bool = False  # the backward reads ``saved``, not the inputs
     init: Callable = lambda cfg, rng: {}       # -> fresh weight table
     params: Callable = lambda cfg: 0           # -> trainable parameter count
@@ -136,8 +147,8 @@ class OpDef:
     describe: Callable = lambda cfg: ""        # -> detail text
     min_inputs: int = 1
     depth: int = 0       # 1 if the layer counts toward network depth
-    # (cfg, input tensor) -> bytes fingerprinting the piecewise-linear
-    # decisions taken (gradient check); None for smooth layers
+    # (cfg, saved) -> bytes fingerprinting the piecewise-linear decisions
+    # taken (gradient check); None for smooth layers
     kinks: Callable | None = None
 
 
@@ -149,7 +160,7 @@ def _conv_shape(cfg, ins):
     return (n, p.out_channels, *_out_hw(h, w, p.kernel, p.stride, p.pad))
 
 
-def _conv_backward(cfg, grad_out, saved, table, mode):
+def _conv_backward(cfg, grad_out, saved, table):
     gx, gw, gb = ops.conv2d_backward(grad_out, saved, table["weight"],
                                      cfg["params"])
     grads = {"weight": gw}
@@ -194,8 +205,8 @@ def _bn_shape(cfg, ins):
     return ins[0]
 
 
-def _bn_backward(cfg, grad_out, saved, table, mode):
-    gx, gg, gb = ops.batchnorm2d_backward(grad_out, saved, table, mode)
+def _bn_backward(cfg, grad_out, saved, table):
+    gx, gg, gb = ops.batchnorm2d_backward(grad_out, saved, table)
     return [gx], {"gamma": gg, "beta": gb}
 
 
@@ -216,17 +227,17 @@ def _pool_op(kind: str, **extra) -> OpDef:
 
     def forward(cfg, ins, table, mode, saved):
         return ops.pool2d(ins[0], kind, cfg["kernel"], cfg["stride"],
-                          cfg["pad"])
+                          cfg["pad"], saved)
 
-    def backward(cfg, grad_out, ins, table, mode):
-        return [ops.pool2d_backward(grad_out, ins[0], kind, cfg["kernel"],
+    def backward(cfg, grad_out, saved, table):
+        return [ops.pool2d_backward(grad_out, saved, kind, cfg["kernel"],
                                     cfg["stride"], cfg["pad"])], {}
 
-    return OpDef(shape, forward, backward, **extra)
+    return OpDef(shape, forward, backward, saves=True, **extra)
 
 
-def _max_pool_kinks(cfg, x):
-    win = ops._pool_windows(x.data, cfg["kernel"], cfg["stride"],
+def _max_pool_kinks(cfg, saved):
+    win = ops._pool_windows(saved["x"].data, cfg["kernel"], cfg["stride"],
                             cfg["pad"], -np.inf)
     return win.argmax(axis=2).astype(np.uint8).tobytes()
 
@@ -239,7 +250,7 @@ def _linear_shape(cfg, ins):
     return (n, cfg["out_features"], 1, 1)
 
 
-def _linear_backward(cfg, grad_out, ins, table, mode):
+def _linear_backward(cfg, grad_out, ins, table):
     gx, gw, gb = ops.linear_backward(grad_out, ins[0], table["weight"])
     return [gx], {"weight": gw, "bias": gb}
 
@@ -285,7 +296,7 @@ def _slice_forward(cfg, ins, table, mode, saved):
     return Tensor(ins[0].data[:, start:stop].copy())
 
 
-def _slice_backward(cfg, grad_out, ins, table, mode):
+def _slice_backward(cfg, grad_out, ins, table):
     full = np.zeros((grad_out.n, ins[0].c, grad_out.h, grad_out.w),
                     dtype=grad_out.dtype)
     full[:, cfg["start"]:cfg["stop"]] = grad_out.data
@@ -299,6 +310,8 @@ def _add_shape(cfg, ins):
 
 
 def _add_forward(cfg, ins, table, mode, saved):
+    if saved is not None:
+        saved["count"] = len(ins)
     out = ins[0]
     for t in ins[1:]:
         out = elementwise("add", out, t)
@@ -333,16 +346,17 @@ OPS: dict[str, OpDef] = {
         # affine scale and shift only; running statistics are not trainable
         params=lambda cfg: 2 * cfg["channels"]),
     "relu": OpDef(
-        forward=lambda cfg, ins, table, mode, saved: ops.relu(ins[0]),
-        backward=lambda cfg, grad_out, ins, table, mode: (
-            [ops.relu_backward(grad_out, ins[0])], {}),
-        kinks=lambda cfg, x: np.packbits(x.data > 0).tobytes()),
+        forward=lambda cfg, ins, table, mode, saved: ops.relu(ins[0], saved),
+        backward=lambda cfg, grad_out, saved, table: (
+            [ops.relu_backward(grad_out, saved)], {}),
+        saves=True,
+        kinks=lambda cfg, saved: np.packbits(saved["mask"]).tobytes()),
     "pool_max": _pool_op("max", kinks=_max_pool_kinks),
     "pool_avg": _pool_op("avg"),
     "gap": OpDef(
         lambda cfg, ins: (*ins[0][:2], 1, 1),
         lambda cfg, ins, table, mode, saved: ops.global_avg_pool(ins[0]),
-        lambda cfg, grad_out, ins, table, mode: (
+        lambda cfg, grad_out, ins, table: (
             [ops.global_avg_pool_backward(grad_out, ins[0])], {})),
     "linear": OpDef(
         _linear_shape,
@@ -357,27 +371,27 @@ OPS: dict[str, OpDef] = {
         lambda cfg, ins: (ins[0][0], ins[0][1] * cfg["m"], *ins[0][2:]),
         lambda cfg, ins, table, mode, saved: ops.input_replicate(
             ins[0], cfg["m"]),
-        lambda cfg, grad_out, saved, table, mode: (
+        lambda cfg, grad_out, saved, table: (
             [ops.input_replicate_backward(grad_out, cfg["m"])], {}),
         saves=True, describe=_m_describe),
     "concat": OpDef(
         _concat_shape,
         lambda cfg, ins, table, mode, saved: ops.channel_concat(ins),
-        lambda cfg, grad_out, ins, table, mode: (
+        lambda cfg, grad_out, ins, table: (
             ops.channel_concat_backward(grad_out, [t.c for t in ins]), {}),
         min_inputs=2),
     "block_sum": OpDef(
         _block_sum_shape,
         lambda cfg, ins, table, mode, saved: ops.channel_block_sum(
             ins[0], cfg["m"]),
-        lambda cfg, grad_out, saved, table, mode: (
+        lambda cfg, grad_out, saved, table: (
             [ops.channel_block_sum_backward(grad_out, cfg["m"])], {}),
         saves=True, describe=_m_describe),
     "slice": OpDef(_slice_shape, _slice_forward, _slice_backward),
     "add": OpDef(_add_shape, _add_forward,
-                 lambda cfg, grad_out, ins, table, mode: (
-                     [grad_out for _ in ins], {}),
-                 min_inputs=2),
+                 lambda cfg, grad_out, saved, table: (
+                     [grad_out] * saved["count"], {}),
+                 saves=True, min_inputs=2),
     "output": OpDef(saves=True),
 }
 
@@ -560,7 +574,7 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
             continue
         go = out_grads.pop(s.id)
         in_grads, pgrads = OPS[s.kind].backward(
-            s.config, go, ctx, weights.get(s.src_node, {}), "train")
+            s.config, go, ctx, weights.get(s.src_node, {}))
         if pgrads:
             param_grads[s.src_node] = pgrads
         for src, g in zip(s.inputs, in_grads):
@@ -580,7 +594,7 @@ def _activation_signature(program, tape) -> bytes:
     pass (ReLU sign masks and max-pool winner indices).  Two evaluations
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
-    return b"".join(OPS[s.kind].kinks(s.config, tape["steps"][s.id][0])
+    return b"".join(OPS[s.kind].kinks(s.config, tape["steps"][s.id])
                     for s in program.steps if OPS[s.kind].kinks is not None)
 
 
@@ -596,8 +610,6 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     a ReLU or max-pool kink are skipped: the difference quotient there does
     not measure a derivative.
     """
-    from .runtime import plan
-
     if not 0 < eps < inf:
         raise ConfigError(f"eps must be positive and finite, got {eps}")
     if not tol >= 0:
@@ -605,7 +617,7 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     if graph.num_params() > 10_000:
         raise GraphError(f"grad_check guard: {graph.num_params()} parameters "
                          "exceeds the 10,000 limit")
-    program = plan(graph, "batched")
+    program = graph.batched_plan()
     w64 = graph.copy_weights(dtype=np.float64)
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0,
                       dtype=np.float64)

@@ -2,13 +2,28 @@
 batch norm, activation, input replication, channel fusion, linear, loss.
 
 Forward functions are pure, except that train-mode batch norm updates the
-running statistics in its weight table.  Convolution and batch norm take
-an optional ``saved`` dict that their forward fills with everything their
-backward reads: the conv patch matrix (from :func:`_patches`) and input
-shape, or batch norm's 1/sigma and x-hat (from :func:`_bn_normalize`).
-Their backward functions take that dict instead of the forward input, so
-no backward recomputes forward state; the caller keeps the dict between
-the two passes.  Every other backward reads the forward inputs.
+running statistics in its weight table.  Convolution, pooling, batch norm
+and ReLU take an optional ``saved`` dict that their forward fills with
+everything their backward reads: the conv patch matrix (from
+:func:`_patches`) and input shape; the pool input shape (and, for max pool,
+the input); batch norm's 1/sigma and x-hat (from :func:`_bn_normalize`);
+ReLU's sign mask.  Their backward functions take that dict instead of the
+forward input, so no backward recomputes forward state; the caller keeps
+the dict between the two passes.  Every other backward reads the forward
+inputs.
+
+Batch norm has one formula per mode, each a few passes over the
+activation.  With m = n*h*w values per channel:
+
+* train forward: ``x - mu`` is formed once, sigma^2 is the mean of its
+  squares (as ``np.var`` forms it), and the same buffer is scaled by
+  1/sigma into x-hat; ``y = x-hat * gamma + beta``;
+* train backward: ``grad_beta = sum(g)``, ``grad_gamma = sum(g * x-hat)``
+  and ``grad_x = (gamma/sigma) * (g - (grad_beta + x-hat * grad_gamma)/m)``
+  (Ioffe & Szegedy 2015);
+* eval: one per-channel affine ``y = x * s + t`` with
+  ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
+
 Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
 matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back;
 max and average pool backward build their window gradients in that layout
@@ -23,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError
-from .tensor import Tensor, _out_hw, col2im_nd, im2col_nd, mm
+from .tensor import Tensor, _out_hw, _pad_hw, col2im_nd, im2col_nd, mm
 
 # batch norm: weight of the newest batch in the running statistics, and the
 # variance floor under the square root
@@ -175,12 +190,9 @@ def input_replicate_backward(grad_out: Tensor, m: int) -> Tensor:
 def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
     """The kh*kw strided (n, c, Ho, Wo) views of x padded with ``fill``,
     one per kernel offset in (row, col) order."""
-    h, w = x.shape[2:]
     sh, sw = stride
-    ph, pw = pad
-    ho, wo = _out_hw(h, w, kernel, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                constant_values=fill)
+    ho, wo = _out_hw(*x.shape[2:], kernel, stride, pad)
+    xp = _pad_hw(x, pad, fill)
     return [xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
             for ki in range(kernel[0]) for kj in range(kernel[1])]
 
@@ -190,9 +202,12 @@ def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
     return np.stack(_window_slices(x, kernel, stride, pad, fill), axis=2)
 
 
-def pool2d(x: Tensor, kind: str, kernel, stride, pad) -> Tensor:
+def pool2d(x: Tensor, kind: str, kernel, stride, pad,
+           saved: dict | None = None) -> Tensor:
     """Per-window max or mean; mean divides by the full window size
-    (padded zeros count toward the divisor).
+    (padded zeros count toward the divisor).  A ``saved`` dict receives the
+    input shape and, for max pool, the input: what :func:`pool2d_backward`
+    reads.
 
     The mean is a running sum from +0.0 over the windows in (row, col)
     order, the order in which numpy sums a window stack over its window
@@ -200,7 +215,11 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad) -> Tensor:
     output keeps the stack: there the window axis is innermost, and numpy
     sums it pairwise.
     """
+    if saved is not None:
+        saved["in_shape"] = x.shape
     if kind == "max":
+        if saved is not None:
+            saved["x"] = x
         return Tensor(_pool_windows(x.data, kernel, stride, pad,
                                     -np.inf).max(axis=2))
     if kind == "avg":
@@ -216,99 +235,121 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad) -> Tensor:
     raise ShapeError(f"unknown pool kind {kind!r}")
 
 
-def pool2d_backward(grad_out: Tensor, x: Tensor, kind: str, kernel, stride,
-                    pad) -> Tensor:
-    """Scatter the window gradients back through :func:`col2im_nd`; they
-    are built as its (c, kh*kw, n, Ho, Wo) patch matrix."""
-    n, c = x.shape[:2]
+def pool2d_backward(grad_out: Tensor, saved: dict, kind: str, kernel,
+                    stride, pad) -> Tensor:
+    """Scatter the window gradients back through :func:`col2im_nd`, from the
+    ``saved`` dict :func:`pool2d` filled; they are built as its (c, kh*kw,
+    n, Ho, Wo) patch matrix."""
+    in_shape = saved["in_shape"]
+    n, c, h, w = in_shape
     kk = kernel[0] * kernel[1]
-    ho, wo = _out_hw(x.h, x.w, kernel, stride, pad)
+    ho, wo = _out_hw(h, w, kernel, stride, pad)
     if grad_out.shape != (n, c, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
                          f"{(n, c, ho, wo)}")
     go = grad_out.data.transpose(1, 0, 2, 3)[:, None]
     if kind == "max":
-        arg = _pool_windows(x.data, kernel, stride, pad,
+        arg = _pool_windows(saved["x"].data, kernel, stride, pad,
                             -np.inf).argmax(axis=2)
-        gcols = np.zeros((c, kk, n, ho, wo), dtype=x.dtype)
+        gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
         np.put_along_axis(gcols, arg.transpose(1, 0, 2, 3)[:, None], go,
                           axis=1)
     elif kind == "avg":
-        gcols = np.broadcast_to(go / np.asarray(kk, dtype=x.dtype),
+        gcols = np.broadcast_to(go / np.asarray(kk, dtype=go.dtype),
                                 (c, kk, n, ho, wo))
     else:
         raise ShapeError(f"unknown pool kind {kind!r}")
-    return Tensor(col2im_nd(gcols, x.shape, kernel, stride, pad))
+    return Tensor(col2im_nd(gcols, in_shape, kernel, stride, pad))
 
 
-def _bn_normalize(x: Tensor, table, mode: str):
-    """Per-channel (mean, var, 1/sigma, x-hat) in x's dtype: batch
-    statistics over (n, h, w) in train mode, the table's running statistics
-    otherwise."""
-    if mode == "train":
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-    else:
-        mean = table["running_mean"].astype(x.dtype)
-        var = table["running_var"].astype(x.dtype)
+def _bn_normalize(x: Tensor):
+    """Batch statistics per channel over (n, h, w), in x's dtype: (mean,
+    var, 1/sigma, x-hat).
+
+    ``x - mean`` is formed once; the variance is the mean of its squares,
+    summed and divided as ``np.var`` does, so both statistics are bitwise
+    ``np.mean`` and ``np.var``; then the same buffer is scaled in place by
+    1/sigma into x-hat.
+    """
+    data = x.data
+    mean = data.mean(axis=(0, 2, 3))
+    xhat = data - mean[None, :, None, None]
+    var = np.square(xhat).sum(axis=(0, 2, 3)) / (data.size // x.c)
     inv = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-    xhat = (x.data - mean[None, :, None, None]) * inv[None, :, None, None]
+    xhat *= inv[None, :, None, None]
     return mean, var, inv, xhat
 
 
 def batchnorm2d(x: Tensor, table, mode: str,
                 saved: dict | None = None) -> Tensor:
     """Normalize per channel with the affine ``gamma``/``beta`` of a bn weight
-    table; train mode uses batch statistics and blends them into the table's
-    running statistics in place with :data:`BN_MOMENTUM`.  A ``saved`` dict
-    receives 1/sigma and x-hat, which :func:`batchnorm2d_backward` reads."""
+    table.
+
+    Train mode normalizes with batch statistics, ``x-hat * gamma + beta``,
+    and blends them into the table's running statistics in place with
+    :data:`BN_MOMENTUM`; a ``saved`` dict receives 1/sigma and x-hat, which
+    :func:`batchnorm2d_backward` reads.  Eval mode is one per-channel affine
+    on the running statistics, ``x * s + t`` with
+    ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
+    """
     gamma = table["gamma"]
     if x.c != gamma.shape[0]:
         raise ShapeError(
             f"input has {x.c} channels, batch norm has {gamma.shape[0]}")
-    mean, var, inv, xhat = _bn_normalize(x, table, mode)
-    if saved is not None:
-        saved["inv"], saved["xhat"] = inv, xhat
+    dt = x.dtype
     if mode == "train":
+        mean, var, inv, xhat = _bn_normalize(x)
+        if saved is not None:
+            saved["inv"], saved["xhat"] = inv, xhat
         for name, stat in (("running_mean", mean), ("running_var", var)):
             table[name][...] = ((1 - BN_MOMENTUM) * table[name]
                                 + BN_MOMENTUM * stat.astype(np.float32))
-    out = xhat * gamma.astype(x.dtype)[None, :, None, None] \
-        + table["beta"].astype(x.dtype)[None, :, None, None]
+        out = xhat * gamma.astype(dt)[None, :, None, None]
+        out += table["beta"].astype(dt)[None, :, None, None]
+        return Tensor(out)
+    scale = gamma.astype(dt) / np.sqrt(table["running_var"].astype(dt)
+                                       + np.asarray(BN_EPSILON, dtype=dt))
+    shift = table["beta"].astype(dt) - table["running_mean"].astype(dt) * scale
+    out = x.data * scale[None, :, None, None]
+    out += shift[None, :, None, None]
     return Tensor(out)
 
 
-def batchnorm2d_backward(grad_out: Tensor, saved: dict, table, mode: str):
-    """Gradients w.r.t. input, gamma, beta from the 1/sigma and x-hat that
-    :func:`batchnorm2d` put in ``saved`` (batch statistics in train
-    mode)."""
+def batchnorm2d_backward(grad_out: Tensor, saved: dict, table):
+    """Gradients w.r.t. input, gamma, beta of a train-mode
+    :func:`batchnorm2d`, from the 1/sigma and x-hat it put in ``saved``:
+    ``grad_beta = sum(g)``, ``grad_gamma = sum(g * x-hat)`` and
+    ``grad_x = (gamma/sigma) * (g - (grad_beta + x-hat * grad_gamma)/m)``
+    over the m = n*h*w values of each channel."""
     inv, xhat = saved["inv"], saved["xhat"]
     if grad_out.shape != xhat.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input {xhat.shape}")
     go = grad_out.data
-    grad_gamma = (go * xhat).sum(axis=(0, 2, 3))
+    m = go.size // grad_out.c
     grad_beta = go.sum(axis=(0, 2, 3))
-    gxh = go * table["gamma"].astype(xhat.dtype)[None, :, None, None]
-    if mode == "train":
-        n, _, h, w = xhat.shape
-        m = n * h * w
-        grad_x = (inv[None, :, None, None] / m) * (
-            m * gxh
-            - gxh.sum(axis=(0, 2, 3))[None, :, None, None]
-            - xhat * (gxh * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
-    else:
-        grad_x = gxh * inv[None, :, None, None]
+    grad_x = go * xhat
+    grad_gamma = grad_x.sum(axis=(0, 2, 3))
+    # grad_x is rebuilt in the buffer that held g * x-hat
+    np.multiply(xhat, (grad_gamma / m)[None, :, None, None], out=grad_x)
+    grad_x += (grad_beta / m)[None, :, None, None]
+    np.subtract(go, grad_x, out=grad_x)
+    grad_x *= (table["gamma"].astype(xhat.dtype) * inv)[None, :, None, None]
     return Tensor(grad_x), grad_gamma, grad_beta
 
 
-def relu(x: Tensor) -> Tensor:
+def relu(x: Tensor, saved: dict | None = None) -> Tensor:
+    """max(x, 0); a ``saved`` dict receives the sign mask ``x > 0`` that
+    :func:`relu_backward` reads."""
+    if saved is not None:
+        saved["mask"] = x.data > 0
     return Tensor(np.maximum(x.data, 0))
 
 
-def relu_backward(grad_out: Tensor, x: Tensor) -> Tensor:
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != input {x.shape}")
-    return Tensor(grad_out.data * (x.data > 0))
+def relu_backward(grad_out: Tensor, saved: dict) -> Tensor:
+    mask = saved["mask"]
+    if grad_out.shape != mask.shape:
+        raise ShapeError(f"grad shape {grad_out.shape} != input {mask.shape}")
+    return Tensor(grad_out.data * mask)
 
 
 def channel_concat(inputs) -> Tensor:

@@ -140,6 +140,22 @@ def _out_hw(h, w, kernel, stride, pad):
     return ho, wo
 
 
+def _pad_hw(x: np.ndarray, pad, fill=0.0) -> np.ndarray:
+    """x with ``pad`` = (ph, pw) rows and columns of ``fill`` around its last
+    two axes, as ``np.pad`` with ``constant_values=fill`` gives it, from one
+    allocation and one copy of x; x itself when both pads are zero."""
+    ph, pw = pad
+    if not (ph or pw):
+        return x
+    *lead, h, w = x.shape
+    shape = (*lead, h + 2 * ph, w + 2 * pw)
+    # a zeroed allocation is cheaper than writing the fill
+    xp = (np.zeros(shape, dtype=x.dtype) if fill == 0
+          else np.full(shape, fill, dtype=x.dtype))
+    xp[..., ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
     """Lower a batch (n,c,h,w) to the gemm patch matrix (c*kh*kw, n*Ho*Wo).
 
@@ -157,8 +173,7 @@ def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
     xc = x.transpose(1, 0, 2, 3)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
         return xc.reshape(c, n * h * w)
-    if ph or pw:
-        xc = np.pad(xc, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xc = _pad_hw(xc, pad)
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for ki in range(kh):
         for kj in range(kw):

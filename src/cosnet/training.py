@@ -8,10 +8,11 @@ in a few epochs.  All randomness is seed-driven; with the deterministic
 matmul path enabled, a rerun reproduces training bitwise.
 
 Training and evaluation run the network's batched execution plan
-(``runtime.plan(graph, "batched")``), lowered once per call: each column
-level is one grouped conv, and the level-1 conv reads the squeezed input
-once instead of M replicated copies.  The train-mode tape keeps each conv's
-patch matrix and each batch norm's 1/sigma and x-hat for the backward pass.
+(``Graph.batched_plan``), lowered once per graph: each column level is one
+grouped conv, and the level-1 conv reads the squeezed input once instead of
+M replicated copies.  The train-mode tape keeps each conv's patch matrix,
+each batch norm's 1/sigma and x-hat and each ReLU's sign mask for the
+backward pass.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (CheckpointError, ConfigError, DatasetFormatError,
                      DivergenceError, LabelError)
 from .graph import Graph, graph_backward, graph_forward
 from .ops import softmax_cross_entropy
-from .runtime import plan
 from .tensor import Tensor, seeded_rng
 
 DATASET_MAGIC = b"CSDS"
@@ -246,7 +246,7 @@ def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
         raise ConfigError("cannot evaluate over zero images")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    program = plan(graph, "batched")
+    program = graph.batched_plan()
     total_loss = 0.0
     correct = 0
     for lo in range(0, count, batch_size):
@@ -275,7 +275,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     velocity = {nid: {f: np.zeros_like(graph.weights[nid][f])
                       for f in fields}
                 for nid, fields in _param_fields(graph).items()}
-    program = plan(graph, "batched")
+    program = graph.batched_plan()
     history = []
     train_idx = ds.train_idx
     for epoch in range(config.epochs):
@@ -377,7 +377,8 @@ def load_checkpoint(path: str, graph: Graph | None = None):
 
     When ``graph`` is given, the tensors are also installed into its weight
     table; unknown names and shape mismatches raise :class:`CheckpointError`
-    naming the offending tensor.
+    naming the offending tensor.  So do a value that is not finite and a
+    negative running variance, whether or not ``graph`` is given.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -412,7 +413,13 @@ def load_checkpoint(path: str, graph: Graph | None = None):
         # Python ints: a product of four uint32 dims can overflow int64
         size = math.prod(dims)
         raw, off = _ck_read(buf, off, 4 * size, f"tensor {name} payload")
-        tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} holds a value that is not "
+                                  "finite")
+        if name.endswith(":running_var") and (arr < 0).any():
+            raise CheckpointError(f"tensor {name} holds a negative variance")
+        tensors[name] = arr
     if off != len(buf):
         raise CheckpointError("trailing bytes after last tensor")
     if graph is not None:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cosnet import ops
 from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError
-from cosnet.graph import (GraphBuilder, describe, grad_check, graph_backward,
-                          graph_forward, infer_shapes, reinit_weights)
+from cosnet.graph import (GraphBuilder, _activation_signature, describe,
+                          grad_check, graph_backward, graph_forward,
+                          infer_shapes, reinit_weights)
 from cosnet.ops import ConvParams, softmax_cross_entropy
 from cosnet.runtime import plan
 from cosnet.tensor import Tensor, tensor_create
@@ -241,6 +243,42 @@ class TestBackwardOverPlans:
         _, grad = softmax_cross_entropy(out, labels)
         with pytest.raises(GraphError, match="per-group"):
             graph_backward(p, tape, grad)
+
+    def test_tape_entries_keep_what_backward_reads(self):
+        """relu keeps its sign mask, average pool its input shape and add
+        its input count; max pool keeps its input, which backward reads."""
+        b = GraphBuilder()
+        x = b.add("input")
+        c = b.add("conv", [x], "c", params=ConvParams(
+            out_channels=2, in_channels=2, kernel=(3, 3), pad=(1, 1)))
+        r = b.add("relu", [c], "r")
+        pa = b.add("pool_avg", [r], "pa", kernel=(2, 2), stride=(2, 2),
+                   pad=(0, 0))
+        pm = b.add("pool_max", [r], "pm", kernel=(2, 2), stride=(2, 2),
+                   pad=(0, 0))
+        a = b.add("add", [pa, pm], "a")
+        g = b.freeze(b.add("output", [a]), seed=0)
+        xt = tensor_create((2, 2, 6, 6), "uniform", seed=1, lo=-1, hi=1)
+        out, tape = graph_forward(g, xt, mode="train")
+        steps = tape["steps"]
+        conv_out = ops.conv2d_forward(xt, g.weights[c]["weight"], None,
+                                      g.node(c).config["params"])
+        assert set(steps[r]) == {"mask"}
+        assert steps[r]["mask"].dtype == np.bool_
+        assert np.array_equal(steps[r]["mask"], conv_out.data > 0)
+        assert steps[pa] == {"in_shape": (2, 2, 6, 6)}
+        assert set(steps[pm]) == {"in_shape", "x"}
+        assert steps[a] == {"count": 2}
+        # the kink signature reads the relu mask as it read the relu input
+        relu_out = np.maximum(conv_out.data, 0)
+        want = (np.packbits(conv_out.data > 0).tobytes()
+                + ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
+                                    -np.inf).argmax(axis=2)
+                .astype(np.uint8).tobytes())
+        assert _activation_signature(g, tape) == want
+        grads, gin = graph_backward(g, tape, Tensor(np.ones(out.shape,
+                                                            np.float32)))
+        assert gin.shape == xt.shape
 
     def test_tape_serves_one_backward(self):
         g = _chain_graph()

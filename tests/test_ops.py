@@ -285,7 +285,9 @@ class TestPooling:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(2, 2, 4, 4)))   # continuous: no ties
         go = Tensor(rng.normal(size=(2, 2, 2, 2)))
-        gx = ops.pool2d_backward(go, x, kind, (3, 3), (2, 2), (1, 1))
+        saved = {}
+        ops.pool2d(x, kind, (3, 3), (2, 2), (1, 1), saved)
+        gx = ops.pool2d_backward(go, saved, kind, (3, 3), (2, 2), (1, 1))
         fx = numeric_grad(
             lambda xx: float((ops.pool2d(Tensor(xx), kind, (3, 3), (2, 2),
                                          (1, 1)).data * go.data).sum()),
@@ -297,8 +299,10 @@ class TestPooling:
                                           (1, 2, 2, 2)])
     def test_backward_grad_shape_mismatch(self, kind, go_shape):
         x = tensor_create((2, 2, 4, 4), "uniform", seed=0)
+        saved = {}
+        ops.pool2d(x, kind, (3, 3), (2, 2), (1, 1), saved)
         with pytest.raises(ShapeError, match="forward output"):
-            ops.pool2d_backward(tensor_create(go_shape), x, kind, (3, 3),
+            ops.pool2d_backward(tensor_create(go_shape), saved, kind, (3, 3),
                                 (2, 2), (1, 1))
 
     @settings(max_examples=40, deadline=None)
@@ -324,6 +328,34 @@ class TestPooling:
             / np.asarray(k * k, dtype=dtype)
         assert ops.pool2d(Tensor(x), "avg", *args).data.tobytes() == \
             want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.sampled_from([0.0, -np.inf]),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 10**6))
+    def test_windows_match_np_pad_bytewise(self, n, c, hw, k, s, p, fill,
+                                           dtype, seed):
+        if hw + 2 * p < k:
+            return
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, hw, hw)).astype(dtype)
+        x[rng.random(x.shape) < 0.25] = -0.0
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
+        ho = (hw + 2 * p - k) // s + 1
+        want = np.stack([xp[:, :, ki:ki + s * ho:s, kj:kj + s * ho:s]
+                         for ki in range(k) for kj in range(k)], axis=2)
+        got = ops._pool_windows(x, (k, k), (s, s), (p, p), fill)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_saved_state(self):
+        x = tensor_create((2, 3, 4, 4), "uniform", seed=0)
+        for kind, keys in (("avg", {"in_shape"}), ("max", {"in_shape", "x"})):
+            saved = {}
+            ops.pool2d(x, kind, (2, 2), (2, 2), (0, 0), saved)
+            assert set(saved) == keys
+            assert saved["in_shape"] == x.shape
 
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):
@@ -369,7 +401,82 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batchnorm2d(tensor_create((1, 3, 2, 2)), _bn_table(2), "eval")
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @staticmethod
+    def _random_table(rng, c):
+        table = _bn_table(c)
+        for name, lo, hi in (("gamma", 0.5, 1.5), ("beta", -0.5, 0.5),
+                             ("running_mean", -0.5, 0.5),
+                             ("running_var", 0.2, 2.0)):
+            table[name][:] = rng.uniform(lo, hi, c)
+        return table
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 7),
+           st.integers(1, 7), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 10**6))
+    # channels long enough for numpy's blocked pairwise sums
+    @example(32, 16, 32, 32, np.float32, 0)
+    @example(16, 48, 16, 16, np.float64, 1)
+    def test_train_forward_is_the_two_pass_form_bytewise(self, n, c, h, w,
+                                                         dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=(n, c, h, w)) * 10.0 ** rng.integers(-2, 3)
+             + rng.normal(size=(1, c, 1, 1))).astype(dtype)
+        table = self._random_table(rng, c)
+        want_table = {k: v.copy() for k, v in table.items()}
+        saved = {}
+        y = ops.batchnorm2d(Tensor(x), table, "train", saved)
+        # np.mean and np.var, then normalize, scale and shift
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=dtype))
+        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        want = xhat * want_table["gamma"].astype(dtype)[None, :, None, None] \
+            + want_table["beta"].astype(dtype)[None, :, None, None]
+        assert y.data.tobytes() == want.tobytes()
+        assert saved["xhat"].tobytes() == xhat.tobytes()
+        assert saved["inv"].tobytes() == inv.tobytes()
+        for name, stat in (("running_mean", mean), ("running_var", var)):
+            blended = ((1 - ops.BN_MOMENTUM) * want_table[name]
+                       + ops.BN_MOMENTUM * stat.astype(np.float32))
+            assert table[name].tobytes() == blended.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5, 5), (2, 8, 7, 3),
+                                       (16, 2, 1, 1)])
+    def test_backward_matches_previous_closed_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        table = self._random_table(rng, shape[1])
+        x = Tensor(rng.normal(size=shape) * 3.0 + 1.0)
+        go = rng.normal(size=shape)
+        saved = {}
+        ops.batchnorm2d(x, table, "train", saved)
+        gx, gg, gb = ops.batchnorm2d_backward(Tensor(go), saved, table)
+        inv, xhat = saved["inv"][None, :, None, None], saved["xhat"]
+        # the form with three reductions over gamma * g
+        gxh = go * table["gamma"].astype(np.float64)[None, :, None, None]
+        m = shape[0] * shape[2] * shape[3]
+        want = (inv / m) * (
+            m * gxh - gxh.sum(axis=(0, 2, 3))[None, :, None, None]
+            - xhat * (gxh * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
+        assert np.abs(gx.data - want).max() <= 1e-12 * np.abs(want).max()
+        assert gg.tobytes() == (go * xhat).sum(axis=(0, 2, 3)).tobytes()
+        assert gb.tobytes() == go.sum(axis=(0, 2, 3)).tobytes()
+
+    def test_eval_affine_matches_normalize_then_scale(self):
+        rng = np.random.default_rng(8)
+        table = self._random_table(rng, 6)
+        before = {k: v.copy() for k, v in table.items()}
+        x = rng.uniform(-1.0, 1.0, size=(3, 6, 5, 4))
+        y = ops.batchnorm2d(Tensor(x), table, "eval")
+        stat = {k: v.astype(np.float64)[None, :, None, None]
+                for k, v in table.items()}
+        inv = 1.0 / np.sqrt(stat["running_var"] + ops.BN_EPSILON)
+        want = ((x - stat["running_mean"]) * inv) * stat["gamma"] \
+            + stat["beta"]
+        assert np.abs(y.data - want).max() <= 1e-12
+        # eval reads the running statistics and leaves them alone
+        assert all(np.array_equal(table[k], before[k]) for k in table)
+
+    @pytest.mark.parametrize("mode", ["train"])
     def test_backward_finite_difference(self, mode):
         rng = np.random.default_rng(5)
         table = _bn_table(2)
@@ -386,7 +493,7 @@ class TestBatchNorm:
 
         saved = {}
         ops.batchnorm2d(x, _frozen(), mode, saved)
-        gx, gg, gb = ops.batchnorm2d_backward(go, saved, table, mode)
+        gx, gg, gb = ops.batchnorm2d_backward(go, saved, table)
 
         def loss_x(xx):
             return float((ops.batchnorm2d(Tensor(xx), _frozen(), mode).data
@@ -417,13 +524,18 @@ class TestRelu:
     def test_gradient_at_zero_is_zero(self):
         x = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
         go = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        assert ops.relu_backward(go, x).data.item() == 0.0
+        saved = {}
+        ops.relu(x, saved)
+        assert ops.relu_backward(go, saved).data.item() == 0.0
 
     def test_backward_mask(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(2, 2, 3, 3)))
         go = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        gx = ops.relu_backward(go, x)
+        saved = {}
+        ops.relu(x, saved)
+        assert saved["mask"].dtype == np.bool_
+        gx = ops.relu_backward(go, saved)
         assert np.array_equal(gx.data, go.data * (x.data > 0))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosnet.errors import ConfigError, GeometryError, ShapeError
-from cosnet.tensor import (_BLOCK_MAX_OUTPUT, Tensor, col2im_nd,
+from cosnet.tensor import (_BLOCK_MAX_OUTPUT, Tensor, _pad_hw, col2im_nd,
                            conv_output_size, deterministic_enabled,
                            elementwise, im2col_nd, mm, set_deterministic,
                            tensor_create)
@@ -172,6 +172,34 @@ class TestIm2col:
         assert back.shape == x.shape
         assert back.tobytes() == \
             _col2im_by_index(g, x.shape, *args).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
+           st.integers(1, 6), _GEOMETRY,
+           st.sampled_from([0.0, -np.inf]),
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_padding_matches_np_pad_bytewise(self, n, c, h, w, geom, fill,
+                                             dtype, data):
+        kh, kw, sh, sw, ph, pw = geom
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        x = _signed_zero_data(rng, (n, c, h, w), dtype)
+        # on the channel-major view im2col_nd pads, too
+        for a in (x, x.transpose(1, 0, 2, 3)):
+            want = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
+                          constant_values=fill)
+            got = _pad_hw(a, (ph, pw), fill)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        # the patch matrix gathered from an np.pad copy of the input
+        xp = np.pad(x.transpose(1, 0, 2, 3),
+                    ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        want = np.stack([xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+                         for ki in range(kh) for kj in range(kw)], axis=1)
+        cols = im2col_nd(x, (kh, kw), (sh, sw), (ph, pw))
+        assert cols.tobytes() == want.reshape(cols.shape).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 7),

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cosnet import ops, training
+from cosnet import ops, runtime, training
 from cosnet.arch import build_mini_network, registry_lookup, \
     render_variant_text
 from cosnet.errors import (CheckpointError, ConfigError, CosnetError,
                            DatasetFormatError, DivergenceError)
-from cosnet.graph import GraphBuilder
+from cosnet.graph import GraphBuilder, graph_forward
 from cosnet.runtime import plan
+from cosnet.tensor import Tensor
 from cosnet.training import (Dataset, TrainConfig, evaluate, load_checkpoint,
                              load_dataset, nearest_centroid_accuracy,
                              save_checkpoint, save_dataset, split_indices,
@@ -292,6 +293,39 @@ class TestTraining:
                                                + kinds.count("conv_grouped"))
         assert counts["forward", "bn"] == kinds.count("bn")
 
+    def test_graph_lowers_its_batched_plan_once(self, monkeypatch):
+        calls = []
+        real = runtime.plan
+
+        def counted(graph, mode):
+            calls.append((graph, mode))
+            return real(graph, mode)
+
+        monkeypatch.setattr(runtime, "plan", counted)
+        ds = synth_dataset(count=40, seed=0)
+        g = build_mini_network(columns=2, seed=0)
+        images, labels = ds.images[ds.test_idx], ds.labels[ds.test_idx]
+        evaluate(g, images, labels)
+        evaluate(g, images, labels)
+        train(g, ds, TrainConfig(epochs=1, batch_size=16))
+        assert calls == [(g, "batched")]
+
+    def test_graphs_never_share_a_plan(self):
+        ds = synth_dataset(count=20, seed=0)
+        g1 = build_mini_network(columns=2, seed=0)
+        g2 = build_mini_network(columns=2, seed=1)
+        p1, p2 = g1.batched_plan(), g2.batched_plan()
+        assert p1 is not p2
+        assert (p1.graph, p2.graph) == (g1, g2)
+        assert g1.batched_plan() is p1
+        # each graph evaluates with its own weights
+        x = ds.images[ds.test_idx]
+        for g in (g1, g2):
+            loss, _ = evaluate(g, x, ds.labels[ds.test_idx])
+            out, _ = graph_forward(g, Tensor(x), mode="eval")
+            want, _ = ops.softmax_cross_entropy(out, ds.labels[ds.test_idx])
+            assert loss == pytest.approx(want, rel=1e-5)
+
     def test_evaluate_tie_breaks_to_lower_index(self):
         b = GraphBuilder()
         x = b.add("input")
@@ -421,6 +455,27 @@ class TestCheckpoint:
             return
         assert isinstance(text, str)
         assert all(a.ndim == 4 for a in tensors.values())
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("running_var", -1.0, "negative variance"),
+        ("weight", float("nan"), "not finite"),
+        ("gamma", float("inf"), "not finite")])
+    def test_bad_values_rejected_naming_tensor(self, tmp_path, field, value,
+                                               match):
+        g = build_mini_network(seed=0)
+        nid = next(n for n in g.order if field in g.weights.get(n, {}))
+        g.weights[nid][field].flat[0] = value
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, g, "name = mini\n")   # a valid checksum
+        fresh = build_mini_network(seed=1)
+        before = fresh.copy_weights()
+        name = f"{g.node(nid).name}:{field}"
+        with pytest.raises(CheckpointError, match=f"{name} .*{match}"):
+            load_checkpoint(path, fresh)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        assert all(np.array_equal(fresh.weights[n][f], before[n][f])
+                   for n in before for f in before[n])
 
     def test_architecture_mismatch_names_tensor(self, tmp_path):
         g = build_mini_network(seed=0, kernels=8)
