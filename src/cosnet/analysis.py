@@ -70,7 +70,7 @@ def count_params_enumerated(graph: Graph) -> int:
     if not graph.weights:
         raise GraphError("graph carries no weight table "
                          "(built with init=False?)")
-    return sum(graph.weights[nid][f].size for nid, f in graph.param_names())
+    return graph.num_params()
 
 
 def count_flops(graph: Graph, input_shape) -> int:
@@ -84,25 +84,24 @@ def count_flops(graph: Graph, input_shape) -> int:
                for n in map(graph.node, graph.order))
 
 
-def branch_stats(steps, input_ids=()):
-    """Peak number of simultaneously live tensors for a step sequence.
+def branch_stats(program):
+    """Peak number of simultaneously live tensors while ``program`` runs.
 
-    ``steps`` is any sequence of objects with ``id`` and ``inputs``
-    attributes, executed in order (a graph's nodes or an execution plan's
-    steps).  A tensor is live from the step that produces it until its last
-    consuming step; external inputs listed in ``input_ids`` are live from the
-    start.  Returns a dict with ``peak_live``, ``total_steps`` and
-    ``final_live``.
+    ``program`` (a :class:`Graph` or an execution plan) has ``steps``, each
+    with ``id`` and ``inputs``, executed in order, and ``input_id``.  A
+    tensor is live from the step that produces it until its last consuming
+    step; the input is live from the start.  Returns a dict with
+    ``peak_live``, ``total_steps`` and ``final_live``.
     """
-    steps = list(steps)
-    remaining = {i: 0 for i in input_ids}
+    steps = program.steps
+    remaining = {program.input_id: 0}
     for s in steps:
         remaining[s.id] = 0
         for src in s.inputs:
             if src not in remaining:
                 raise GraphError(f"step {s.id} reads unknown tensor {src}")
             remaining[src] += 1
-    live = set(input_ids)
+    live = {program.input_id}
     peak = len(live)
     for s in steps:
         live.add(s.id)
@@ -113,13 +112,6 @@ def branch_stats(steps, input_ids=()):
                 live.discard(src)
     return {"peak_live": peak, "total_steps": len(steps),
             "final_live": len(live)}
-
-
-def graph_branch_stats(graph: Graph):
-    """:func:`branch_stats` over a graph's own nodes in topological order."""
-    steps = [graph.node(nid) for nid in graph.order
-             if graph.node(nid).kind != "input"]
-    return branch_stats(steps, input_ids=(graph.input_id,))
 
 
 def emit_report(graph: Graph, input_shape, paper_row=None) -> AnalysisReport:

@@ -126,21 +126,20 @@ class Graph:
 @dataclass(frozen=True)
 class OpDef:
     """One layer kind.  ``cfg`` is a node's config dict, ``ins`` its input
-    shapes (shape rule) or tensors, ``table`` its weight table and ``mode``
-    "train" or "eval".  ``saved`` is a dict in train mode and None in eval
-    mode.  An op that ``saves`` puts into it, in its forward, everything its
-    backward reads, and its backward gets that dict in place of the input
-    tensors, so the tape need not keep them.  Backward runs only after a
-    train-mode forward.  The defaults describe a weightless layer that
-    passes its first input through unchanged."""
+    shapes (shape rule) or tensors and ``table`` its weight table.  A
+    forward runs in train mode exactly when it gets a ``saved`` dict (None
+    in eval mode), and puts into it everything its backward reads; the
+    backward gets that dict and nothing else, so the tape is the steps'
+    dicts.  Backward runs only after a train-mode forward.  The defaults
+    describe a weightless layer that passes its first input through
+    unchanged."""
 
     # (cfg, ins) -> output shape; raises ShapeError
     shape: Callable = lambda cfg, ins: ins[0]
-    # (cfg, ins, table, mode, saved) -> Tensor
-    forward: Callable = lambda cfg, ins, table, mode, saved: ins[0]
-    # (cfg, grad_out, ins or saved, table) -> (per-input grads, param grads)
-    backward: Callable = lambda cfg, grad_out, ins, table: ([grad_out], {})
-    saves: bool = False  # the backward reads ``saved``, not the inputs
+    # (cfg, ins, table, saved) -> Tensor
+    forward: Callable = lambda cfg, ins, table, saved: ins[0]
+    # (cfg, grad_out, saved, table) -> (per-input grads, param grads)
+    backward: Callable = lambda cfg, grad_out, saved, table: ([grad_out], {})
     init: Callable = lambda cfg, rng: {}       # -> fresh weight table
     params: Callable = lambda cfg: 0           # -> trainable parameter count
     macs: Callable = lambda cfg, out_shape: 0  # -> multiply-accumulates
@@ -225,7 +224,7 @@ def _pool_op(kind: str, **extra) -> OpDef:
         return (n, c, *_out_hw(h, w, cfg["kernel"], cfg["stride"],
                                cfg["pad"]))
 
-    def forward(cfg, ins, table, mode, saved):
+    def forward(cfg, ins, table, saved):
         return ops.pool2d(ins[0], kind, cfg["kernel"], cfg["stride"],
                           cfg["pad"], saved)
 
@@ -233,13 +232,13 @@ def _pool_op(kind: str, **extra) -> OpDef:
         return [ops.pool2d_backward(grad_out, saved, kind, cfg["kernel"],
                                     cfg["stride"], cfg["pad"])], {}
 
-    return OpDef(shape, forward, backward, saves=True, **extra)
+    return OpDef(shape, forward, backward, **extra)
 
 
-def _max_pool_kinks(cfg, saved):
-    win = ops._pool_windows(saved["x"].data, cfg["kernel"], cfg["stride"],
-                            cfg["pad"], -np.inf)
-    return win.argmax(axis=2).astype(np.uint8).tobytes()
+def _gap_forward(cfg, ins, table, saved):
+    if saved is not None:
+        saved["in_shape"] = ins[0].shape
+    return ops.global_avg_pool(ins[0])
 
 
 def _linear_shape(cfg, ins):
@@ -250,8 +249,14 @@ def _linear_shape(cfg, ins):
     return (n, cfg["out_features"], 1, 1)
 
 
-def _linear_backward(cfg, grad_out, ins, table):
-    gx, gw, gb = ops.linear_backward(grad_out, ins[0], table["weight"])
+def _linear_forward(cfg, ins, table, saved):
+    if saved is not None:
+        saved["x"] = ins[0]
+    return ops.linear(ins[0], table["weight"], table["bias"])
+
+
+def _linear_backward(cfg, grad_out, saved, table):
+    gx, gw, gb = ops.linear_backward(grad_out, saved["x"], table["weight"])
     return [gx], {"weight": gw, "bias": gb}
 
 
@@ -268,6 +273,12 @@ def _concat_shape(cfg, ins):
     if any(s[0] != n or tuple(s[2:]) != (h, w) for s in ins):
         raise ShapeError(f"concat inputs disagree: {ins}")
     return (n, sum(s[1] for s in ins), h, w)
+
+
+def _concat_forward(cfg, ins, table, saved):
+    if saved is not None:
+        saved["channels"] = [t.c for t in ins]
+    return ops.channel_concat(ins)
 
 
 def _block_sum_shape(cfg, ins):
@@ -291,13 +302,15 @@ def _slice_shape(cfg, ins):
     return (n, stop - start, h, w)
 
 
-def _slice_forward(cfg, ins, table, mode, saved):
+def _slice_forward(cfg, ins, table, saved):
     start, stop = _slice_range(cfg, ins[0].c)
+    if saved is not None:
+        saved["channels"] = ins[0].c
     return Tensor(ins[0].data[:, start:stop].copy())
 
 
-def _slice_backward(cfg, grad_out, ins, table):
-    full = np.zeros((grad_out.n, ins[0].c, grad_out.h, grad_out.w),
+def _slice_backward(cfg, grad_out, saved, table):
+    full = np.zeros((grad_out.n, saved["channels"], grad_out.h, grad_out.w),
                     dtype=grad_out.dtype)
     full[:, cfg["start"]:cfg["stop"]] = grad_out.data
     return [Tensor(full)], {}
@@ -309,7 +322,7 @@ def _add_shape(cfg, ins):
     return ins[0]
 
 
-def _add_forward(cfg, ins, table, mode, saved):
+def _add_forward(cfg, ins, table, saved):
     if saved is not None:
         saved["count"] = len(ins)
     out = ins[0]
@@ -324,9 +337,9 @@ def _m_describe(cfg):
 
 _CONV = OpDef(
     _conv_shape,
-    lambda cfg, ins, table, mode, saved: ops.conv2d_forward(
+    lambda cfg, ins, table, saved: ops.conv2d_forward(
         ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
-    _conv_backward, saves=True, init=_conv_init, params=_conv_params,
+    _conv_backward, init=_conv_init, params=_conv_params,
     macs=_conv_macs, describe=_conv_describe, depth=1)
 
 OPS: dict[str, OpDef] = {
@@ -335,64 +348,59 @@ OPS: dict[str, OpDef] = {
     # a grouped conv run as two gemms per group over one im2col (a
     # different reduction order from "conv"); batched plans lower to it
     "conv_grouped": replace(
-        _CONV, forward=lambda cfg, ins, table, mode, saved:
+        _CONV, forward=lambda cfg, ins, table, saved:
         ops.conv2d_grouped_forward(ins[0], table["weight"],
                                    table.get("bias"), cfg["params"], saved)),
     "bn": OpDef(
         _bn_shape,
-        lambda cfg, ins, table, mode, saved: ops.batchnorm2d(
-            ins[0], table, mode, saved),
-        _bn_backward, saves=True, init=_bn_init,
+        lambda cfg, ins, table, saved: ops.batchnorm2d(
+            ins[0], table, "train" if saved is not None else "eval", saved),
+        _bn_backward, init=_bn_init,
         # affine scale and shift only; running statistics are not trainable
         params=lambda cfg: 2 * cfg["channels"]),
     "relu": OpDef(
-        forward=lambda cfg, ins, table, mode, saved: ops.relu(ins[0], saved),
+        forward=lambda cfg, ins, table, saved: ops.relu(ins[0], saved),
         backward=lambda cfg, grad_out, saved, table: (
             [ops.relu_backward(grad_out, saved)], {}),
-        saves=True,
         kinks=lambda cfg, saved: np.packbits(saved["mask"]).tobytes()),
-    "pool_max": _pool_op("max", kinks=_max_pool_kinks),
+    "pool_max": _pool_op("max", kinks=lambda cfg, saved:
+                         saved["arg"].astype(np.uint8).tobytes()),
     "pool_avg": _pool_op("avg"),
     "gap": OpDef(
-        lambda cfg, ins: (*ins[0][:2], 1, 1),
-        lambda cfg, ins, table, mode, saved: ops.global_avg_pool(ins[0]),
-        lambda cfg, grad_out, ins, table: (
-            [ops.global_avg_pool_backward(grad_out, ins[0])], {})),
+        lambda cfg, ins: (*ins[0][:2], 1, 1), _gap_forward,
+        lambda cfg, grad_out, saved, table: (
+            [ops.global_avg_pool_backward(grad_out, saved["in_shape"])], {})),
     "linear": OpDef(
-        _linear_shape,
-        lambda cfg, ins, table, mode, saved: ops.linear(
-            ins[0], table["weight"], table["bias"]),
-        _linear_backward, init=_linear_init,
+        _linear_shape, _linear_forward, _linear_backward, init=_linear_init,
         params=lambda cfg: (cfg["in_features"] + 1) * cfg["out_features"],
         macs=lambda cfg, out_shape: cfg["in_features"] * cfg["out_features"],
         describe=lambda cfg: f" {cfg['in_features']}->{cfg['out_features']}",
         depth=1),
     "ir": OpDef(
         lambda cfg, ins: (ins[0][0], ins[0][1] * cfg["m"], *ins[0][2:]),
-        lambda cfg, ins, table, mode, saved: ops.input_replicate(
+        lambda cfg, ins, table, saved: ops.input_replicate(
             ins[0], cfg["m"]),
         lambda cfg, grad_out, saved, table: (
             [ops.input_replicate_backward(grad_out, cfg["m"])], {}),
-        saves=True, describe=_m_describe),
+        describe=_m_describe),
     "concat": OpDef(
-        _concat_shape,
-        lambda cfg, ins, table, mode, saved: ops.channel_concat(ins),
-        lambda cfg, grad_out, ins, table: (
-            ops.channel_concat_backward(grad_out, [t.c for t in ins]), {}),
+        _concat_shape, _concat_forward,
+        lambda cfg, grad_out, saved, table: (
+            ops.channel_concat_backward(grad_out, saved["channels"]), {}),
         min_inputs=2),
     "block_sum": OpDef(
         _block_sum_shape,
-        lambda cfg, ins, table, mode, saved: ops.channel_block_sum(
+        lambda cfg, ins, table, saved: ops.channel_block_sum(
             ins[0], cfg["m"]),
         lambda cfg, grad_out, saved, table: (
             [ops.channel_block_sum_backward(grad_out, cfg["m"])], {}),
-        saves=True, describe=_m_describe),
+        describe=_m_describe),
     "slice": OpDef(_slice_shape, _slice_forward, _slice_backward),
     "add": OpDef(_add_shape, _add_forward,
                  lambda cfg, grad_out, saved, table: (
                      [grad_out] * saved["count"], {}),
-                 saves=True, min_inputs=2),
-    "output": OpDef(saves=True),
+                 min_inputs=2),
+    "output": OpDef(),
 }
 
 
@@ -416,10 +424,11 @@ class GraphBuilder:
         if len(inputs) < OPS[kind].min_inputs:
             raise GraphError(f"node {name!r} ({kind}) needs >= "
                              f"{OPS[kind].min_inputs} inputs")
-        if not name:
-            name = f"{kind}{nid}"
-        if name in self._names:
-            name = f"{name}#{nid}"
+        # a taken name gets "#<id>", or the first free "#<id+k>"
+        name = base = name or f"{kind}{nid}"
+        suffix = nid
+        while name in self._names:
+            name, suffix = f"{base}#{suffix}", suffix + 1
         self._names.add(name)
         self._nodes.append(LayerNode(nid, kind, dict(config), inputs, name))
         return nid
@@ -482,10 +491,10 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
     ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
     step with a ``group`` index reads only that group's block of the table's
     rows; the table holds one block per group step reading it.  Tensors are
-    freed at their last use.  In train mode each step also records what its
-    backward reads, keyed by step id: the dict its forward filled if its op
-    ``saves``, else its input tensors.  That tape keeps a tensor alive only
-    while some backward reads it.  Any :class:`CosnetError` or missing
+    freed at their last use.  In train mode each step's forward gets a
+    fresh ``saved`` dict, and the tape records that dict, keyed by step id,
+    and nothing else: it keeps a tensor alive only while some backward
+    reads it.  Any :class:`CosnetError` or missing
     table entry raised inside a step is re-raised as ``error``, naming the
     step.
 
@@ -507,13 +516,13 @@ def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
                               (s.group + 1) * len(a) // nb]
                          for f, a in table.items()}
             ins = [acts[src] for src in s.inputs]
-            saved = {} if tape is not None and op.saves else None
-            acts[s.id] = op.forward(s.config, ins, table, mode, saved)
+            saved = {} if tape is not None else None
+            acts[s.id] = op.forward(s.config, ins, table, saved)
         except (CosnetError, KeyError) as exc:
             raise error(f"forward failed at step {s.id} ({s.name}): "
                         f"{exc}") from exc
         if tape is not None:
-            tape[s.id] = saved if op.saves else ins
+            tape[s.id] = saved
         if s.id == program.output_id:
             out = acts[s.id]
         for src in s.inputs:
@@ -537,27 +546,26 @@ def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
     """Run a graph or an execution plan; ``weights`` defaults to the
     graph's table.
 
-    Returns (output, tape); the tape holds what each step's backward reads
-    and is only produced in train mode (eval returns tape=None).
+    Returns (output, tape); the tape is :func:`run_steps`'s: each step's
+    ``saved`` dict by step id in train mode, None in eval mode.
     """
     if mode not in ("train", "eval"):
         raise GraphError(f"unknown mode {mode!r}")
-    out, steps = run_steps(program, x, _weights_of(program, weights), mode)
-    tape = ({"steps": steps, "input_shape": x.shape}
-            if mode == "train" else None)
-    return out, tape
+    return run_steps(program, x, _weights_of(program, weights), mode)
 
 
 def graph_backward(program, tape, grad_output: Tensor, weights=None):
     """Reverse-mode gradients over the program a train-mode
     :func:`graph_forward` ran; fan-out accumulates by summation.  The pass
     takes each step's entry off the tape as it reaches the step, so a tape
-    serves one backward pass.
+    serves one backward pass and is empty after it.
 
     Returns (grad table keyed like the weight table, by each step's
-    ``src_node``; grad w.r.t. the input).
+    ``src_node``; grad w.r.t. the input).  Every step reads an earlier one
+    and every backward returns a gradient per input, so the input always
+    gets one.
     """
-    if tape is None or "steps" not in tape:
+    if not tape:
         raise GraphError("backward requires an unused tape from a "
                          "train-mode forward")
     grouped = next((s for s in program.steps if s.group is not None), None)
@@ -565,16 +573,15 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
         raise GraphError(f"cannot differentiate the per-group step "
                          f"{grouped.name}; run the graph or its batched plan")
     weights = _weights_of(program, weights)
-    saved = tape.pop("steps")
     out_grads = {program.output_id: grad_output}
     param_grads = {}
     for s in reversed(program.steps):
-        ctx = saved.pop(s.id)
+        saved = tape.pop(s.id)
         if s.id not in out_grads:
             continue
         go = out_grads.pop(s.id)
         in_grads, pgrads = OPS[s.kind].backward(
-            s.config, go, ctx, weights.get(s.src_node, {}))
+            s.config, go, saved, weights.get(s.src_node, {}))
         if pgrads:
             param_grads[s.src_node] = pgrads
         for src, g in zip(s.inputs, in_grads):
@@ -582,11 +589,7 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
                 out_grads[src] = Tensor(out_grads[src].data + g.data)
             else:
                 out_grads[src] = g
-    grad_input = out_grads.get(program.input_id)
-    if grad_input is None:
-        grad_input = Tensor(np.zeros(tape["input_shape"],
-                                     dtype=grad_output.dtype))
-    return param_grads, grad_input
+    return param_grads, out_grads[program.input_id]
 
 
 def _activation_signature(program, tape) -> bytes:
@@ -594,7 +597,7 @@ def _activation_signature(program, tape) -> bytes:
     pass (ReLU sign masks and max-pool winner indices).  Two evaluations
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
-    return b"".join(OPS[s.kind].kinks(s.config, tape["steps"][s.id])
+    return b"".join(OPS[s.kind].kinks(s.config, tape[s.id])
                     for s in program.steps if OPS[s.kind].kinks is not None)
 
 

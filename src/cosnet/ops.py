@@ -6,11 +6,12 @@ running statistics in its weight table.  Convolution, pooling, batch norm
 and ReLU take an optional ``saved`` dict that their forward fills with
 everything their backward reads: the conv patch matrix (from
 :func:`_patches`) and input shape; the pool input shape (and, for max pool,
-the input); batch norm's 1/sigma and x-hat (from :func:`_bn_normalize`);
-ReLU's sign mask.  Their backward functions take that dict instead of the
-forward input, so no backward recomputes forward state; the caller keeps
-the dict between the two passes.  Every other backward reads the forward
-inputs.
+the argmax of each window); batch norm's 1/sigma and x-hat (from
+:func:`_bn_normalize`); ReLU's sign mask.  Their backward functions take
+that dict instead of the forward input, so no backward recomputes forward
+state; the caller keeps the dict between the two passes.  Every other
+backward takes only what it reads: the input shape (global average pool),
+the input (linear), the channel counts (concat) or the replication factor.
 
 Batch norm has one formula per mode, each a few passes over the
 activation.  With m = n*h*w values per channel:
@@ -206,8 +207,9 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
            saved: dict | None = None) -> Tensor:
     """Per-window max or mean; mean divides by the full window size
     (padded zeros count toward the divisor).  A ``saved`` dict receives the
-    input shape and, for max pool, the input: what :func:`pool2d_backward`
-    reads.
+    input shape and, for max pool, the argmax of each window as ``arg`` in
+    the smallest unsigned dtype that holds kh*kw - 1: what
+    :func:`pool2d_backward` reads.
 
     The mean is a running sum from +0.0 over the windows in (row, col)
     order, the order in which numpy sums a window stack over its window
@@ -218,10 +220,11 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
     if saved is not None:
         saved["in_shape"] = x.shape
     if kind == "max":
+        wins = _pool_windows(x.data, kernel, stride, pad, -np.inf)
         if saved is not None:
-            saved["x"] = x
-        return Tensor(_pool_windows(x.data, kernel, stride, pad,
-                                    -np.inf).max(axis=2))
+            saved["arg"] = wins.argmax(axis=2).astype(
+                np.min_scalar_type(kernel[0] * kernel[1] - 1))
+        return Tensor(wins.max(axis=2))
     if kind == "avg":
         wins = _window_slices(x.data, kernel, stride, pad, 0.0)
         if wins[0].shape[2:] == (1, 1):
@@ -249,11 +252,9 @@ def pool2d_backward(grad_out: Tensor, saved: dict, kind: str, kernel,
                          f"{(n, c, ho, wo)}")
     go = grad_out.data.transpose(1, 0, 2, 3)[:, None]
     if kind == "max":
-        arg = _pool_windows(saved["x"].data, kernel, stride, pad,
-                            -np.inf).argmax(axis=2)
         gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
-        np.put_along_axis(gcols, arg.transpose(1, 0, 2, 3)[:, None], go,
-                          axis=1)
+        np.put_along_axis(gcols, saved["arg"].transpose(1, 0, 2, 3)[:, None],
+                          go, axis=1)
     elif kind == "avg":
         gcols = np.broadcast_to(go / np.asarray(kk, dtype=go.dtype),
                                 (c, kk, n, ho, wo))
@@ -391,9 +392,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return Tensor(x.data.mean(axis=(2, 3), keepdims=True))
 
 
-def global_avg_pool_backward(grad_out: Tensor, x: Tensor) -> Tensor:
-    scale = np.asarray(x.h * x.w, dtype=x.dtype)
-    return Tensor(np.broadcast_to(grad_out.data / scale, x.shape).copy())
+def global_avg_pool_backward(grad_out: Tensor, in_shape) -> Tensor:
+    scale = np.asarray(in_shape[2] * in_shape[3], dtype=grad_out.dtype)
+    return Tensor(np.broadcast_to(grad_out.data / scale, in_shape).copy())
 
 
 def linear(x: Tensor, weight: np.ndarray, bias: np.ndarray) -> Tensor:

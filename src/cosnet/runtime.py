@@ -202,9 +202,3 @@ def bench(p: ExecutionPlan, input_shape, warmup: int = 1, iters: int = 5,
             "mean_ms": sum(times) / len(times),
             "p50_ms": times[len(times) // 2],
             "p95_ms": times[min(len(times) - 1, int(len(times) * 0.95))]}
-
-
-def plan_branch_stats(p: ExecutionPlan) -> dict:
-    """Concurrent-tensor statistics for a plan's step sequence."""
-    from .analysis import branch_stats
-    return branch_stats(p.steps, input_ids=(INPUT_ID,))

@@ -11,8 +11,8 @@ Training and evaluation run the network's batched execution plan
 (``Graph.batched_plan``), lowered once per graph: each column level is one
 grouped conv, and the level-1 conv reads the squeezed input once instead of
 M replicated copies.  The train-mode tape keeps each conv's patch matrix,
-each batch norm's 1/sigma and x-hat and each ReLU's sign mask for the
-backward pass.
+each batch norm's 1/sigma and x-hat, each ReLU's sign mask and each max
+pool's window argmax for the backward pass.
 """
 
 from __future__ import annotations
@@ -377,8 +377,9 @@ def load_checkpoint(path: str, graph: Graph | None = None):
 
     When ``graph`` is given, the tensors are also installed into its weight
     table; unknown names and shape mismatches raise :class:`CheckpointError`
-    naming the offending tensor.  So do a value that is not finite and a
-    negative running variance, whether or not ``graph`` is given.
+    naming the offending tensor.  So do a repeated name, a value that is not
+    finite and a negative running variance, whether or not ``graph`` is
+    given.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -408,6 +409,8 @@ def load_checkpoint(path: str, graph: Graph | None = None):
         (nlen,) = struct.unpack("<H", raw)
         raw, off = _ck_read(buf, off, nlen, f"tensor {i} name")
         name = _ck_text(raw, f"tensor {i} name")
+        if name in tensors:
+            raise CheckpointError(f"tensor {name} appears twice")
         raw, off = _ck_read(buf, off, 16, f"tensor {name} dims")
         dims = struct.unpack("<4I", raw)
         # Python ints: a product of four uint32 dims can overflow int64

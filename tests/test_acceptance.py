@@ -277,8 +277,8 @@ def test_criterion_11_batched_minimal_branching(capsys):
         if spec.reference or all(m == 1 for m in spec.columns):
             continue
         g = build_network(spec, init=False)
-        pb = runtime.plan_branch_stats(runtime.plan(g, "batched"))
-        pu = runtime.plan_branch_stats(runtime.plan(g, "unrolled"))
+        pb = analysis.branch_stats(runtime.plan(g, "batched"))
+        pu = analysis.branch_stats(runtime.plan(g, "unrolled"))
         if not pb["peak_live"] < pu["peak_live"]:
             failures.append((name, pb["peak_live"], pu["peak_live"]))
     _emit(capsys, 11, "batched build minimizes concurrent tensors",

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cosnet import analysis
@@ -100,7 +102,7 @@ class TestFlops:
 class TestBranchStats:
     def test_chain_peaks_at_two(self):
         g = _single_conv_graph()
-        assert analysis.graph_branch_stats(g)["peak_live"] == 2
+        assert analysis.branch_stats(g)["peak_live"] == 2
 
     def test_diamond_peaks_at_three(self):
         b = GraphBuilder()
@@ -110,14 +112,13 @@ class TestBranchStats:
         a = b.add("add", [r1, r2], "join")
         out = b.add("output", [a])
         g = b.freeze(out, init=False)
-        assert analysis.graph_branch_stats(g)["peak_live"] == 3
+        assert analysis.branch_stats(g)["peak_live"] == 3
 
     def test_unknown_source_rejected(self):
-        class Step:
-            def __init__(self, id, inputs):
-                self.id, self.inputs = id, tuple(inputs)
+        program = SimpleNamespace(
+            steps=[SimpleNamespace(id=0, inputs=(99,))], input_id=-1)
         with pytest.raises(GraphError):
-            analysis.branch_stats([Step(0, (99,))])
+            analysis.branch_stats(program)
 
 
 class TestReport:

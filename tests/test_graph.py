@@ -4,9 +4,9 @@ import pytest
 from cosnet import ops
 from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError
-from cosnet.graph import (GraphBuilder, _activation_signature, describe,
-                          grad_check, graph_backward, graph_forward,
-                          infer_shapes, reinit_weights)
+from cosnet.graph import (OPS, GraphBuilder, _activation_signature,
+                          describe, grad_check, graph_backward,
+                          graph_forward, infer_shapes, reinit_weights)
 from cosnet.ops import ConvParams, softmax_cross_entropy
 from cosnet.runtime import plan
 from cosnet.tensor import Tensor, tensor_create
@@ -76,6 +76,14 @@ class TestBuilder:
         g = b.freeze(r2)
         names = {g.node(n).name for n in g.order}
         assert len(names) == 3
+
+    def test_disambiguated_name_never_taken(self):
+        # "r" at id 3 would become "r#3", which node 2 already holds
+        b = GraphBuilder()
+        x = b.add("input", name="x")
+        ids = [b.add("relu", [x], name) for name in ("r", "r#3", "r", "r")]
+        names = [b.freeze(ids[-1], init=False).node(i).name for i in ids]
+        assert names == ["r", "r#3", "r#4", "r#5"]
 
     def test_ids_are_topological(self):
         g = _chain_graph()
@@ -245,8 +253,11 @@ class TestBackwardOverPlans:
             graph_backward(p, tape, grad)
 
     def test_tape_entries_keep_what_backward_reads(self):
-        """relu keeps its sign mask, average pool its input shape and add
-        its input count; max pool keeps its input, which backward reads."""
+        """Every kind's tape entry is the dict its forward saved, holding
+        what its backward reads: relu its sign mask, max pool its window
+        argmax, average pool and gap their input shape, add its input
+        count, concat and slice channel counts.  Only linear keeps an
+        input tensor."""
         b = GraphBuilder()
         x = b.add("input")
         c = b.add("conv", [x], "c", params=ConvParams(
@@ -257,28 +268,56 @@ class TestBackwardOverPlans:
         pm = b.add("pool_max", [r], "pm", kernel=(2, 2), stride=(2, 2),
                    pad=(0, 0))
         a = b.add("add", [pa, pm], "a")
-        g = b.freeze(b.add("output", [a]), seed=0)
+        bn = b.add("bn", [a], "bn", channels=2)
+        ir = b.add("ir", [bn], "ir", m=2)
+        cg = b.add("conv_grouped", [ir], "cg", params=ConvParams(
+            out_channels=4, in_channels=4, groups=2))
+        bs = b.add("block_sum", [cg], "bs", m=2)
+        sl = b.add("slice", [ir], "sl", start=1, stop=3)
+        cat = b.add("concat", [bs, sl], "cat")
+        gp = b.add("gap", [cat], "gap")
+        fc = b.add("linear", [gp], "fc", in_features=4, out_features=3)
+        out_id = b.add("output", [fc])
+        g = b.freeze(out_id, seed=0)
+        assert {s.kind for s in g.steps} == set(OPS) - {"input"}
         xt = tensor_create((2, 2, 6, 6), "uniform", seed=1, lo=-1, hi=1)
         out, tape = graph_forward(g, xt, mode="train")
-        steps = tape["steps"]
+        assert set(tape) == {s.id for s in g.steps}
+        for s in g.steps:
+            for key, value in tape[s.id].items():
+                assert (not isinstance(value, Tensor)
+                        or (s.id, key) == (fc, "x"))
         conv_out = ops.conv2d_forward(xt, g.weights[c]["weight"], None,
                                       g.node(c).config["params"])
-        assert set(steps[r]) == {"mask"}
-        assert steps[r]["mask"].dtype == np.bool_
-        assert np.array_equal(steps[r]["mask"], conv_out.data > 0)
-        assert steps[pa] == {"in_shape": (2, 2, 6, 6)}
-        assert set(steps[pm]) == {"in_shape", "x"}
-        assert steps[a] == {"count": 2}
-        # the kink signature reads the relu mask as it read the relu input
         relu_out = np.maximum(conv_out.data, 0)
+        arg = ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
+                                -np.inf).argmax(axis=2)
+        assert set(tape[c]) == set(tape[cg]) == {"cols", "in_shape"}
+        assert set(tape[bn]) == {"inv", "xhat"}
+        assert set(tape[r]) == {"mask"}
+        assert tape[r]["mask"].dtype == np.bool_
+        assert np.array_equal(tape[r]["mask"], conv_out.data > 0)
+        assert tape[pa] == {"in_shape": (2, 2, 6, 6)}
+        assert set(tape[pm]) == {"in_shape", "arg"}
+        assert tape[pm]["in_shape"] == (2, 2, 6, 6)
+        assert tape[pm]["arg"].dtype == np.uint8
+        assert np.array_equal(tape[pm]["arg"], arg)
+        assert tape[a] == {"count": 2}
+        assert tape[ir] == tape[bs] == tape[out_id] == {}
+        assert tape[sl] == {"channels": 4}
+        assert tape[cat] == {"channels": [2, 2]}
+        assert tape[gp] == {"in_shape": (2, 4, 3, 3)}
+        assert set(tape[fc]) == {"x"} and tape[fc]["x"].shape == (2, 4, 1, 1)
+        # the kink signature reads the relu mask and the max-pool argmax as
+        # it read the relu input
         want = (np.packbits(conv_out.data > 0).tobytes()
-                + ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
-                                    -np.inf).argmax(axis=2)
-                .astype(np.uint8).tobytes())
+                + arg.astype(np.uint8).tobytes())
         assert _activation_signature(g, tape) == want
         grads, gin = graph_backward(g, tape, Tensor(np.ones(out.shape,
                                                             np.float32)))
         assert gin.shape == xt.shape
+        assert set(grads) == set(g.weights)
+        assert not tape
 
     def test_tape_serves_one_backward(self):
         g = _chain_graph()

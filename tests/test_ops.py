@@ -351,11 +351,34 @@ class TestPooling:
 
     def test_saved_state(self):
         x = tensor_create((2, 3, 4, 4), "uniform", seed=0)
-        for kind, keys in (("avg", {"in_shape"}), ("max", {"in_shape", "x"})):
+        for kind, keys in (("avg", {"in_shape"}),
+                           ("max", {"in_shape", "arg"})):
             saved = {}
             ops.pool2d(x, kind, (2, 2), (2, 2), (0, 0), saved)
             assert set(saved) == keys
             assert saved["in_shape"] == x.shape
+        want = ops._pool_windows(x.data, (2, 2), (2, 2), (0, 0),
+                                 -np.inf).argmax(axis=2)
+        assert saved["arg"].dtype == np.uint8
+        assert np.array_equal(saved["arg"], want)
+
+    def test_max_backward_finite_difference_17x17(self):
+        # 289 offsets per window: the saved argmax needs a uint16, and the
+        # maxima sit at offsets above 255, where a uint8 would wrap
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 2, 18, 18))
+        x[:, :, 16:, 16:] += 10.0
+        args = ((17, 17), (1, 1), (0, 0))
+        saved = {}
+        y = ops.pool2d(Tensor(x), "max", *args, saved)
+        assert saved["arg"].dtype == np.uint16
+        assert (saved["arg"] > 255).all()
+        go = rng.normal(size=y.shape)
+        gx = ops.pool2d_backward(Tensor(go), saved, "max", *args)
+        fx = numeric_grad(
+            lambda xx: float((ops.pool2d(Tensor(xx), "max", *args).data
+                              * go).sum()), x)
+        assert max_rel_err(gx.data, fx) < 1e-3
 
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):
@@ -581,7 +604,7 @@ class TestHead:
         rng = np.random.default_rng(7)
         x = Tensor(rng.normal(size=(2, 3, 3, 3)))
         go = Tensor(rng.normal(size=(2, 3, 1, 1)))
-        gx = ops.global_avg_pool_backward(go, x)
+        gx = ops.global_avg_pool_backward(go, x.shape)
         fx = numeric_grad(
             lambda xx: float((ops.global_avg_pool(Tensor(xx)).data
                               * go.data).sum()), x.data)

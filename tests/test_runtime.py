@@ -3,7 +3,7 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
-from cosnet import runtime
+from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
 from cosnet.graph import LayerNode, graph_forward, infer_shapes
@@ -247,12 +247,12 @@ class TestBenchAndStats:
 
     def test_batched_holds_fewer_concurrent_tensors(self):
         g = _unit(m=4, l=3)
-        sb = runtime.plan_branch_stats(runtime.plan(g, "batched"))
-        su = runtime.plan_branch_stats(runtime.plan(g, "unrolled"))
+        sb = analysis.branch_stats(runtime.plan(g, "batched"))
+        su = analysis.branch_stats(runtime.plan(g, "unrolled"))
         assert sb["peak_live"] < su["peak_live"]
 
     def test_single_column_stats_equal(self):
         g = _unit(m=1)
-        sb = runtime.plan_branch_stats(runtime.plan(g, "batched"))
-        su = runtime.plan_branch_stats(runtime.plan(g, "unrolled"))
+        sb = analysis.branch_stats(runtime.plan(g, "batched"))
+        su = analysis.branch_stats(runtime.plan(g, "unrolled"))
         assert sb == su

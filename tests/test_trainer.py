@@ -1,6 +1,7 @@
 import struct
 import zlib
 from collections import Counter
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from cosnet.arch import build_mini_network, registry_lookup, \
     render_variant_text
 from cosnet.errors import (CheckpointError, ConfigError, CosnetError,
                            DatasetFormatError, DivergenceError)
-from cosnet.graph import GraphBuilder, graph_forward
+from cosnet.graph import (GraphBuilder, _activation_signature,
+                          graph_backward, graph_forward)
 from cosnet.runtime import plan
 from cosnet.tensor import Tensor
 from cosnet.training import (Dataset, TrainConfig, evaluate, load_checkpoint,
@@ -293,6 +295,30 @@ class TestTraining:
                                                + kinds.count("conv_grouped"))
         assert counts["forward", "bn"] == kinds.count("bn")
 
+    def test_max_pool_backward_builds_no_windows(self, monkeypatch):
+        """Max-pool backward and the gradient check's kink fingerprint read
+        the argmax the forward saved; neither builds the window stack."""
+        calls = []
+        windows = ops._pool_windows
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return windows(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "_pool_windows", spy)
+        b = GraphBuilder()
+        x = b.add("input")
+        pm = b.add("pool_max", [x], "pm", kernel=(3, 3), stride=(2, 2),
+                   pad=(1, 1))
+        g = b.freeze(b.add("output", [b.add("gap", [pm])]))
+        xt = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8, 8)))
+        out, tape = graph_forward(g, xt, mode="train")
+        assert len(calls) == 1
+        _activation_signature(g, tape)
+        _, gin = graph_backward(g, tape, Tensor(np.ones(out.shape)))
+        assert len(calls) == 1
+        assert gin.shape == xt.shape
+
     def test_graph_lowers_its_batched_plan_once(self, monkeypatch):
         calls = []
         real = runtime.plan
@@ -474,6 +500,24 @@ class TestCheckpoint:
             load_checkpoint(path, fresh)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+        assert all(np.array_equal(fresh.weights[n][f], before[n][f])
+                   for n in before for f in before[n])
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        # two convs under one name write two tensors "<name>:weight"
+        g = build_mini_network(seed=0)
+        first, second = [n for n in g.order if g.node(n).kind == "conv"][:2]
+        g.nodes[second] = dc_replace(g.node(second),
+                                     name=g.node(first).name)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, g, "name = mini\n")
+        with pytest.raises(CheckpointError,
+                           match=f"{g.node(first).name}:weight appears twice"):
+            load_checkpoint(path)
+        fresh = build_mini_network(seed=1)
+        before = fresh.copy_weights()
+        with pytest.raises(CheckpointError, match="appears twice"):
+            load_checkpoint(path, fresh)
         assert all(np.array_equal(fresh.weights[n][f], before[n][f])
                    for n in before for f in before[n])
 
