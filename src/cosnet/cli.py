@@ -88,9 +88,12 @@ def cmd_verify(args) -> int:
     g, _ = _load_model(args.model, seed=args.seed)
     rep = runtime.equivalence_check(g, shape, trials=args.trials,
                                     seed=args.seed, tol=args.tol)
-    for i, d in enumerate(rep.trial_diffs):
-        _log(f"trial {i}: max |batched - unrolled| = {d:.3g}")
+    for i, (d, s) in enumerate(zip(rep.trial_diffs, rep.trial_scales)):
+        _log(f"trial {i}: max |batched - unrolled| = {d:.3g}, "
+             f"largest |output| {s:.3g}")
     print(f"plans identical: {rep.identical_plans}")
+    print(f"largest |output| {rep.max_scale():.3g}, max diff relative to "
+          f"it {rep.max_rel_diff():.3g}")
     print(f"max diff {rep.max_diff():.3g} (tol {rep.tol:g}): "
           f"{'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1

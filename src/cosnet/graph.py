@@ -17,7 +17,9 @@ reads the un-replicated input; only a plan with per-group steps
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import inf, prod
 from typing import Callable
@@ -27,7 +29,8 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, CosnetError, GraphError, ShapeError
 from .ops import ConvParams
-from .tensor import Tensor, _out_hw, elementwise, seeded_rng, tensor_create
+from .tensor import (Tensor, _out_hw, check_seed, elementwise, seeded_rng,
+                     tensor_create)
 
 
 @dataclass(frozen=True)
@@ -141,6 +144,7 @@ class OpDef:
     # (cfg, grad_out, saved, table) -> (per-input grads, param grads)
     backward: Callable = lambda cfg, grad_out, saved, table: ([grad_out], {})
     init: Callable = lambda cfg, rng: {}       # -> fresh weight table
+    draws: bool = False  # init draws from ``rng`` (else it gets None)
     params: Callable = lambda cfg: 0           # -> trainable parameter count
     macs: Callable = lambda cfg, out_shape: 0  # -> multiply-accumulates
     describe: Callable = lambda cfg: ""        # -> detail text
@@ -168,13 +172,20 @@ def _conv_backward(cfg, grad_out, saved, table):
     return [gx], grads
 
 
+def _he_normal(rng, shape, fan_in) -> np.ndarray:
+    """He normal (He et al. 2015, arXiv:1502.01852): float32 draws scaled
+    in place to std sqrt(2/fan_in), with no float64 temporary."""
+    w = rng.standard_normal(shape, dtype=np.float32)
+    w *= np.float32(np.sqrt(2.0 / fan_in))
+    return w
+
+
 def _conv_init(cfg, rng):
-    """He-style init: normal with std sqrt(2/fan_in)."""
+    """He normal weight (:func:`_he_normal`), zero bias.  ``rng`` is the
+    node's own stream (:func:`_init_weights`)."""
     p: ConvParams = cfg["params"]
     fan_in = (p.in_channels // p.groups) * p.kernel[0] * p.kernel[1]
-    w = rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                   size=p.weight_shape).astype(np.float32)
-    table = {"weight": w}
+    table = {"weight": _he_normal(rng, p.weight_shape, fan_in)}
     if p.has_bias:
         table["bias"] = np.zeros(p.out_channels, dtype=np.float32)
     return table
@@ -261,11 +272,11 @@ def _linear_backward(cfg, grad_out, saved, table):
 
 
 def _linear_init(cfg, rng):
-    """He-style init: normal with std sqrt(2/fan_in)."""
+    """He normal weight (:func:`_he_normal`), zero bias.  ``rng`` is the
+    node's own stream (:func:`_init_weights`)."""
     cin, cout = cfg["in_features"], cfg["out_features"]
-    w = rng.normal(0.0, np.sqrt(2.0 / cin),
-                   size=(cout, cin)).astype(np.float32)
-    return {"weight": w, "bias": np.zeros(cout, dtype=np.float32)}
+    return {"weight": _he_normal(rng, (cout, cin), cin),
+            "bias": np.zeros(cout, dtype=np.float32)}
 
 
 def _concat_shape(cfg, ins):
@@ -339,7 +350,7 @@ _CONV = OpDef(
     _conv_shape,
     lambda cfg, ins, table, saved: ops.conv2d_forward(
         ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
-    _conv_backward, init=_conv_init, params=_conv_params,
+    _conv_backward, init=_conv_init, draws=True, params=_conv_params,
     macs=_conv_macs, describe=_conv_describe, depth=1)
 
 OPS: dict[str, OpDef] = {
@@ -372,6 +383,7 @@ OPS: dict[str, OpDef] = {
             [ops.global_avg_pool_backward(grad_out, saved["in_shape"])], {})),
     "linear": OpDef(
         _linear_shape, _linear_forward, _linear_backward, init=_linear_init,
+        draws=True,
         params=lambda cfg: (cfg["in_features"] + 1) * cfg["out_features"],
         macs=lambda cfg, out_shape: cfg["in_features"] * cfg["out_features"],
         describe=lambda cfg: f" {cfg['in_features']}->{cfg['out_features']}",
@@ -418,6 +430,7 @@ class GraphBuilder:
             raise GraphError(f"unknown node kind {kind!r}")
         nid = len(self._nodes)
         inputs = tuple(inputs)
+        name = base = name or f"{kind}{nid}"
         for src in inputs:
             if not 0 <= src < nid:
                 raise GraphError(f"node {name!r} references unknown input {src}")
@@ -425,7 +438,6 @@ class GraphBuilder:
             raise GraphError(f"node {name!r} ({kind}) needs >= "
                              f"{OPS[kind].min_inputs} inputs")
         # a taken name gets "#<id>", or the first free "#<id+k>"
-        name = base = name or f"{kind}{nid}"
         suffix = nid
         while name in self._names:
             name, suffix = f"{base}#{suffix}", suffix + 1
@@ -435,8 +447,9 @@ class GraphBuilder:
 
     def freeze(self, output_id: int, seed: int = 0,
                init: bool = True) -> Graph:
-        """Freeze into a Graph; ``init=False`` skips weight instantiation
-        (static analysis only)."""
+        """Freeze into a Graph whose weights :func:`_init_weights` draws
+        from ``seed``; ``init=False`` skips weight instantiation (static
+        analysis only)."""
         inputs = [n.id for n in self._nodes if n.kind == "input"]
         if len(inputs) != 1:
             raise GraphError(f"graph must have exactly one input, got {len(inputs)}")
@@ -444,19 +457,60 @@ class GraphBuilder:
         return Graph(self._nodes, inputs[0], output_id, weights)
 
 
+# Tables of at least this many parameters are drawn on the worker pool.  On
+# 2 vCPUs a float32 normal costs about 16 ns, so such a table takes 1 ms or
+# more, against about 0.05 ms to hand one task to a running worker and back
+# and 0.23 ms to start and stop a pool.  Every table of the minis is smaller
+# (9216 at most), so building one starts no thread.
+_POOL_MIN_PARAMS = 1 << 16
+
+
+def _init_workers() -> int:
+    """Worker threads for drawing weights: one per core this process may
+    run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _init_weights(nodes, seed: int) -> dict:
-    """Seeded weight tables for ``nodes``, drawn in node order."""
-    rng = seeded_rng(seed)
-    weights = {}
-    for n in nodes:
-        w = OPS[n.kind].init(n.config, rng)
-        if w:
-            weights[n.id] = w
-    return weights
+    """Seeded weight tables for ``nodes``, keyed by node id in node order.
+
+    A node whose init draws (``OpDef.draws``) draws from its own stream,
+    ``seeded_rng(seed, node.id)``, so its table depends only on the seed,
+    the node's id and its config: not on the other nodes, the draw order or
+    the number of workers.  numpy releases the interpreter lock while it
+    fills an array, so tables of :data:`_POOL_MIN_PARAMS` or more are drawn
+    on a pool of :func:`_init_workers` threads, largest first, while the
+    calling thread draws the rest; a graph with no such table starts no
+    thread.
+    """
+    check_seed(seed)
+    nodes = list(nodes)
+
+    def init(n):
+        op = OPS[n.kind]
+        return op.init(n.config, seeded_rng(seed, n.id) if op.draws else None)
+
+    large = sorted((n for n in nodes if OPS[n.kind].draws
+                    and OPS[n.kind].params(n.config) >= _POOL_MIN_PARAMS),
+                   key=lambda n: OPS[n.kind].params(n.config), reverse=True)
+    pool = (ThreadPoolExecutor(min(len(large), _init_workers()))
+            if large else None)
+    try:
+        pending = {n.id: pool.submit(init, n) for n in large}
+        tables = {n.id: init(n) for n in nodes if n.id not in pending}
+        tables.update((nid, f.result()) for nid, f in pending.items())
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return {n.id: tables[n.id] for n in nodes if tables[n.id]}
 
 
 def reinit_weights(graph: Graph, seed: int) -> dict:
-    """Fresh seeded weight table for an existing graph (same shapes)."""
+    """Fresh seeded weight table for an existing graph (same shapes), equal
+    to the one ``freeze(seed=seed)`` made (:func:`_init_weights`)."""
     return _init_weights(map(graph.node, graph.order), seed)
 
 

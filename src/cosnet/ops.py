@@ -221,10 +221,15 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
         saved["in_shape"] = x.shape
     if kind == "max":
         wins = _pool_windows(x.data, kernel, stride, pad, -np.inf)
+        out = wins.max(axis=2)
         if saved is not None:
-            saved["arg"] = wins.argmax(axis=2).astype(
+            # wins.argmax(axis=2): the first offset holding the maximum, or
+            # the first NaN; a boolean argmax over the window axis is faster
+            # than a float one
+            hit = (wins == out[:, :, None]) | np.isnan(wins)
+            saved["arg"] = hit.argmax(axis=2).astype(
                 np.min_scalar_type(kernel[0] * kernel[1] - 1))
-        return Tensor(wins.max(axis=2))
+        return Tensor(out)
     if kind == "avg":
         wins = _window_slices(x.data, kernel, stride, pad, 0.0)
         if wins[0].shape[2:] == (1, 1):

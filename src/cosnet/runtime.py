@@ -148,11 +148,22 @@ def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
 class EquivalenceReport:
     tol: float
     trial_diffs: list    # max |batched - unrolled| per trial
+    trial_scales: list   # largest |output| of either mode per trial
     identical_plans: bool
     passed: bool
 
     def max_diff(self) -> float:
         return max(self.trial_diffs) if self.trial_diffs else 0.0
+
+    def max_scale(self) -> float:
+        return max(self.trial_scales) if self.trial_scales else 0.0
+
+    def max_rel_diff(self) -> float:
+        """Largest per-trial difference as a share of that trial's largest
+        output magnitude (0 where both outputs are all zero)."""
+        return max((d / s if s else 0.0
+                    for d, s in zip(self.trial_diffs, self.trial_scales)),
+                   default=0.0)
 
 
 def equivalence_check(graph: Graph, input_shape, trials: int = 5,
@@ -160,8 +171,9 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
     """Compare batched and unrolled execution over freshly seeded weights.
 
     Each trial draws new weights and a new input, then reports the maximum
-    absolute elementwise difference between the two modes.  Failures are
-    reported, not raised.
+    absolute elementwise difference between the two modes and the largest
+    output magnitude it compares against.  ``tol`` bounds the absolute
+    difference.  Failures are reported, not raised.
     """
     if trials < 1:
         raise ConfigError(f"equivalence check needs >= 1 trial, got {trials}")
@@ -169,7 +181,7 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
         raise ConfigError(f"tol must be >= 0, got {tol}")
     pb = plan(graph, "batched")
     pu = plan(graph, "unrolled")
-    diffs = []
+    diffs, scales = [], []
     for t in range(trials):
         weights = reinit_weights(graph, seed + 1000 * t)
         x = tensor_create(input_shape, "uniform", seed=seed + 1000 * t + 1,
@@ -177,7 +189,9 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
         yb = execute(pb, x, weights=weights)
         yu = execute(pu, x, weights=weights)
         diffs.append(float(np.abs(yb.data - yu.data).max()))
-    return EquivalenceReport(tol=tol, trial_diffs=diffs,
+        scales.append(float(max(np.abs(yb.data).max(),
+                                np.abs(yu.data).max())))
+    return EquivalenceReport(tol=tol, trial_diffs=diffs, trial_scales=scales,
                              identical_plans=plans_identical(pb, pu),
                              passed=all(d <= tol for d in diffs))
 

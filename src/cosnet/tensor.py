@@ -38,12 +38,19 @@ def deterministic_enabled() -> bool:
     return _DETERMINISTIC
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """The package's random generator; every seed must be a non-negative
-    integer."""
+def check_seed(seed: int) -> None:
+    """Every seed of the package must be a non-negative integer."""
     if seed < 0:
         raise ConfigError(f"seeds must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+
+
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The package's random generator.  ``key`` picks one of the seed's
+    independent streams (``SeedSequence(seed, spawn_key=key)``); with no key
+    this is ``PCG64(seed)``."""
+    check_seed(seed)
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _check_shape(shape):

@@ -71,7 +71,9 @@ class TestAnalyze:
 class TestVerify:
     def test_mini_passes(self, capsys):
         assert main(["verify", "mini", "--trials", "2"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        assert "largest |output|" in out and "relative to it" in out
 
     def test_zero_tolerance_fails(self, capsys):
         assert main(["verify", "mini", "--trials", "1", "--tol", "0"]) == 1

@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from cosnet import graph as graphmod
 from cosnet import ops
 from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError
@@ -40,6 +43,37 @@ def _diamond_graph(seed=0):
     return b.freeze(out, seed=seed)
 
 
+def _branch_graph(widths, seed=0):
+    """One conv per width, each reading the input, then a linear head.  The
+    first two convs (64 -> w, 3x3) hold >= 2**16 parameters at w >= 114."""
+    b = GraphBuilder()
+    x = b.add("input", name="input")
+    convs = [b.add("conv", [x], f"c{i}",
+                   params=ConvParams(out_channels=w, in_channels=64,
+                                     kernel=(3, 3) if i < 2 else (1, 1)))
+             for i, w in enumerate(widths)]
+    cat = b.add("concat", convs, "cat")
+    g = b.add("gap", [cat], "gap")
+    fc = b.add("linear", [g], "fc", in_features=sum(widths), out_features=10)
+    return b.freeze(b.add("output", [fc], "output"), seed=seed)
+
+
+class _PoolSpy(ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records the worker count of each pool."""
+    started: list = []
+
+    def __init__(self, max_workers):
+        _PoolSpy.started.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    monkeypatch.setattr(_PoolSpy, "started", [])
+    monkeypatch.setattr(graphmod, "ThreadPoolExecutor", _PoolSpy)
+    return _PoolSpy
+
+
 class TestBuilder:
     def test_unknown_kind(self):
         with pytest.raises(GraphError):
@@ -48,7 +82,9 @@ class TestBuilder:
     def test_forward_reference_rejected(self):
         b = GraphBuilder()
         b.add("input")
-        with pytest.raises(GraphError):
+        # an unnamed node is named by its default name, not ''
+        with pytest.raises(GraphError,
+                           match="node 'relu1' references unknown input 5"):
             b.add("relu", [5])
 
     def test_non_input_needs_predecessor(self):
@@ -58,7 +94,7 @@ class TestBuilder:
     def test_add_needs_two_inputs(self):
         b = GraphBuilder()
         x = b.add("input")
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"node 'add1' \(add\) needs"):
             b.add("add", [x])
 
     def test_exactly_one_input_node(self):
@@ -119,6 +155,55 @@ class TestWeights:
         for nid in g.weights:
             for f in g.weights[nid]:
                 assert np.array_equal(g.weights[nid][f], w[nid][f])
+
+    def test_tables_independent_of_worker_count(self, monkeypatch, pool_spy):
+        tables = []
+        for workers in (1, 4):
+            monkeypatch.setattr(graphmod, "_init_workers", lambda: workers)
+            tables.append(_branch_graph([128, 160, 8, 8], seed=7).weights)
+        # the two 3x3 convs are drawn on the pool, at most one per worker
+        assert pool_spy.started == [1, 2]
+        a, b = tables
+        assert list(a) == list(b)
+        for nid in a:
+            for f in a[nid]:
+                assert a[nid][f].tobytes() == b[nid][f].tobytes()
+
+    def test_table_depends_only_on_its_own_node(self):
+        # each node draws from its own stream, so widening c1 leaves the
+        # other tables alone (the linear head's shape changes with it)
+        g1 = _branch_graph([128, 160, 8, 8], seed=3)
+        g2 = _branch_graph([128, 176, 8, 8], seed=3)
+        for nid in (1, 3, 4):
+            assert (g1.weights[nid]["weight"].tobytes()
+                    == g2.weights[nid]["weight"].tobytes())
+        assert g2.weights[2]["weight"].shape == (176, 64, 3, 3)
+        # and two nodes of one shape draw from different streams
+        assert not np.array_equal(g1.weights[3]["weight"],
+                                  g1.weights[4]["weight"])
+
+    def test_he_normal_float32(self):
+        g = _branch_graph([128, 160, 8, 8], seed=0)
+        w = g.weights[1]["weight"]              # 73728 draws, fan_in 576
+        assert w.dtype == np.float32
+        assert abs(w.std() / np.sqrt(2.0 / 576) - 1.0) < 0.05
+        assert abs(w.mean()) < 0.02 * w.std()
+        for table in g.weights.values():
+            assert all(a.dtype == np.float32 for a in table.values())
+
+    def test_mini_build_starts_no_thread(self, pool_spy):
+        build_mini_network(columns=4, seed=1)
+        assert pool_spy.started == []
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            _chain_graph(seed=-1)
+        with pytest.raises(ConfigError, match="seeds"):
+            reinit_weights(_chain_graph(), -1)
+        b = GraphBuilder()    # no node draws: the seed is still checked
+        r = b.add("relu", [b.add("input")])
+        with pytest.raises(ConfigError, match="seeds"):
+            b.freeze(b.add("output", [r]), seed=-1)
 
     def test_init_false_skips_weights(self):
         b = GraphBuilder()

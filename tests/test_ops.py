@@ -357,10 +357,27 @@ class TestPooling:
             ops.pool2d(x, kind, (2, 2), (2, 2), (0, 0), saved)
             assert set(saved) == keys
             assert saved["in_shape"] == x.shape
-        want = ops._pool_windows(x.data, (2, 2), (2, 2), (0, 0),
-                                 -np.inf).argmax(axis=2)
         assert saved["arg"].dtype == np.uint8
-        assert np.array_equal(saved["arg"], want)
+
+    @pytest.mark.parametrize("case", ["finite", "ties", "nan"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_saved_arg_is_the_window_argmax(self, case, stride):
+        x = tensor_create((2, 3, 7, 7), "uniform", seed=5, lo=-1, hi=1).data
+        if case == "ties":
+            # values in {-1, -0.0, +0.0, 1}: ties, and zeros of both signs
+            x = np.round(x)
+            x[0, 0, :2, :2] = [[-0.0, 0.0], [0.0, -0.0]]
+        elif case == "nan":
+            x[0, 0, 2, 2:4] = np.nan   # windows holding one or two NaNs
+            x[1, 2, 5, 1] = np.nan
+        args = ((3, 3), (stride, stride), (1, 1))
+        saved = {}
+        y = ops.pool2d(Tensor(x), "max", *args, saved)
+        wins = ops._pool_windows(x, *args, -np.inf)
+        assert saved["arg"].tobytes() == wins.argmax(axis=2).astype(
+            np.uint8).tobytes()
+        assert np.array_equal(y.data, wins.max(axis=2), equal_nan=True)
+        assert np.isnan(y.data).any() == (case == "nan")
 
     def test_max_backward_finite_difference_17x17(self):
         # 289 offsets per window: the saved argmax needs a uint16, and the

@@ -6,7 +6,8 @@ import pytest
 from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
-from cosnet.graph import LayerNode, graph_forward, infer_shapes
+from cosnet.graph import (LayerNode, graph_forward, infer_shapes,
+                          reinit_weights)
 from cosnet.tensor import tensor_create
 
 
@@ -154,7 +155,6 @@ class TestExecute:
         g = _unit(m=2)
         p = runtime.plan(g, "batched")
         x = tensor_create((1, 8, 8, 8), "uniform", seed=3)
-        from cosnet.graph import reinit_weights
         w2 = reinit_weights(g, 99)
         y1 = runtime.execute(p, x)
         y2 = runtime.execute(p, x, weights=w2)
@@ -185,6 +185,19 @@ class TestEquivalence:
         rep = runtime.equivalence_check(g, (2, 8, 16, 16), trials=3, seed=0)
         assert rep.passed
         assert all(d <= 1e-5 for d in rep.trial_diffs)
+
+    def test_reports_output_scale(self):
+        g = _unit(m=4, l=3)
+        rep = runtime.equivalence_check(g, (2, 8, 16, 16), trials=2, seed=0)
+        # trial 0 runs reinit_weights(g, 0) on the uniform input of seed 1
+        x = tensor_create((2, 8, 16, 16), "uniform", seed=1, lo=-1.0, hi=1.0)
+        y = runtime.execute(runtime.plan(g, "batched"), x,
+                            weights=reinit_weights(g, 0))
+        assert rep.trial_scales[0] >= float(np.abs(y.data).max()) > 0.0
+        assert rep.max_scale() == max(rep.trial_scales)
+        assert rep.max_rel_diff() == max(
+            d / s for d, s in zip(rep.trial_diffs, rep.trial_scales))
+        assert 0.0 < rep.max_rel_diff() < 1e-6
 
     def test_modes_actually_differ_in_rounding(self):
         # the two reduction orders must not be bitwise identical, otherwise
