@@ -29,8 +29,8 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, CosnetError, GraphError, ShapeError
 from .ops import ConvParams
-from .tensor import (Tensor, _out_hw, check_seed, elementwise, seeded_rng,
-                     tensor_create)
+from .tensor import (Tensor, _check_shape, _out_hw, check_seed, elementwise,
+                     seeded_rng, tensor_create)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class Graph:
 @dataclass(frozen=True)
 class OpDef:
     """One layer kind.  ``cfg`` is a node's config dict, ``ins`` its input
-    shapes (shape rule) or tensors and ``table`` its weight table.  A
+    shapes (shape rule) or arrays and ``table`` its weight table.  A
     forward runs in train mode exactly when it gets a ``saved`` dict (None
     in eval mode), and puts into it everything its backward reads; the
     backward gets that dict and nothing else, so the tape is the steps'
@@ -139,7 +139,7 @@ class OpDef:
 
     # (cfg, ins) -> output shape; raises ShapeError
     shape: Callable = lambda cfg, ins: ins[0]
-    # (cfg, ins, table, saved) -> Tensor
+    # (cfg, ins, table, saved) -> array
     forward: Callable = lambda cfg, ins, table, saved: ins[0]
     # (cfg, grad_out, saved, table) -> (per-input grads, param grads)
     backward: Callable = lambda cfg, grad_out, saved, table: ([grad_out], {})
@@ -288,7 +288,7 @@ def _concat_shape(cfg, ins):
 
 def _concat_forward(cfg, ins, table, saved):
     if saved is not None:
-        saved["channels"] = [t.c for t in ins]
+        saved["channels"] = [t.shape[1] for t in ins]
     return ops.channel_concat(ins)
 
 
@@ -314,17 +314,18 @@ def _slice_shape(cfg, ins):
 
 
 def _slice_forward(cfg, ins, table, saved):
-    start, stop = _slice_range(cfg, ins[0].c)
+    channels = ins[0].shape[1]
+    start, stop = _slice_range(cfg, channels)
     if saved is not None:
-        saved["channels"] = ins[0].c
-    return Tensor(ins[0].data[:, start:stop].copy())
+        saved["channels"] = channels
+    return ins[0][:, start:stop].copy()
 
 
 def _slice_backward(cfg, grad_out, saved, table):
-    full = np.zeros((grad_out.n, saved["channels"], grad_out.h, grad_out.w),
-                    dtype=grad_out.dtype)
-    full[:, cfg["start"]:cfg["stop"]] = grad_out.data
-    return [Tensor(full)], {}
+    n, _, h, w = grad_out.shape
+    full = np.zeros((n, saved["channels"], h, w), dtype=grad_out.dtype)
+    full[:, cfg["start"]:cfg["stop"]] = grad_out
+    return [full], {}
 
 
 def _add_shape(cfg, ins):
@@ -453,6 +454,8 @@ class GraphBuilder:
         inputs = [n.id for n in self._nodes if n.kind == "input"]
         if len(inputs) != 1:
             raise GraphError(f"graph must have exactly one input, got {len(inputs)}")
+        if output_id not in range(len(self._nodes)):
+            raise GraphError(f"output id {output_id!r} names no node")
         weights = _init_weights(self._nodes, seed) if init else {}
         return Graph(self._nodes, inputs[0], output_id, weights)
 
@@ -518,13 +521,15 @@ def infer_shapes(graph: Graph, input_shape) -> dict:
     """Propagate (n,c,h,w) shapes through the graph without executing it.
 
     ``graph`` needs only ``order`` and ``node(id)``, so an execution plan's
-    steps can be walked too; a node without inputs takes ``input_shape``.
+    steps can be walked too; a node without inputs takes ``input_shape``,
+    which must be 4-D with every dimension >= 1.
     """
     shapes = {}
     for nid in graph.order:
         n = graph.node(nid)
         try:
-            ins = [shapes[i] for i in n.inputs] or [tuple(input_shape)]
+            ins = ([shapes[i] for i in n.inputs]
+                   or [_check_shape(input_shape)])
             shapes[nid] = tuple(OPS[n.kind].shape(n.config, ins))
         except (ShapeError, KeyError) as exc:
             raise GraphError(f"shape propagation failed at node {nid} "
@@ -536,18 +541,18 @@ def infer_shapes(graph: Graph, input_shape) -> dict:
 # execution
 
 
-def run_steps(program, x: Tensor, weights, mode: str, error=GraphError):
+def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     """The forward interpreter of :func:`graph_forward` and
-    ``runtime.execute``.
+    ``runtime.execute``, on arrays.
 
     ``program`` (a :class:`Graph` or an execution plan) has ``steps``,
     ``input_id`` and ``output_id``.  Each step runs
     ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
     step with a ``group`` index reads only that group's block of the table's
-    rows; the table holds one block per group step reading it.  Tensors are
+    rows; the table holds one block per group step reading it.  Arrays are
     freed at their last use.  In train mode each step's forward gets a
     fresh ``saved`` dict, and the tape records that dict, keyed by step id,
-    and nothing else: it keeps a tensor alive only while some backward
+    and nothing else: it keeps an array alive only while some backward
     reads it.  Any :class:`CosnetError` or missing
     table entry raised inside a step is re-raised as ``error``, naming the
     step.
@@ -596,16 +601,26 @@ def _weights_of(program, weights):
     return getattr(program, "graph", program).weights
 
 
+def _array_of(x: Tensor, error) -> np.ndarray:
+    """The array of ``x``, which must be a :class:`Tensor` (else
+    ``error``): the check where arrays come in from a caller."""
+    if not isinstance(x, Tensor):
+        raise error(f"expected a Tensor, got {type(x).__name__}")
+    return x.data
+
+
 def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
     """Run a graph or an execution plan; ``weights`` defaults to the
     graph's table.
 
-    Returns (output, tape); the tape is :func:`run_steps`'s: each step's
-    ``saved`` dict by step id in train mode, None in eval mode.
+    Returns (output Tensor, tape); the tape is :func:`run_steps`'s: each
+    step's ``saved`` dict by step id in train mode, None in eval mode.
     """
     if mode not in ("train", "eval"):
         raise GraphError(f"unknown mode {mode!r}")
-    return run_steps(program, x, _weights_of(program, weights), mode)
+    out, tape = run_steps(program, _array_of(x, GraphError),
+                          _weights_of(program, weights), mode)
+    return Tensor(out), tape
 
 
 def graph_backward(program, tape, grad_output: Tensor, weights=None):
@@ -615,9 +630,9 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     serves one backward pass and is empty after it.
 
     Returns (grad table keyed like the weight table, by each step's
-    ``src_node``; grad w.r.t. the input).  Every step reads an earlier one
-    and every backward returns a gradient per input, so the input always
-    gets one.
+    ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
+    earlier one and every backward returns a gradient per input, so the
+    input always gets one.
     """
     if not tape:
         raise GraphError("backward requires an unused tape from a "
@@ -627,7 +642,7 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
         raise GraphError(f"cannot differentiate the per-group step "
                          f"{grouped.name}; run the graph or its batched plan")
     weights = _weights_of(program, weights)
-    out_grads = {program.output_id: grad_output}
+    out_grads = {program.output_id: _array_of(grad_output, GraphError)}
     param_grads = {}
     for s in reversed(program.steps):
         saved = tape.pop(s.id)
@@ -640,10 +655,10 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
             param_grads[s.src_node] = pgrads
         for src, g in zip(s.inputs, in_grads):
             if src in out_grads:
-                out_grads[src] = Tensor(out_grads[src].data + g.data)
+                out_grads[src] = out_grads[src] + g
             else:
                 out_grads[src] = g
-    return param_grads, out_grads[program.input_id]
+    return param_grads, Tensor(out_grads[program.input_id])
 
 
 def _activation_signature(program, tape) -> bytes:
@@ -684,7 +699,7 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
         return float(out.data.sum()), _activation_signature(program, tape)
 
     out, tape = graph_forward(program, x, mode="train", weights=w64)
-    ones = Tensor(np.ones(out.shape, dtype=np.float64))
+    ones = tensor_create(out.shape, "ones", dtype=np.float64)
     pgrads, gin = graph_backward(program, tape, ones, weights=w64)
 
     def worst_error(arr, analytic):

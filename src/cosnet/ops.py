@@ -1,11 +1,15 @@
 """Differentiable layer operations: convolution (incl. grouped), pooling,
 batch norm, activation, input replication, channel fusion, linear, loss.
 
+Kernels take (n, c, h, w) arrays and return C-contiguous arrays they
+allocated, copying explicitly where a result would be a view; only
+:func:`softmax_cross_entropy` takes and returns a ``Tensor``.
+
 Forward functions are pure, except that train-mode batch norm updates the
 running statistics in its weight table.  Convolution, pooling, batch norm
 and ReLU take an optional ``saved`` dict that their forward fills with
 everything their backward reads: the conv patch matrix (from
-:func:`_patches`) and input shape; the pool input shape (and, for max pool,
+:func:`im2col_nd`) and input shape; the pool input shape (and, for max pool,
 the argmax of each window); batch norm's 1/sigma and x-hat (from
 :func:`_bn_normalize`); ReLU's sign mask.  Their backward functions take
 that dict instead of the forward input, so no backward recomputes forward
@@ -71,20 +75,10 @@ class ConvParams:
                 *self.kernel)
 
 
-def _patches(x: Tensor, p: ConvParams):
-    """The im2col patch matrix (in_channels*kh*kw, n*Ho*Wo), as
-    :func:`im2col_nd` builds it, and (Ho, Wo).
-
-    Patch rows are channel-major, so each group's rows are contiguous; its
-    adjoint is :func:`col2im_nd` on the same geometry.
-    """
-    return (im2col_nd(x.data, p.kernel, p.stride, p.pad),
-            _out_hw(x.h, x.w, p.kernel, p.stride, p.pad))
-
-
 def _group_slices(p: ConvParams):
     """Per group: its slice of output (and weight-matrix) rows and its
-    slice of patch-matrix rows."""
+    slice of rows of the :func:`im2col_nd` patch matrix, whose rows are
+    channel-major, so each group's rows are contiguous."""
     cout_g = p.out_channels // p.groups
     rows_g = p.in_channels // p.groups * p.kernel[0] * p.kernel[1]
     return [(slice(gi * cout_g, (gi + 1) * cout_g),
@@ -92,13 +86,15 @@ def _group_slices(p: ConvParams):
             for gi in range(p.groups)]
 
 
-def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
-                  p: ConvParams, gemm, saved) -> Tensor:
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                  p: ConvParams, gemm, saved) -> np.ndarray:
     """Both forward kernels: ``gemm(weight rows, patch rows)`` per group
-    into one (out_channels, n*Ho*Wo) buffer, then back to NCHW with any
-    bias added.  With one group the gemm result is that buffer.  A
-    ``saved`` dict receives the patch matrix and the input shape."""
-    cols, (ho, wo) = _patches(x, p)
+    into one (out_channels, n*Ho*Wo) buffer, then one copy back to NCHW,
+    to which any bias is added.  With one group the gemm result is that
+    buffer.  A ``saved`` dict receives the :func:`im2col_nd` patch matrix
+    and the input shape."""
+    cols = im2col_nd(x, p.kernel, p.stride, p.pad)
+    ho, wo = _out_hw(*x.shape[2:], p.kernel, p.stride, p.pad)
     if saved is not None:
         saved["cols"], saved["in_shape"] = cols, x.shape
     wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
@@ -108,29 +104,31 @@ def _conv_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
         out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
         for o, r in _group_slices(p):
             out[o] = gemm(wmat[o], cols[r])
-    out = out.reshape(p.out_channels, x.n, ho, wo).transpose(1, 0, 2, 3)
+    out = np.ascontiguousarray(
+        out.reshape(p.out_channels, x.shape[0], ho, wo).transpose(1, 0, 2, 3))
     if bias is not None:
-        out = out + bias.astype(x.dtype, copy=False)[None, :, None, None]
-    return Tensor(out)
+        out += bias.astype(x.dtype, copy=False)[None, :, None, None]
+    return out
 
 
-def conv2d_forward(x: Tensor, weight: np.ndarray, bias: np.ndarray | None,
-                   params: ConvParams, saved: dict | None = None) -> Tensor:
+def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                   params: ConvParams,
+                   saved: dict | None = None) -> np.ndarray:
     """im2col + gemm convolution; groups split channels into independent
     slices.  A ``saved`` dict receives the state :func:`conv2d_backward`
     reads."""
-    if x.c != params.in_channels:
-        raise ConfigError(
-            f"input has {x.c} channels, conv expects {params.in_channels}")
+    if x.shape[1] != params.in_channels:
+        raise ConfigError(f"input has {x.shape[1]} channels, conv expects "
+                          f"{params.in_channels}")
     if tuple(weight.shape) != params.weight_shape:
         raise ShapeError(
             f"weight shape {weight.shape} != expected {params.weight_shape}")
     return _conv_forward(x, weight, bias, params, mm, saved)
 
 
-def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
+def conv2d_grouped_forward(x: np.ndarray, weight: np.ndarray,
                            bias: np.ndarray | None, p: ConvParams,
-                           saved: dict | None = None) -> Tensor:
+                           saved: dict | None = None) -> np.ndarray:
     """Grouped convolution as two gemms per group over one im2col.
 
     Each group's inner dimension is split in two at half its input
@@ -146,7 +144,7 @@ def conv2d_grouped_forward(x: Tensor, weight: np.ndarray,
     return _conv_forward(x, weight, bias, p, two_gemms, saved)
 
 
-def conv2d_backward(grad_out: Tensor, saved: dict, weight: np.ndarray,
+def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
                     params: ConvParams):
     """Exact reverse-mode gradients of :func:`conv2d_forward`, from the
     ``saved`` dict its forward filled (patch matrix and input shape).
@@ -161,31 +159,31 @@ def conv2d_backward(grad_out: Tensor, saved: dict, weight: np.ndarray,
     if grad_out.shape != want:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
                          f"{want}")
-    go = grad_out.data.transpose(1, 0, 2, 3).reshape(cout, -1)
+    go = grad_out.transpose(1, 0, 2, 3).reshape(cout, -1)
     wmat = weight.reshape(cout, -1).astype(cols.dtype, copy=False)
     grad_w = np.empty(wmat.shape, dtype=cols.dtype)
     grad_cols = np.empty_like(cols)
     for o, r in _group_slices(params):
         grad_w[o] = mm(go[o], cols[r].T)
         grad_cols[r] = mm(wmat[o].T, go[o])
-    grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
-                       params.pad)
-    grad_b = grad_out.data.sum(axis=(0, 2, 3)) if params.has_bias else None
-    return Tensor(grad_x), grad_w.reshape(weight.shape), grad_b
+    grad_x = np.ascontiguousarray(col2im_nd(
+        grad_cols, in_shape, params.kernel, params.stride, params.pad))
+    grad_b = grad_out.sum(axis=(0, 2, 3)) if params.has_bias else None
+    return grad_x, grad_w.reshape(weight.shape), grad_b
 
 
-def input_replicate(x: Tensor, m: int) -> Tensor:
+def input_replicate(x: np.ndarray, m: int) -> np.ndarray:
     """Tile the channel block m times: (n,c,h,w) -> (n, m*c, h, w)."""
     if m < 1:
         raise ShapeError("replication factor must be >= 1")
-    return Tensor(np.concatenate([x.data] * m, axis=1))
+    return np.concatenate([x] * m, axis=1)
 
 
-def input_replicate_backward(grad_out: Tensor, m: int) -> Tensor:
-    if grad_out.c % m:
-        raise ShapeError(f"{grad_out.c} channels not divisible by m={m}")
+def input_replicate_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
     n, c, h, w = grad_out.shape
-    return Tensor(grad_out.data.reshape(n, m, c // m, h, w).sum(axis=1))
+    if c % m:
+        raise ShapeError(f"{c} channels not divisible by m={m}")
+    return grad_out.reshape(n, m, c // m, h, w).sum(axis=1)
 
 
 def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
@@ -203,8 +201,8 @@ def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
     return np.stack(_window_slices(x, kernel, stride, pad, fill), axis=2)
 
 
-def pool2d(x: Tensor, kind: str, kernel, stride, pad,
-           saved: dict | None = None) -> Tensor:
+def pool2d(x: np.ndarray, kind: str, kernel, stride, pad,
+           saved: dict | None = None) -> np.ndarray:
     """Per-window max or mean; mean divides by the full window size
     (padded zeros count toward the divisor).  A ``saved`` dict receives the
     input shape and, for max pool, the argmax of each window as ``arg`` in
@@ -220,7 +218,7 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
     if saved is not None:
         saved["in_shape"] = x.shape
     if kind == "max":
-        wins = _pool_windows(x.data, kernel, stride, pad, -np.inf)
+        wins = _pool_windows(x, kernel, stride, pad, -np.inf)
         out = wins.max(axis=2)
         if saved is not None:
             # wins.argmax(axis=2): the first offset holding the maximum, or
@@ -229,9 +227,9 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
             hit = (wins == out[:, :, None]) | np.isnan(wins)
             saved["arg"] = hit.argmax(axis=2).astype(
                 np.min_scalar_type(kernel[0] * kernel[1] - 1))
-        return Tensor(out)
+        return out
     if kind == "avg":
-        wins = _window_slices(x.data, kernel, stride, pad, 0.0)
+        wins = _window_slices(x, kernel, stride, pad, 0.0)
         if wins[0].shape[2:] == (1, 1):
             out = np.stack(wins, axis=2).sum(axis=2)
         else:
@@ -239,12 +237,12 @@ def pool2d(x: Tensor, kind: str, kernel, stride, pad,
             for win in wins[1:]:
                 out += win
         out /= np.asarray(kernel[0] * kernel[1], dtype=x.dtype)
-        return Tensor(out)
+        return out
     raise ShapeError(f"unknown pool kind {kind!r}")
 
 
-def pool2d_backward(grad_out: Tensor, saved: dict, kind: str, kernel,
-                    stride, pad) -> Tensor:
+def pool2d_backward(grad_out: np.ndarray, saved: dict, kind: str, kernel,
+                    stride, pad) -> np.ndarray:
     """Scatter the window gradients back through :func:`col2im_nd`, from the
     ``saved`` dict :func:`pool2d` filled; they are built as its (c, kh*kw,
     n, Ho, Wo) patch matrix."""
@@ -255,7 +253,7 @@ def pool2d_backward(grad_out: Tensor, saved: dict, kind: str, kernel,
     if grad_out.shape != (n, c, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
                          f"{(n, c, ho, wo)}")
-    go = grad_out.data.transpose(1, 0, 2, 3)[:, None]
+    go = grad_out.transpose(1, 0, 2, 3)[:, None]
     if kind == "max":
         gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
         np.put_along_axis(gcols, saved["arg"].transpose(1, 0, 2, 3)[:, None],
@@ -265,10 +263,11 @@ def pool2d_backward(grad_out: Tensor, saved: dict, kind: str, kernel,
                                 (c, kk, n, ho, wo))
     else:
         raise ShapeError(f"unknown pool kind {kind!r}")
-    return Tensor(col2im_nd(gcols, in_shape, kernel, stride, pad))
+    return np.ascontiguousarray(col2im_nd(gcols, in_shape, kernel, stride,
+                                          pad))
 
 
-def _bn_normalize(x: Tensor):
+def _bn_normalize(x: np.ndarray):
     """Batch statistics per channel over (n, h, w), in x's dtype: (mean,
     var, 1/sigma, x-hat).
 
@@ -277,17 +276,16 @@ def _bn_normalize(x: Tensor):
     ``np.mean`` and ``np.var``; then the same buffer is scaled in place by
     1/sigma into x-hat.
     """
-    data = x.data
-    mean = data.mean(axis=(0, 2, 3))
-    xhat = data - mean[None, :, None, None]
-    var = np.square(xhat).sum(axis=(0, 2, 3)) / (data.size // x.c)
+    mean = x.mean(axis=(0, 2, 3))
+    xhat = x - mean[None, :, None, None]
+    var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
     inv = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
     xhat *= inv[None, :, None, None]
     return mean, var, inv, xhat
 
 
-def batchnorm2d(x: Tensor, table, mode: str,
-                saved: dict | None = None) -> Tensor:
+def batchnorm2d(x: np.ndarray, table, mode: str,
+                saved: dict | None = None) -> np.ndarray:
     """Normalize per channel with the affine ``gamma``/``beta`` of a bn weight
     table.
 
@@ -299,9 +297,9 @@ def batchnorm2d(x: Tensor, table, mode: str,
     ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
     """
     gamma = table["gamma"]
-    if x.c != gamma.shape[0]:
-        raise ShapeError(
-            f"input has {x.c} channels, batch norm has {gamma.shape[0]}")
+    if x.shape[1] != gamma.shape[0]:
+        raise ShapeError(f"input has {x.shape[1]} channels, batch norm has "
+                         f"{gamma.shape[0]}")
     dt = x.dtype
     if mode == "train":
         mean, var, inv, xhat = _bn_normalize(x)
@@ -312,16 +310,16 @@ def batchnorm2d(x: Tensor, table, mode: str,
                                 + BN_MOMENTUM * stat.astype(np.float32))
         out = xhat * gamma.astype(dt)[None, :, None, None]
         out += table["beta"].astype(dt)[None, :, None, None]
-        return Tensor(out)
+        return out
     scale = gamma.astype(dt) / np.sqrt(table["running_var"].astype(dt)
                                        + np.asarray(BN_EPSILON, dtype=dt))
     shift = table["beta"].astype(dt) - table["running_mean"].astype(dt) * scale
-    out = x.data * scale[None, :, None, None]
+    out = x * scale[None, :, None, None]
     out += shift[None, :, None, None]
-    return Tensor(out)
+    return out
 
 
-def batchnorm2d_backward(grad_out: Tensor, saved: dict, table):
+def batchnorm2d_backward(grad_out: np.ndarray, saved: dict, table):
     """Gradients w.r.t. input, gamma, beta of a train-mode
     :func:`batchnorm2d`, from the 1/sigma and x-hat it put in ``saved``:
     ``grad_beta = sum(g)``, ``grad_gamma = sum(g * x-hat)`` and
@@ -330,97 +328,97 @@ def batchnorm2d_backward(grad_out: Tensor, saved: dict, table):
     inv, xhat = saved["inv"], saved["xhat"]
     if grad_out.shape != xhat.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input {xhat.shape}")
-    go = grad_out.data
-    m = go.size // grad_out.c
-    grad_beta = go.sum(axis=(0, 2, 3))
-    grad_x = go * xhat
+    m = grad_out.size // grad_out.shape[1]
+    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    grad_x = grad_out * xhat
     grad_gamma = grad_x.sum(axis=(0, 2, 3))
     # grad_x is rebuilt in the buffer that held g * x-hat
     np.multiply(xhat, (grad_gamma / m)[None, :, None, None], out=grad_x)
     grad_x += (grad_beta / m)[None, :, None, None]
-    np.subtract(go, grad_x, out=grad_x)
+    np.subtract(grad_out, grad_x, out=grad_x)
     grad_x *= (table["gamma"].astype(xhat.dtype) * inv)[None, :, None, None]
-    return Tensor(grad_x), grad_gamma, grad_beta
+    return grad_x, grad_gamma, grad_beta
 
 
-def relu(x: Tensor, saved: dict | None = None) -> Tensor:
+def relu(x: np.ndarray, saved: dict | None = None) -> np.ndarray:
     """max(x, 0); a ``saved`` dict receives the sign mask ``x > 0`` that
     :func:`relu_backward` reads."""
     if saved is not None:
-        saved["mask"] = x.data > 0
-    return Tensor(np.maximum(x.data, 0))
+        saved["mask"] = x > 0
+    return np.maximum(x, 0)
 
 
-def relu_backward(grad_out: Tensor, saved: dict) -> Tensor:
+def relu_backward(grad_out: np.ndarray, saved: dict) -> np.ndarray:
     mask = saved["mask"]
     if grad_out.shape != mask.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input {mask.shape}")
-    return Tensor(grad_out.data * mask)
+    return grad_out * mask
 
 
-def channel_concat(inputs) -> Tensor:
+def channel_concat(inputs) -> np.ndarray:
     inputs = list(inputs)
     if not inputs:
         raise ShapeError("concat needs at least one input")
-    ref = inputs[0]
+    ref = inputs[0].shape
     for t in inputs[1:]:
-        if (t.n, t.h, t.w) != (ref.n, ref.h, ref.w):
+        if t.shape[:1] + t.shape[2:] != ref[:1] + ref[2:]:
             raise ShapeError(
-                f"concat mismatch: {t.shape} vs {ref.shape} (batch/spatial)")
-    return Tensor(np.concatenate([t.data for t in inputs], axis=1))
+                f"concat mismatch: {t.shape} vs {ref} (batch/spatial)")
+    return np.concatenate(inputs, axis=1)
 
 
-def channel_concat_backward(grad_out: Tensor, channel_counts):
+def channel_concat_backward(grad_out: np.ndarray, channel_counts):
     grads = []
     off = 0
     for c in channel_counts:
-        grads.append(Tensor(grad_out.data[:, off:off + c].copy()))
+        grads.append(grad_out[:, off:off + c].copy())
         off += c
-    if off != grad_out.c:
+    if off != grad_out.shape[1]:
         raise ShapeError("concat backward channel counts do not sum up")
     return grads
 
 
-def channel_block_sum(x: Tensor, m: int) -> Tensor:
+def channel_block_sum(x: np.ndarray, m: int) -> np.ndarray:
     """Sum the m channel blocks: (n, m*c, h, w) -> (n, c, h, w)."""
-    if x.c % m:
-        raise ShapeError(f"{x.c} channels not divisible by m={m}")
     n, c, h, w = x.shape
-    return Tensor(x.data.reshape(n, m, c // m, h, w).sum(axis=1))
+    if c % m:
+        raise ShapeError(f"{c} channels not divisible by m={m}")
+    return x.reshape(n, m, c // m, h, w).sum(axis=1)
 
 
-def channel_block_sum_backward(grad_out: Tensor, m: int) -> Tensor:
-    return Tensor(np.concatenate([grad_out.data] * m, axis=1))
+def channel_block_sum_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
+    return np.concatenate([grad_out] * m, axis=1)
 
 
-def global_avg_pool(x: Tensor) -> Tensor:
-    return Tensor(x.data.mean(axis=(2, 3), keepdims=True))
+def global_avg_pool(x: np.ndarray) -> np.ndarray:
+    return x.mean(axis=(2, 3), keepdims=True)
 
 
-def global_avg_pool_backward(grad_out: Tensor, in_shape) -> Tensor:
+def global_avg_pool_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
     scale = np.asarray(in_shape[2] * in_shape[3], dtype=grad_out.dtype)
-    return Tensor(np.broadcast_to(grad_out.data / scale, in_shape).copy())
+    return np.broadcast_to(grad_out / scale, in_shape).copy()
 
 
-def linear(x: Tensor, weight: np.ndarray, bias: np.ndarray) -> Tensor:
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Fully connected head on (n, c, 1, 1) features."""
-    if x.h != 1 or x.w != 1:
+    n, c, h, w = x.shape
+    if h != 1 or w != 1:
         raise ShapeError(f"linear expects 1x1 spatial input, got {x.shape}")
-    if weight.shape[1] != x.c:
+    if weight.shape[1] != c:
         raise ShapeError(
-            f"linear weight expects {weight.shape[1]} features, got {x.c}")
-    out = mm(x.data.reshape(x.n, x.c), weight.T.astype(x.dtype, copy=False))
+            f"linear weight expects {weight.shape[1]} features, got {c}")
+    out = mm(x.reshape(n, c), weight.T.astype(x.dtype, copy=False))
     out = out + bias.astype(x.dtype, copy=False)[None, :]
-    return Tensor(out[:, :, None, None])
+    return out[:, :, None, None]
 
 
-def linear_backward(grad_out: Tensor, x: Tensor, weight: np.ndarray):
-    go = grad_out.data.reshape(grad_out.n, grad_out.c)
-    xin = x.data.reshape(x.n, x.c)
+def linear_backward(grad_out: np.ndarray, x: np.ndarray, weight: np.ndarray):
+    go = grad_out.reshape(grad_out.shape[:2])
+    xin = x.reshape(x.shape[:2])
     grad_w = mm(go.T, xin)
     grad_b = go.sum(axis=0)
     grad_x = mm(go, weight.astype(x.dtype, copy=False))
-    return Tensor(grad_x[:, :, None, None]), grad_w, grad_b
+    return grad_x[:, :, None, None], grad_w, grad_b
 
 
 def softmax_cross_entropy(logits: Tensor, labels):
@@ -430,7 +428,7 @@ def softmax_cross_entropy(logits: Tensor, labels):
     Returns (loss, grad_logits) where grad = (softmax - onehot) / n.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.n, logits.c
+    n, k = logits.shape[:2]
     if labels.shape != (n,):
         raise LabelError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= k:
@@ -447,4 +445,4 @@ def softmax_cross_entropy(logits: Tensor, labels):
     grad = p.copy()
     grad[rows, labels] -= 1
     grad /= n
-    return loss, Tensor(grad.astype(logits.dtype)[:, :, None, None])
+    return loss, Tensor(grad[:, :, None, None])

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import ConfigError, PlanError
-from .graph import Graph, PlanStep, reinit_weights, run_steps
+from .graph import Graph, PlanStep, _array_of, reinit_weights, run_steps
 from .ops import ConvParams
 from .tensor import Tensor, tensor_create
 
@@ -138,10 +138,11 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
-    """Run a plan in inference mode; tensors are freed at last use."""
+    """Run a plan in inference mode; arrays are freed at last use."""
     weights = weights if weights is not None else p.graph.weights
-    out, _ = run_steps(p, x, weights, "eval", error=PlanError)
-    return out
+    out, _ = run_steps(p, _array_of(x, PlanError), weights, "eval",
+                       error=PlanError)
+    return Tensor(out)
 
 
 @dataclass

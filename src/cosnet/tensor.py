@@ -1,8 +1,13 @@
 """Dense 4-D tensors and the two primitive kernels everything else is built on.
 
-Storage is 32-bit float in n-major (then channel, row, col) order.  A tensor
-is immutable from the caller's perspective: every operation allocates its
-output.  :func:`mm` has a documented accumulation order: the fast path is a
+Storage is 32-bit float in n-major (then channel, row, col) order.
+:class:`Tensor` is the validated type of the package's boundary: what a
+caller passes to ``graph_forward``, ``graph_backward`` and
+``runtime.execute`` and gets back from them.  Inside, the kernels, the
+layer table and the interpreter pass plain C-contiguous arrays, and no op
+writes into an array it did not allocate (train-mode batch norm's running
+statistics, in the weight table, are the one documented exception).
+:func:`mm` has a documented accumulation order: the fast path is a
 single BLAS call; deterministic mode (``COSNET_DETERMINISTIC=1`` or
 :func:`set_deterministic`) forces a strictly sequential reduction over the
 inner dimension: every output element is ``((0 + p0) + p1) + ...`` with its
@@ -62,7 +67,8 @@ def _check_shape(shape):
 
 
 class Tensor:
-    """A dense n×c×h×w array of 32-bit floats (64-bit allowed for checking)."""
+    """A dense n×c×h×w array of 32-bit floats (64-bit allowed for checking):
+    4-D, every dimension >= 1, C-contiguous."""
 
     __slots__ = ("data",)
 
@@ -80,28 +86,6 @@ class Tensor:
     @property
     def n(self):
         return self.data.shape[0]
-
-    @property
-    def c(self):
-        return self.data.shape[1]
-
-    @property
-    def h(self):
-        return self.data.shape[2]
-
-    @property
-    def w(self):
-        return self.data.shape[3]
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -253,10 +237,10 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def elementwise(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Pointwise sum of two same-shape tensors (``op`` must be "add")."""
+def elementwise(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise sum of two same-shape arrays (``op`` must be "add")."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
     if op == "add":
-        return Tensor(a.data + b.data)
+        return a + b
     raise ShapeError(f"unknown elementwise op {op!r}")

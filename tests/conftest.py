@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cosnet.graph import LayerNode
+from cosnet.runtime import INPUT_ID
 from cosnet.tensor import deterministic_enabled, set_deterministic
 
 
@@ -38,3 +40,16 @@ def max_rel_err(analytic, numeric):
     n = np.asarray(numeric, dtype=np.float64).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)
     return float((np.abs(a - n) / denom).max())
+
+
+class PlanAsGraph:
+    """A plan seen as a graph (``order`` and ``node``), the way the
+    benchmark's byte tracker walks plan steps with ``infer_shapes``."""
+
+    def __init__(self, p):
+        self.order = [INPUT_ID] + [s.id for s in p.steps]
+        self._steps = {s.id: s for s in p.steps}
+        self._steps[INPUT_ID] = LayerNode(INPUT_ID, "input", {}, (), "input")
+
+    def node(self, nid):
+        return self._steps[nid]

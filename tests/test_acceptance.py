@@ -119,7 +119,7 @@ def test_criterion_05_batched_unrolled_equivalence(capsys):
 def test_criterion_06_replication_vs_channel_split(capsys):
     m, c, n, hw = 2, 4, 3, 8
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(2, m * c, hw, hw)).astype(np.float32))
+    x = rng.normal(size=(2, m * c, hw, hw)).astype(np.float32)
     w_full = rng.normal(size=(m * n, m * c, 3, 3)).astype(np.float32)
 
     # replicated path: every column convolves the full input
@@ -134,7 +134,7 @@ def test_criterion_06_replication_vs_channel_split(capsys):
     cols = [conv2d_forward(x, w_full[gi * n:(gi + 1) * n], None, p_col)
             for gi in range(m)]
     y_cols = channel_concat(cols)
-    agree = float(np.abs(y_rep.data - y_cols.data).max())
+    agree = float(np.abs(y_rep - y_cols).max())
 
     # channel-split semantics: each column only sees its slice of x
     w_split = np.stack([w_full[gi * n + o, gi * c:(gi + 1) * c]
@@ -142,7 +142,7 @@ def test_criterion_06_replication_vs_channel_split(capsys):
     p_split = ConvParams(out_channels=m * n, in_channels=m * c,
                          kernel=(3, 3), pad=(1, 1), groups=m)
     y_split = conv2d_forward(x, w_split, None, p_split)
-    differ = float(np.abs(y_rep.data - y_split.data).max())
+    differ = float(np.abs(y_rep - y_split).max())
 
     _emit(capsys, 6, "replication vs channel-split group conv",
           agree <= 1e-5 and differ > 1e-3,

@@ -1,10 +1,14 @@
+import pickle
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import PlanAsGraph
 from cosnet import graph as graphmod
 from cosnet import ops
+from cosnet.analysis import count_flops, emit_report
 from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError
 from cosnet.graph import (OPS, GraphBuilder, _activation_signature,
@@ -58,6 +62,33 @@ def _branch_graph(widths, seed=0):
     return b.freeze(b.add("output", [fc], "output"), seed=seed)
 
 
+def _every_kind_graph():
+    """One node of every kind, named after its role (the output node keeps
+    its default name)."""
+    b = GraphBuilder()
+    x = b.add("input")
+    c = b.add("conv", [x], "c", params=ConvParams(
+        out_channels=2, in_channels=2, kernel=(3, 3), pad=(1, 1)))
+    r = b.add("relu", [c], "r")
+    pa = b.add("pool_avg", [r], "pa", kernel=(2, 2), stride=(2, 2),
+               pad=(0, 0))
+    pm = b.add("pool_max", [r], "pm", kernel=(2, 2), stride=(2, 2),
+               pad=(0, 0))
+    a = b.add("add", [pa, pm], "a")
+    bn = b.add("bn", [a], "bn", channels=2)
+    ir = b.add("ir", [bn], "ir", m=2)
+    cg = b.add("conv_grouped", [ir], "cg", params=ConvParams(
+        out_channels=4, in_channels=4, groups=2))
+    bs = b.add("block_sum", [cg], "bs", m=2)
+    sl = b.add("slice", [ir], "sl", start=1, stop=3)
+    cat = b.add("concat", [bs, sl], "cat")
+    gp = b.add("gap", [cat], "gap")
+    fc = b.add("linear", [gp], "fc", in_features=4, out_features=3)
+    g = b.freeze(b.add("output", [fc]), seed=0)
+    assert {s.kind for s in g.steps} == set(OPS) - {"input"}
+    return g
+
+
 class _PoolSpy(ThreadPoolExecutor):
     """A ThreadPoolExecutor that records the worker count of each pool."""
     started: list = []
@@ -103,6 +134,13 @@ class TestBuilder:
         b.add("input")
         with pytest.raises(GraphError):
             b.freeze(1)
+
+    @pytest.mark.parametrize("output_id", [99, -1, "a"])
+    def test_output_id_must_name_a_node(self, output_id):
+        b = GraphBuilder()
+        b.add("relu", [b.add("input")])
+        with pytest.raises(GraphError, match="names no node"):
+            b.freeze(output_id)
 
     def test_duplicate_names_disambiguated(self):
         b = GraphBuilder()
@@ -225,6 +263,14 @@ class TestShapes:
         with pytest.raises(GraphError, match="c1"):
             infer_shapes(g, (1, 5, 8, 8))
 
+    @pytest.mark.parametrize("fn", [infer_shapes, describe, count_flops,
+                                    emit_report])
+    @pytest.mark.parametrize("shape", [(2, 8, 8), (0, 2, 8, 8)])
+    def test_malformed_input_shape_refused(self, fn, shape):
+        with pytest.raises(GraphError, match=r"\(input\): (expected 4-D "
+                           r"shape|all dimensions must be >= 1), got"):
+            fn(_chain_graph(), shape)
+
 
 class TestForwardBackward:
     def test_eval_has_no_tape(self):
@@ -263,6 +309,15 @@ class TestForwardBackward:
         g = _chain_graph()
         with pytest.raises(GraphError):
             graph_forward(g, tensor_create((1, 2, 4, 4)), mode="predict")
+
+    def test_boundary_takes_only_tensors(self):
+        g = _chain_graph()
+        x = tensor_create((2, 2, 6, 6), "uniform", seed=1)
+        with pytest.raises(GraphError, match="expected a Tensor"):
+            graph_forward(g, x.data, mode="train")
+        out, tape = graph_forward(g, x, mode="train")
+        with pytest.raises(GraphError, match="expected a Tensor"):
+            graph_backward(g, tape, np.ones(out.shape, np.float32))
 
 
 def _mini_pff(columns, seed=0):
@@ -342,60 +397,42 @@ class TestBackwardOverPlans:
         what its backward reads: relu its sign mask, max pool its window
         argmax, average pool and gap their input shape, add its input
         count, concat and slice channel counts.  Only linear keeps an
-        input tensor."""
-        b = GraphBuilder()
-        x = b.add("input")
-        c = b.add("conv", [x], "c", params=ConvParams(
-            out_channels=2, in_channels=2, kernel=(3, 3), pad=(1, 1)))
-        r = b.add("relu", [c], "r")
-        pa = b.add("pool_avg", [r], "pa", kernel=(2, 2), stride=(2, 2),
-                   pad=(0, 0))
-        pm = b.add("pool_max", [r], "pm", kernel=(2, 2), stride=(2, 2),
-                   pad=(0, 0))
-        a = b.add("add", [pa, pm], "a")
-        bn = b.add("bn", [a], "bn", channels=2)
-        ir = b.add("ir", [bn], "ir", m=2)
-        cg = b.add("conv_grouped", [ir], "cg", params=ConvParams(
-            out_channels=4, in_channels=4, groups=2))
-        bs = b.add("block_sum", [cg], "bs", m=2)
-        sl = b.add("slice", [ir], "sl", start=1, stop=3)
-        cat = b.add("concat", [bs, sl], "cat")
-        gp = b.add("gap", [cat], "gap")
-        fc = b.add("linear", [gp], "fc", in_features=4, out_features=3)
-        out_id = b.add("output", [fc])
-        g = b.freeze(out_id, seed=0)
-        assert {s.kind for s in g.steps} == set(OPS) - {"input"}
+        input array, and no entry holds a Tensor."""
+        g = _every_kind_graph()
+        ids = {g.node(n).name: n for n in g.order}
+        c, r, pa, pm, a, bn, ir, cg, bs, sl, cat, gp, fc = (
+            ids[name] for name in ("c", "r", "pa", "pm", "a", "bn", "ir",
+                                   "cg", "bs", "sl", "cat", "gap", "fc"))
         xt = tensor_create((2, 2, 6, 6), "uniform", seed=1, lo=-1, hi=1)
         out, tape = graph_forward(g, xt, mode="train")
         assert set(tape) == {s.id for s in g.steps}
         for s in g.steps:
-            for key, value in tape[s.id].items():
-                assert (not isinstance(value, Tensor)
-                        or (s.id, key) == (fc, "x"))
-        conv_out = ops.conv2d_forward(xt, g.weights[c]["weight"], None,
+            for value in tape[s.id].values():
+                assert not isinstance(value, Tensor)
+        conv_out = ops.conv2d_forward(xt.data, g.weights[c]["weight"], None,
                                       g.node(c).config["params"])
-        relu_out = np.maximum(conv_out.data, 0)
+        relu_out = np.maximum(conv_out, 0)
         arg = ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
                                 -np.inf).argmax(axis=2)
         assert set(tape[c]) == set(tape[cg]) == {"cols", "in_shape"}
         assert set(tape[bn]) == {"inv", "xhat"}
         assert set(tape[r]) == {"mask"}
         assert tape[r]["mask"].dtype == np.bool_
-        assert np.array_equal(tape[r]["mask"], conv_out.data > 0)
+        assert np.array_equal(tape[r]["mask"], conv_out > 0)
         assert tape[pa] == {"in_shape": (2, 2, 6, 6)}
         assert set(tape[pm]) == {"in_shape", "arg"}
         assert tape[pm]["in_shape"] == (2, 2, 6, 6)
         assert tape[pm]["arg"].dtype == np.uint8
         assert np.array_equal(tape[pm]["arg"], arg)
         assert tape[a] == {"count": 2}
-        assert tape[ir] == tape[bs] == tape[out_id] == {}
+        assert tape[ir] == tape[bs] == tape[g.output_id] == {}
         assert tape[sl] == {"channels": 4}
         assert tape[cat] == {"channels": [2, 2]}
         assert tape[gp] == {"in_shape": (2, 4, 3, 3)}
         assert set(tape[fc]) == {"x"} and tape[fc]["x"].shape == (2, 4, 1, 1)
         # the kink signature reads the relu mask and the max-pool argmax as
         # it read the relu input
-        want = (np.packbits(conv_out.data > 0).tobytes()
+        want = (np.packbits(conv_out > 0).tobytes()
                 + arg.astype(np.uint8).tobytes())
         assert _activation_signature(g, tape) == want
         grads, gin = graph_backward(g, tape, Tensor(np.ones(out.shape,
@@ -403,6 +440,65 @@ class TestBackwardOverPlans:
         assert gin.shape == xt.shape
         assert set(grads) == set(g.weights)
         assert not tape
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("program", ["every_kind", "mini_m3_batched"])
+    def test_steps_keep_the_array_invariants(self, program, mode,
+                                             monkeypatch):
+        """Every step output and every input gradient is a C-contiguous
+        float32 array of the shape infer_shapes gives; no forward writes
+        into its inputs, and no backward into its grad_out or its saved
+        entry."""
+        if program == "every_kind":
+            g, shape = _every_kind_graph(), (2, 2, 6, 6)
+            p, shapes = g, infer_shapes(g, shape)
+        else:
+            g, shape = build_mini_network(columns=3, seed=0), (2, 3, 32, 32)
+            p = g.batched_plan()
+            shapes = infer_shapes(PlanAsGraph(p), shape)
+        steps = iter(p.steps)   # run_steps runs each step's forward in order
+        step_of = {}            # id of a saved dict -> its step
+        backwards = []
+
+        def check(arr, want, name):
+            assert isinstance(arr, np.ndarray), name
+            assert arr.flags.c_contiguous, name
+            assert (arr.dtype, arr.shape) == (np.float32, want), name
+
+        def spy(op):
+            def forward(cfg, ins, table, saved):
+                s = next(steps)
+                before = pickle.dumps(ins)
+                out = op.forward(cfg, ins, table, saved)
+                assert pickle.dumps(ins) == before, s.name
+                check(out, shapes[s.id], s.name)
+                step_of[id(saved)] = s
+                return out
+
+            def backward(cfg, grad_out, saved, table):
+                s = step_of[id(saved)]
+                before = pickle.dumps((grad_out, saved))
+                in_grads, pgrads = op.backward(cfg, grad_out, saved, table)
+                assert pickle.dumps((grad_out, saved)) == before, s.name
+                assert len(in_grads) == len(s.inputs), s.name
+                for src, gin in zip(s.inputs, in_grads):
+                    check(gin, shapes[src], s.name)
+                backwards.append(s.id)
+                return in_grads, pgrads
+
+            return replace(op, forward=forward, backward=backward)
+
+        for kind, op in list(OPS.items()):
+            monkeypatch.setitem(OPS, kind, spy(op))
+        x = tensor_create(shape, "uniform", seed=1, lo=-1, hi=1)
+        weights = g.copy_weights()
+        out, tape = graph_forward(p, x, mode=mode, weights=weights)
+        assert next(steps, None) is None
+        if mode == "train":
+            _, gin = graph_backward(p, tape, tensor_create(out.shape, "ones"),
+                                    weights=weights)
+            assert sorted(backwards) == sorted(s.id for s in p.steps)
+            assert gin.shape == shape
 
     def test_tape_serves_one_backward(self):
         g = _chain_graph()

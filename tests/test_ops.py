@@ -45,26 +45,26 @@ class TestConvForward:
     def test_matches_naive_dense(self):
         p = ConvParams(out_channels=3, in_channels=2, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1))
-        x = tensor_create((2, 2, 5, 5), "uniform", seed=0, lo=-1, hi=1)
+        x = tensor_create((2, 2, 5, 5), "uniform", seed=0, lo=-1, hi=1).data
         w = np.random.default_rng(1).normal(size=p.weight_shape)
         got = ops.conv2d_forward(x.astype(np.float64), w, None, p)
-        want = _naive_conv(x.data.astype(np.float64), w, p)
-        assert np.allclose(got.data, want, atol=1e-10)
+        want = _naive_conv(x.astype(np.float64), w, p)
+        assert np.allclose(got, want, atol=1e-10)
 
     def test_matches_naive_grouped(self):
         p = ConvParams(out_channels=4, in_channels=6, kernel=(3, 3),
                        stride=(1, 1), pad=(1, 1), groups=2)
-        x = tensor_create((1, 6, 4, 4), "uniform", seed=2, lo=-1, hi=1)
+        x = tensor_create((1, 6, 4, 4), "uniform", seed=2, lo=-1, hi=1).data
         w = np.random.default_rng(3).normal(size=p.weight_shape)
         got = ops.conv2d_forward(x.astype(np.float64), w, None, p)
-        want = _naive_conv(x.data.astype(np.float64), w, p)
-        assert np.allclose(got.data, want, atol=1e-10)
+        want = _naive_conv(x.astype(np.float64), w, p)
+        assert np.allclose(got, want, atol=1e-10)
 
     def test_grouped_equals_stacked_independent_convs(self):
         g = 3
         p = ConvParams(out_channels=6, in_channels=9, kernel=(3, 3),
                        pad=(1, 1), groups=g)
-        x = tensor_create((2, 9, 5, 5), "uniform", seed=4)
+        x = tensor_create((2, 9, 5, 5), "uniform", seed=4).data
         w = np.random.default_rng(5).normal(size=p.weight_shape) \
             .astype(np.float32)
         whole = ops.conv2d_forward(x, w, None, p)
@@ -72,24 +72,24 @@ class TestConvForward:
                          pad=(1, 1))
         parts = []
         for gi in range(g):
-            xs = Tensor(x.data[:, 3 * gi:3 * gi + 3].copy())
+            xs = x[:, 3 * gi:3 * gi + 3].copy()
             parts.append(ops.conv2d_forward(xs, w[2 * gi:2 * gi + 2],
                                             None, sub))
-        assert np.array_equal(whole.data, ops.channel_concat(parts).data)
+        assert np.array_equal(whole, ops.channel_concat(parts))
 
     def test_bias(self):
         p = ConvParams(out_channels=2, in_channels=1, has_bias=True)
-        x = tensor_create((1, 1, 2, 2), "ones")
+        x = tensor_create((1, 1, 2, 2), "ones").data
         w = np.ones(p.weight_shape, dtype=np.float32)
         b = np.array([1.0, -1.0], dtype=np.float32)
         out = ops.conv2d_forward(x, w, b, p)
-        assert np.array_equal(out.data[0, 0], np.full((2, 2), 2.0))
-        assert np.array_equal(out.data[0, 1], np.zeros((2, 2)))
+        assert np.array_equal(out[0, 0], np.full((2, 2), 2.0))
+        assert np.array_equal(out[0, 1], np.zeros((2, 2)))
 
     def test_channel_mismatch(self):
         p = ConvParams(out_channels=2, in_channels=3)
         with pytest.raises(ConfigError):
-            ops.conv2d_forward(tensor_create((1, 2, 2, 2)),
+            ops.conv2d_forward(tensor_create((1, 2, 2, 2)).data,
                                np.zeros(p.weight_shape, np.float32), None, p)
 
     def test_bad_group_divisibility(self):
@@ -109,31 +109,30 @@ class TestConvGroupedForward:
         p = ConvParams(out_channels=cout, in_channels=cin, kernel=(k, k),
                        stride=(stride, stride), pad=(k // 2, k // 2),
                        groups=g)
-        x = tensor_create((2, cin, 7, 7), "uniform", seed=6, lo=-1, hi=1)
+        x = tensor_create((2, cin, 7, 7), "uniform", seed=6, lo=-1, hi=1).data
         w = np.random.default_rng(7).normal(
             0.0, 0.5, size=p.weight_shape).astype(np.float32)
         got = ops.conv2d_grouped_forward(x, w, None, p)
         want = ops.conv2d_forward(x, w, None, p)
         assert got.shape == want.shape
-        assert float(np.abs(got.data - want.data).max()) < 1e-5
-        exact = _naive_conv(x.data.astype(np.float64), w.astype(np.float64),
-                            p)
-        assert float(np.abs(got.data - exact).max()) < 1e-5
+        assert float(np.abs(got - want).max()) < 1e-5
+        exact = _naive_conv(x.astype(np.float64), w.astype(np.float64), p)
+        assert float(np.abs(got - exact).max()) < 1e-5
 
     def test_bias(self):
         p = ConvParams(out_channels=4, in_channels=4, groups=2, has_bias=True)
-        x = tensor_create((1, 4, 2, 2), "ones")
+        x = tensor_create((1, 4, 2, 2), "ones").data
         w = np.ones(p.weight_shape, dtype=np.float32)
         b = np.array([1.0, -1.0, 0.0, 2.0], dtype=np.float32)
         out = ops.conv2d_grouped_forward(x, w, b, p)
-        assert np.array_equal(out.data[0, :, 0, 0], [3.0, 1.0, 2.0, 4.0])
+        assert np.array_equal(out[0, :, 0, 0], [3.0, 1.0, 2.0, 4.0])
 
     def test_two_gemms_per_group_through_mm(self, monkeypatch):
         # every gemm goes through tensor.mm, so deterministic mode gives the
         # sequential reduction inside the grouped kernel too
         p = ConvParams(out_channels=6, in_channels=12, kernel=(3, 3),
                        pad=(1, 1), groups=3)
-        x = tensor_create((2, 12, 5, 5), "uniform", seed=8, lo=-1, hi=1)
+        x = tensor_create((2, 12, 5, 5), "uniform", seed=8, lo=-1, hi=1).data
         w = np.random.default_rng(9).normal(size=p.weight_shape) \
             .astype(np.float32)
         seen = []
@@ -152,7 +151,7 @@ class TestConvGroupedForward:
         # inner dimension split at half the group's channels: 2*9 and 2*9
         assert seen == [((2, 18), True)] * 6
         # the sequential reduction, one half after the other
-        cols = im2col_nd(x.data, p.kernel, p.stride, p.pad)
+        cols = im2col_nd(x, p.kernel, p.stride, p.pad)
         assert cols.shape == (12 * 9, 2 * 5 * 5)
         want = np.empty((6, cols.shape[1]), dtype=np.float32)
         for gi in range(3):
@@ -166,7 +165,7 @@ class TestConvGroupedForward:
                 halves.append(acc)
             want[2 * gi:2 * gi + 2] = halves[0] + halves[1]
         want = want.reshape(6, 2, 5, 5).transpose(1, 0, 2, 3)
-        assert np.array_equal(det.data, want)
+        assert np.array_equal(det, want)
 
 
 class TestConvBackward:
@@ -174,24 +173,21 @@ class TestConvBackward:
         p = ConvParams(out_channels=2, in_channels=2, kernel=(3, 3),
                        pad=(1, 1), has_bias=True)
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        x = rng.normal(size=(1, 2, 4, 4))
         w = rng.normal(size=p.weight_shape)
         b = rng.normal(size=2)
-        go = Tensor(rng.normal(size=(1, 2, 4, 4)))
+        go = rng.normal(size=(1, 2, 4, 4))
 
         saved = {}
         ops.conv2d_forward(x, w, b, p, saved)
         gx, gw, gb = ops.conv2d_backward(go, saved, w, p)
         fx = numeric_grad(
-            lambda xx: float((ops.conv2d_forward(Tensor(xx), w, b, p).data
-                              * go.data).sum()), x.data)
+            lambda xx: float((ops.conv2d_forward(xx, w, b, p) * go).sum()), x)
         fw = numeric_grad(
-            lambda ww: float((ops.conv2d_forward(x, ww, b, p).data
-                              * go.data).sum()), w)
+            lambda ww: float((ops.conv2d_forward(x, ww, b, p) * go).sum()), w)
         fb = numeric_grad(
-            lambda bb: float((ops.conv2d_forward(x, w, bb, p).data
-                              * go.data).sum()), b)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda bb: float((ops.conv2d_forward(x, w, bb, p) * go).sum()), b)
+        assert max_rel_err(gx, fx) < 1e-3
         assert max_rel_err(gw, fw) < 1e-3
         assert max_rel_err(gb, fb) < 1e-3
 
@@ -199,111 +195,111 @@ class TestConvBackward:
         p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1), groups=2)
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(2, 4, 5, 5)))
+        x = rng.normal(size=(2, 4, 5, 5))
         w = rng.normal(size=p.weight_shape)
-        go = Tensor(rng.normal(size=(2, 4, 3, 3)))
+        go = rng.normal(size=(2, 4, 3, 3))
         saved = {}
         ops.conv2d_forward(x, w, None, p, saved)
         gx, gw, gb = ops.conv2d_backward(go, saved, w, p)
         assert gb is None
         fx = numeric_grad(
-            lambda xx: float((ops.conv2d_forward(Tensor(xx), w, None, p).data
-                              * go.data).sum()), x.data)
+            lambda xx: float((ops.conv2d_forward(xx, w, None, p)
+                              * go).sum()), x)
         fw = numeric_grad(
-            lambda ww: float((ops.conv2d_forward(x, ww, None, p).data
-                              * go.data).sum()), w)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda ww: float((ops.conv2d_forward(x, ww, None, p)
+                              * go).sum()), w)
+        assert max_rel_err(gx, fx) < 1e-3
         assert max_rel_err(gw, fw) < 1e-3
 
     def test_grad_shape_mismatch(self):
         p = ConvParams(out_channels=1, in_channels=1)
         w = np.zeros(p.weight_shape, np.float32)
         saved = {}
-        ops.conv2d_forward(tensor_create((1, 1, 2, 2)), w, None, p, saved)
+        ops.conv2d_forward(tensor_create((1, 1, 2, 2)).data, w, None, p, saved)
         with pytest.raises(ShapeError):
-            ops.conv2d_backward(tensor_create((1, 1, 3, 3)), saved, w, p)
+            ops.conv2d_backward(tensor_create((1, 1, 3, 3)).data, saved, w, p)
 
     @pytest.mark.parametrize("forward", [ops.conv2d_forward,
                                          ops.conv2d_grouped_forward])
     def test_saved_state_is_the_forward_patch_matrix(self, forward):
         p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1), groups=2)
-        x = tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1, hi=1)
+        x = tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1, hi=1).data
         saved = {}
         forward(x, np.ones(p.weight_shape, np.float32), None, p, saved)
         assert saved["in_shape"] == x.shape
         assert np.array_equal(saved["cols"],
-                              im2col_nd(x.data, p.kernel, p.stride, p.pad))
+                              im2col_nd(x, p.kernel, p.stride, p.pad))
 
 
 class TestInputReplicate:
     def test_tiles_channel_block(self):
-        x = tensor_create((1, 2, 2, 2), "uniform", seed=0)
+        x = tensor_create((1, 2, 2, 2), "uniform", seed=0).data
         y = ops.input_replicate(x, 3)
         assert y.shape == (1, 6, 2, 2)
         for m in range(3):
-            assert np.array_equal(y.data[:, 2 * m:2 * m + 2], x.data)
+            assert np.array_equal(y[:, 2 * m:2 * m + 2], x)
 
     def test_m1_is_copy(self):
-        x = tensor_create((1, 2, 2, 2), "uniform", seed=0)
+        x = tensor_create((1, 2, 2, 2), "uniform", seed=0).data
         y = ops.input_replicate(x, 1)
-        assert np.array_equal(y.data, x.data)
-        y.data[...] = 0
-        assert x.data.sum() != 0
+        assert np.array_equal(y, x)
+        y[...] = 0
+        assert x.sum() != 0
 
     def test_backward_sums_blocks(self):
-        go = Tensor(np.arange(12, dtype=np.float32).reshape(1, 6, 1, 2))
+        go = np.arange(12, dtype=np.float32).reshape(1, 6, 1, 2)
         gx = ops.input_replicate_backward(go, 3)
         assert gx.shape == (1, 2, 1, 2)
-        want = go.data[:, 0:2] + go.data[:, 2:4] + go.data[:, 4:6]
-        assert np.array_equal(gx.data, want)
+        want = go[:, 0:2] + go[:, 2:4] + go[:, 4:6]
+        assert np.array_equal(gx, want)
 
     def test_backward_divisibility(self):
         with pytest.raises(ShapeError):
-            ops.input_replicate_backward(tensor_create((1, 5, 2, 2)), 2)
+            ops.input_replicate_backward(tensor_create((1, 5, 2, 2)).data, 2)
 
 
 class TestPooling:
     def test_max_known(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
+        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         y = ops.pool2d(x, "max", (2, 2), (2, 2), (0, 0))
-        assert np.array_equal(y.data[0, 0], [[5, 7], [13, 15]])
+        assert np.array_equal(y[0, 0], [[5, 7], [13, 15]])
 
     def test_avg_fixed_divisor_with_padding(self):
-        x = tensor_create((1, 1, 2, 2), "ones")
+        x = tensor_create((1, 1, 2, 2), "ones").data
         y = ops.pool2d(x, "avg", (3, 3), (1, 1), (1, 1))
         # corner window covers 4 real pixels out of 9
-        assert abs(y.data[0, 0, 0, 0] - 4.0 / 9.0) < 1e-6
+        assert abs(y[0, 0, 0, 0] - 4.0 / 9.0) < 1e-6
 
     def test_max_padding_uses_neg_inf(self):
-        x = Tensor(np.full((1, 1, 2, 2), -5.0, dtype=np.float32))
+        x = np.full((1, 1, 2, 2), -5.0, dtype=np.float32)
         y = ops.pool2d(x, "max", (3, 3), (1, 1), (1, 1))
-        assert (y.data == -5.0).all()
+        assert (y == -5.0).all()
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_backward_finite_difference(self, kind):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(2, 2, 4, 4)))   # continuous: no ties
-        go = Tensor(rng.normal(size=(2, 2, 2, 2)))
+        x = rng.normal(size=(2, 2, 4, 4))   # continuous: no ties
+        go = rng.normal(size=(2, 2, 2, 2))
         saved = {}
         ops.pool2d(x, kind, (3, 3), (2, 2), (1, 1), saved)
         gx = ops.pool2d_backward(go, saved, kind, (3, 3), (2, 2), (1, 1))
         fx = numeric_grad(
-            lambda xx: float((ops.pool2d(Tensor(xx), kind, (3, 3), (2, 2),
-                                         (1, 1)).data * go.data).sum()),
-            x.data)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda xx: float((ops.pool2d(xx, kind, (3, 3), (2, 2),
+                                         (1, 1)) * go).sum()),
+            x)
+        assert max_rel_err(gx, fx) < 1e-3
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
     @pytest.mark.parametrize("go_shape", [(2, 2, 3, 3), (2, 3, 2, 2),
                                           (1, 2, 2, 2)])
     def test_backward_grad_shape_mismatch(self, kind, go_shape):
-        x = tensor_create((2, 2, 4, 4), "uniform", seed=0)
+        x = tensor_create((2, 2, 4, 4), "uniform", seed=0).data
         saved = {}
         ops.pool2d(x, kind, (3, 3), (2, 2), (1, 1), saved)
         with pytest.raises(ShapeError, match="forward output"):
-            ops.pool2d_backward(tensor_create(go_shape), saved, kind, (3, 3),
-                                (2, 2), (1, 1))
+            ops.pool2d_backward(tensor_create(go_shape).data, saved, kind,
+                                (3, 3), (2, 2), (1, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
@@ -326,7 +322,7 @@ class TestPooling:
         args = ((k, k), (s, s), (p, p))
         want = ops._pool_windows(x, *args, 0.0).sum(axis=2) \
             / np.asarray(k * k, dtype=dtype)
-        assert ops.pool2d(Tensor(x), "avg", *args).data.tobytes() == \
+        assert ops.pool2d(x, "avg", *args).tobytes() == \
             want.tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -350,7 +346,7 @@ class TestPooling:
         assert got.tobytes() == want.tobytes()
 
     def test_saved_state(self):
-        x = tensor_create((2, 3, 4, 4), "uniform", seed=0)
+        x = tensor_create((2, 3, 4, 4), "uniform", seed=0).data
         for kind, keys in (("avg", {"in_shape"}),
                            ("max", {"in_shape", "arg"})):
             saved = {}
@@ -372,12 +368,12 @@ class TestPooling:
             x[1, 2, 5, 1] = np.nan
         args = ((3, 3), (stride, stride), (1, 1))
         saved = {}
-        y = ops.pool2d(Tensor(x), "max", *args, saved)
+        y = ops.pool2d(x, "max", *args, saved)
         wins = ops._pool_windows(x, *args, -np.inf)
         assert saved["arg"].tobytes() == wins.argmax(axis=2).astype(
             np.uint8).tobytes()
-        assert np.array_equal(y.data, wins.max(axis=2), equal_nan=True)
-        assert np.isnan(y.data).any() == (case == "nan")
+        assert np.array_equal(y, wins.max(axis=2), equal_nan=True)
+        assert np.isnan(y).any() == (case == "nan")
 
     def test_max_backward_finite_difference_17x17(self):
         # 289 offsets per window: the saved argmax needs a uint16, and the
@@ -387,19 +383,18 @@ class TestPooling:
         x[:, :, 16:, 16:] += 10.0
         args = ((17, 17), (1, 1), (0, 0))
         saved = {}
-        y = ops.pool2d(Tensor(x), "max", *args, saved)
+        y = ops.pool2d(x, "max", *args, saved)
         assert saved["arg"].dtype == np.uint16
         assert (saved["arg"] > 255).all()
         go = rng.normal(size=y.shape)
-        gx = ops.pool2d_backward(Tensor(go), saved, "max", *args)
+        gx = ops.pool2d_backward(go, saved, "max", *args)
         fx = numeric_grad(
-            lambda xx: float((ops.pool2d(Tensor(xx), "max", *args).data
-                              * go).sum()), x)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda xx: float((ops.pool2d(xx, "max", *args) * go).sum()), x)
+        assert max_rel_err(gx, fx) < 1e-3
 
     def test_unknown_kind(self):
         with pytest.raises(ShapeError):
-            ops.pool2d(tensor_create((1, 1, 3, 3)), "median", (2, 2),
+            ops.pool2d(tensor_create((1, 1, 3, 3)).data, "median", (2, 2),
                        (1, 1), (0, 0))
 
 
@@ -411,12 +406,12 @@ def _bn_table(channels):
 class TestBatchNorm:
     def test_train_normalizes_and_updates_running(self):
         table = _bn_table(3)
-        x = tensor_create((4, 3, 5, 5), "uniform", seed=0, lo=2.0, hi=4.0)
+        x = tensor_create((4, 3, 5, 5), "uniform", seed=0, lo=2.0, hi=4.0).data
         y = ops.batchnorm2d(x, table, "train")
-        assert np.abs(y.data.mean(axis=(0, 2, 3))).max() < 1e-5
-        assert np.abs(y.data.var(axis=(0, 2, 3)) - 1).max() < 1e-3
+        assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-5
+        assert np.abs(y.var(axis=(0, 2, 3)) - 1).max() < 1e-3
         # momentum 0.1 blend from (0, 1) toward batch stats
-        batch_mean = x.data.mean(axis=(0, 2, 3))
+        batch_mean = x.mean(axis=(0, 2, 3))
         assert np.allclose(table["running_mean"], 0.1 * batch_mean,
                            atol=1e-6)
 
@@ -424,22 +419,23 @@ class TestBatchNorm:
         table = _bn_table(2)
         table["running_mean"][:] = [1.0, -1.0]
         table["running_var"][:] = [4.0, 4.0]
-        x = tensor_create((1, 2, 2, 2), "ones")
+        x = tensor_create((1, 2, 2, 2), "ones").data
         y = ops.batchnorm2d(x, table, "eval")
-        assert np.allclose(y.data[0, 0], 0.0, atol=1e-3)
-        assert np.allclose(y.data[0, 1], 1.0, atol=1e-3)
+        assert np.allclose(y[0, 0], 0.0, atol=1e-3)
+        assert np.allclose(y[0, 1], 1.0, atol=1e-3)
 
     def test_affine(self):
         table = _bn_table(1)
         table["gamma"][:] = 3.0
         table["beta"][:] = 1.0
-        x = tensor_create((1, 1, 2, 2), "constant", value=2.0)
+        x = tensor_create((1, 1, 2, 2), "constant", value=2.0).data
         y = ops.batchnorm2d(x, table, "eval")
-        assert np.allclose(y.data, 7.0, atol=1e-3)
+        assert np.allclose(y, 7.0, atol=1e-3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.batchnorm2d(tensor_create((1, 3, 2, 2)), _bn_table(2), "eval")
+            ops.batchnorm2d(tensor_create((1, 3, 2, 2)).data, _bn_table(2),
+                            "eval")
 
     @staticmethod
     def _random_table(rng, c):
@@ -465,14 +461,14 @@ class TestBatchNorm:
         table = self._random_table(rng, c)
         want_table = {k: v.copy() for k, v in table.items()}
         saved = {}
-        y = ops.batchnorm2d(Tensor(x), table, "train", saved)
+        y = ops.batchnorm2d(x, table, "train", saved)
         # np.mean and np.var, then normalize, scale and shift
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         inv = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=dtype))
         xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
         want = xhat * want_table["gamma"].astype(dtype)[None, :, None, None] \
             + want_table["beta"].astype(dtype)[None, :, None, None]
-        assert y.data.tobytes() == want.tobytes()
+        assert y.tobytes() == want.tobytes()
         assert saved["xhat"].tobytes() == xhat.tobytes()
         assert saved["inv"].tobytes() == inv.tobytes()
         for name, stat in (("running_mean", mean), ("running_var", var)):
@@ -485,11 +481,11 @@ class TestBatchNorm:
     def test_backward_matches_previous_closed_form(self, shape):
         rng = np.random.default_rng(sum(shape))
         table = self._random_table(rng, shape[1])
-        x = Tensor(rng.normal(size=shape) * 3.0 + 1.0)
+        x = rng.normal(size=shape) * 3.0 + 1.0
         go = rng.normal(size=shape)
         saved = {}
         ops.batchnorm2d(x, table, "train", saved)
-        gx, gg, gb = ops.batchnorm2d_backward(Tensor(go), saved, table)
+        gx, gg, gb = ops.batchnorm2d_backward(go, saved, table)
         inv, xhat = saved["inv"][None, :, None, None], saved["xhat"]
         # the form with three reductions over gamma * g
         gxh = go * table["gamma"].astype(np.float64)[None, :, None, None]
@@ -497,7 +493,7 @@ class TestBatchNorm:
         want = (inv / m) * (
             m * gxh - gxh.sum(axis=(0, 2, 3))[None, :, None, None]
             - xhat * (gxh * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
-        assert np.abs(gx.data - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(gx - want).max() <= 1e-12 * np.abs(want).max()
         assert gg.tobytes() == (go * xhat).sum(axis=(0, 2, 3)).tobytes()
         assert gb.tobytes() == go.sum(axis=(0, 2, 3)).tobytes()
 
@@ -506,13 +502,13 @@ class TestBatchNorm:
         table = self._random_table(rng, 6)
         before = {k: v.copy() for k, v in table.items()}
         x = rng.uniform(-1.0, 1.0, size=(3, 6, 5, 4))
-        y = ops.batchnorm2d(Tensor(x), table, "eval")
+        y = ops.batchnorm2d(x, table, "eval")
         stat = {k: v.astype(np.float64)[None, :, None, None]
                 for k, v in table.items()}
         inv = 1.0 / np.sqrt(stat["running_var"] + ops.BN_EPSILON)
         want = ((x - stat["running_mean"]) * inv) * stat["gamma"] \
             + stat["beta"]
-        assert np.abs(y.data - want).max() <= 1e-12
+        assert np.abs(y - want).max() <= 1e-12
         # eval reads the running statistics and leaves them alone
         assert all(np.array_equal(table[k], before[k]) for k in table)
 
@@ -524,8 +520,8 @@ class TestBatchNorm:
         table["beta"][:] = rng.uniform(-0.5, 0.5, 2)
         table["running_mean"][:] = rng.uniform(-0.2, 0.2, 2)
         table["running_var"][:] = rng.uniform(0.5, 1.5, 2)
-        x = Tensor(rng.normal(size=(3, 2, 3, 3)))
-        go = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        x = rng.normal(size=(3, 2, 3, 3))
+        go = rng.normal(size=(3, 2, 3, 3))
 
         def _frozen(**fields):
             # a copy, so train-mode forwards leave the running stats alone
@@ -536,18 +532,17 @@ class TestBatchNorm:
         gx, gg, gb = ops.batchnorm2d_backward(go, saved, table)
 
         def loss_x(xx):
-            return float((ops.batchnorm2d(Tensor(xx), _frozen(), mode).data
-                          * go.data).sum())
+            return float((ops.batchnorm2d(xx, _frozen(), mode) * go).sum())
 
-        assert max_rel_err(gx.data, numeric_grad(loss_x, x.data)) < 1e-3
+        assert max_rel_err(gx, numeric_grad(loss_x, x)) < 1e-3
 
         def loss_gamma(gam):
-            return float((ops.batchnorm2d(x, _frozen(gamma=gam), mode).data
-                          * go.data).sum())
+            return float((ops.batchnorm2d(x, _frozen(gamma=gam), mode)
+                          * go).sum())
 
         def loss_beta(bet):
-            return float((ops.batchnorm2d(x, _frozen(beta=bet), mode).data
-                          * go.data).sum())
+            return float((ops.batchnorm2d(x, _frozen(beta=bet), mode)
+                          * go).sum())
 
         assert max_rel_err(gg, numeric_grad(loss_gamma,
                                             table["gamma"].astype(np.float64))) < 1e-3
@@ -557,99 +552,97 @@ class TestBatchNorm:
 
 class TestRelu:
     def test_forward(self):
-        x = Tensor(np.array([[-1.0, 0.0, 2.0, -3.0]],
-                            dtype=np.float32).reshape(1, 1, 1, 4))
-        assert np.array_equal(ops.relu(x).data.reshape(-1), [0, 0, 2, 0])
+        x = np.array([[-1.0, 0.0, 2.0, -3.0]],
+                     dtype=np.float32).reshape(1, 1, 1, 4)
+        assert np.array_equal(ops.relu(x).reshape(-1), [0, 0, 2, 0])
 
     def test_gradient_at_zero_is_zero(self):
-        x = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
-        go = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
+        x = np.zeros((1, 1, 1, 1), dtype=np.float32)
+        go = np.ones((1, 1, 1, 1), dtype=np.float32)
         saved = {}
         ops.relu(x, saved)
-        assert ops.relu_backward(go, saved).data.item() == 0.0
+        assert ops.relu_backward(go, saved).item() == 0.0
 
     def test_backward_mask(self):
         rng = np.random.default_rng(6)
-        x = Tensor(rng.normal(size=(2, 2, 3, 3)))
-        go = Tensor(rng.normal(size=(2, 2, 3, 3)))
+        x = rng.normal(size=(2, 2, 3, 3))
+        go = rng.normal(size=(2, 2, 3, 3))
         saved = {}
         ops.relu(x, saved)
         assert saved["mask"].dtype == np.bool_
         gx = ops.relu_backward(go, saved)
-        assert np.array_equal(gx.data, go.data * (x.data > 0))
+        assert np.array_equal(gx, go * (x > 0))
 
 
 class TestFusion:
     def test_concat_and_backward(self):
-        a = tensor_create((1, 2, 2, 2), "uniform", seed=0)
-        b = tensor_create((1, 3, 2, 2), "uniform", seed=1)
+        a = tensor_create((1, 2, 2, 2), "uniform", seed=0).data
+        b = tensor_create((1, 3, 2, 2), "uniform", seed=1).data
         y = ops.channel_concat([a, b])
         assert y.shape == (1, 5, 2, 2)
         grads = ops.channel_concat_backward(y, [2, 3])
-        assert np.array_equal(grads[0].data, a.data)
-        assert np.array_equal(grads[1].data, b.data)
+        assert np.array_equal(grads[0], a)
+        assert np.array_equal(grads[1], b)
 
     def test_concat_spatial_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.channel_concat([tensor_create((1, 1, 2, 2)),
-                                tensor_create((1, 1, 3, 3))])
+            ops.channel_concat([tensor_create((1, 1, 2, 2)).data,
+                                tensor_create((1, 1, 3, 3)).data])
 
     def test_block_sum(self):
-        x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 4, 1, 2))
+        x = np.arange(8, dtype=np.float32).reshape(1, 4, 1, 2)
         y = ops.channel_block_sum(x, 2)
-        assert np.array_equal(y.data, x.data[:, :2] + x.data[:, 2:])
+        assert np.array_equal(y, x[:, :2] + x[:, 2:])
 
     def test_block_sum_backward_replicates(self):
-        go = tensor_create((1, 2, 2, 2), "uniform", seed=2)
+        go = tensor_create((1, 2, 2, 2), "uniform", seed=2).data
         gx = ops.channel_block_sum_backward(go, 3)
         assert gx.shape == (1, 6, 2, 2)
         for m in range(3):
-            assert np.array_equal(gx.data[:, 2 * m:2 * m + 2], go.data)
+            assert np.array_equal(gx[:, 2 * m:2 * m + 2], go)
 
     def test_block_sum_divisibility(self):
         with pytest.raises(ShapeError):
-            ops.channel_block_sum(tensor_create((1, 5, 2, 2)), 2)
+            ops.channel_block_sum(tensor_create((1, 5, 2, 2)).data, 2)
 
 
 class TestHead:
     def test_gap(self):
-        x = Tensor(np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2))
+        x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
         y = ops.global_avg_pool(x)
-        assert np.array_equal(y.data.reshape(-1), [1.5, 5.5])
+        assert np.array_equal(y.reshape(-1), [1.5, 5.5])
 
     def test_gap_backward_finite_difference(self):
         rng = np.random.default_rng(7)
-        x = Tensor(rng.normal(size=(2, 3, 3, 3)))
-        go = Tensor(rng.normal(size=(2, 3, 1, 1)))
+        x = rng.normal(size=(2, 3, 3, 3))
+        go = rng.normal(size=(2, 3, 1, 1))
         gx = ops.global_avg_pool_backward(go, x.shape)
         fx = numeric_grad(
-            lambda xx: float((ops.global_avg_pool(Tensor(xx)).data
-                              * go.data).sum()), x.data)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda xx: float((ops.global_avg_pool(xx) * go).sum()), x)
+        assert max_rel_err(gx, fx) < 1e-3
 
     def test_linear_and_backward(self):
         rng = np.random.default_rng(8)
-        x = Tensor(rng.normal(size=(3, 4, 1, 1)))
+        x = rng.normal(size=(3, 4, 1, 1))
         w = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
         y = ops.linear(x, w, b)
         assert y.shape == (3, 5, 1, 1)
-        go = Tensor(rng.normal(size=(3, 5, 1, 1)))
+        go = rng.normal(size=(3, 5, 1, 1))
         gx, gw, gb = ops.linear_backward(go, x, w)
         fx = numeric_grad(
-            lambda xx: float((ops.linear(Tensor(xx), w, b).data
-                              * go.data).sum()), x.data)
+            lambda xx: float((ops.linear(xx, w, b) * go).sum()), x)
         fw = numeric_grad(
-            lambda ww: float((ops.linear(x, ww, b).data * go.data).sum()), w)
+            lambda ww: float((ops.linear(x, ww, b) * go).sum()), w)
         fb = numeric_grad(
-            lambda bb: float((ops.linear(x, w, bb).data * go.data).sum()), b)
-        assert max_rel_err(gx.data, fx) < 1e-3
+            lambda bb: float((ops.linear(x, w, bb) * go).sum()), b)
+        assert max_rel_err(gx, fx) < 1e-3
         assert max_rel_err(gw, fw) < 1e-3
         assert max_rel_err(gb, fb) < 1e-3
 
     def test_linear_requires_1x1(self):
         with pytest.raises(ShapeError):
-            ops.linear(tensor_create((1, 4, 2, 2)), np.zeros((5, 4)),
+            ops.linear(tensor_create((1, 4, 2, 2)).data, np.zeros((5, 4)),
                        np.zeros(5))
 
 

@@ -3,11 +3,11 @@ from dataclasses import replace as dc_replace
 import numpy as np
 import pytest
 
+from conftest import PlanAsGraph
 from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
-from cosnet.graph import (LayerNode, graph_forward, infer_shapes,
-                          reinit_weights)
+from cosnet.graph import graph_forward, infer_shapes, reinit_weights
 from cosnet.tensor import tensor_create
 
 
@@ -16,20 +16,6 @@ def _unit(m=2, n=4, l=2, **kw):
                      kernels_per_layer=n, column_depth=l, expand_channels=16,
                      **kw)
     return build_unit_graph(cfg, seed=1)
-
-
-class _PlanAsGraph:
-    """A plan seen as a graph (``order`` and ``node``), the way the
-    benchmark's byte tracker walks plan steps with ``infer_shapes``."""
-
-    def __init__(self, p):
-        self.order = [runtime.INPUT_ID] + [s.id for s in p.steps]
-        self._steps = {s.id: s for s in p.steps}
-        self._steps[runtime.INPUT_ID] = LayerNode(runtime.INPUT_ID, "input",
-                                                  {}, (), "input")
-
-    def node(self, nid):
-        return self._steps[nid]
 
 
 class TestPlan:
@@ -101,7 +87,7 @@ class TestPlan:
         shape = (2, channels, 16, 16)
         want = infer_shapes(g, shape)
         p = runtime.plan(g, mode)
-        got = infer_shapes(_PlanAsGraph(p), shape)
+        got = infer_shapes(PlanAsGraph(p), shape)
         by_name = {g.node(n).name: n for n in g.order}
         # a batched plan folds each replication that only level-1 convs
         # read into them; every other node keeps a step
@@ -170,6 +156,12 @@ class TestExecute:
         with pytest.raises(GraphError, match="stem") as info:
             graph_forward(g, x)
         assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_input_must_be_a_tensor(self):
+        p = runtime.plan(build_mini_network(seed=0), "batched")
+        x = tensor_create((2, 3, 32, 32), "uniform", seed=1)
+        with pytest.raises(PlanError, match="expected a Tensor"):
+            runtime.execute(p, x.data)
 
     def test_mini_network_executes(self):
         g = build_mini_network(seed=0)

@@ -1,0 +1,64 @@
+"""The benchmark's span tracer (``perfbench/spans.py``) against the package:
+every name it wraps must exist, so that a renamed or deleted function fails
+here rather than only in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import cosnet
+from cosnet import analysis, arch, graph, ops, runtime, tensor, training
+from cosnet.arch import build_mini_network
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+MODULES = (tensor, ops, graph, runtime, training, arch, analysis)
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    return {(mod.__name__, attr): val for mod in MODULES
+            for attr, val in vars(mod).items()}
+
+
+def test_every_target_resolves():
+    targets = _spans()._targets(cosnet)
+    assert all(callable(fn) for fn, _, _ in targets)
+    names = {name for _, name, _ in targets if isinstance(name, str)}
+    assert {"tensor.elementwise", "ops.input_replicate",
+            "ops.conv2d_forward", "ops.conv2d_backward",
+            "ops.softmax_cross_entropy"} <= names
+
+
+def test_restore_puts_every_binding_back():
+    spans = _spans()
+    before = _bindings()
+    restore = spans.instrument(spans.Tracer(), cosnet)
+    try:
+        assert ops.mm is not before[("cosnet.ops", "mm")]
+    finally:
+        restore()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+def test_traced_execute_counts_replicated_bytes():
+    spans = _spans()
+    g = build_mini_network(columns=2, seed=0)
+    x = tensor.tensor_create((2, 3, 32, 32), "uniform", seed=1)
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, cosnet)
+    try:
+        runtime.execute(runtime.plan(g, "unrolled"), x)
+    finally:
+        restore()
+    summary = tracer.summary()
+    replicate = summary[("setup", "ops.input_replicate")]
+    assert replicate["calls"] == 3   # one per unit
+    assert replicate["work"] > 0
+    assert summary[("setup", "runtime.execute")]["calls"] == 1
