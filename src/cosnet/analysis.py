@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .arch import PAPER_REFERENCE, VariantSpec, build_network
 from .errors import ConfigError, GraphError
-from .graph import OPS, Graph, infer_shapes
+from .graph import OPS, Graph, infer_shapes, program_of
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,14 @@ def count_flops(graph: Graph, input_shape) -> int:
 def branch_stats(program):
     """Peak number of simultaneously live tensors while ``program`` runs.
 
-    ``program`` (a :class:`Graph` or an execution plan) has ``steps``, each
-    with ``id`` and ``inputs``, executed in order, and ``input_id``.  A
-    tensor is live from the step that produces it until its last consuming
-    step; the input is live from the start.  Returns a dict with
-    ``peak_live``, ``total_steps`` and ``final_live``.
+    ``program`` is an execution plan, or a :class:`Graph` standing for its
+    batched plan (``graph.program_of``): it has ``steps``, each with ``id``
+    and ``inputs``, executed in order, and ``input_id``.  A tensor is live
+    from the step that produces it until its last consuming step; the input
+    is live from the start.  Returns a dict with ``peak_live``,
+    ``total_steps`` and ``final_live``.
     """
+    program = program_of(program)
     steps = program.steps
     remaining = {program.input_id: 0}
     for s in steps:

@@ -144,7 +144,6 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
 
     level_inputs = {}        # level -> node feeding that level's conv
     level_in_c = {}          # level -> per-column channels at that node
-    pre_relu = {}            # level -> conv+bn output (pre activation)
     prev_c = col_in
     for level in range(1, cfg.column_depth + 1):
         level_inputs[level] = cur
@@ -158,7 +157,6 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
                                        has_bias=False))
         bn = b.add("bn", [conv], f"{stage_name}.col.level{level}.bn",
                    channels=m * n)
-        pre_relu[level] = bn
         # shallow projection: identity skip over the (i, i+1) level pair,
         # added before level i+1's activation; skipped on channel or
         # stride mismatch (no projection weights on shallow skips)

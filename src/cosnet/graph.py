@@ -8,11 +8,12 @@ description.  Shape propagation, both forward paths (:func:`graph_forward`
 and ``runtime.execute``), the backward pass, weight init, ``describe`` and
 the analyzer all look the kind up there.
 
-:func:`graph_forward` and :func:`graph_backward` run any step program: a
-:class:`Graph` or an execution plan.  Training and the gradient check run
-the batched plan (:meth:`Graph.batched_plan`), whose folded level-1 conv
-reads the un-replicated input; only a plan with per-group steps
-(``unrolled``) cannot be differentiated.
+:func:`graph_forward` and :func:`graph_backward` run an execution plan.
+A :class:`Graph` stands for its batched plan (:func:`program_of`), so
+training, evaluation and the gradient check run that plan, whose folded
+level-1 conv reads the un-replicated input and whose grouped convs are one
+step each; only a plan with per-group steps (``unrolled``) cannot be
+differentiated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import inf, prod
 from typing import Callable
 
@@ -42,17 +43,6 @@ class LayerNode:
     name: str
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    id: int
-    kind: str
-    config: dict
-    inputs: tuple
-    name: str
-    src_node: int | None = None   # graph node whose weight table this reads
-    group: int | None = None      # group index for unrolled per-group convs
-
-
 @dataclass
 class GradCheckReport:
     eps: float
@@ -71,10 +61,9 @@ class Graph:
 
     Node ids are assigned in construction order, which is a topological
     order by construction (a node may only consume already-added nodes).
-    ``steps`` is the graph as a program for :func:`run_steps`: one step per
-    non-input node, each reading its own weight table.  The nodes never
-    change after :meth:`GraphBuilder.freeze`, so the graph keeps its batched
-    execution plan once :meth:`batched_plan` has lowered it.
+    A graph is not itself a program: it runs as its batched execution plan.
+    The nodes never change after :meth:`GraphBuilder.freeze`, so the graph
+    keeps that plan once :meth:`batched_plan` has lowered it.
     """
 
     def __init__(self, nodes, input_id, output_id, weights):
@@ -83,16 +72,11 @@ class Graph:
         self.input_id = input_id
         self.output_id = output_id
         self.weights = weights
-        self.steps = [PlanStep(n.id, n.kind, n.config, n.inputs, n.name,
-                               src_node=n.id)
-                      for n in map(self.nodes.get, self.order)
-                      if n.id != input_id]
         self._batched_plan = None
 
     def batched_plan(self):
         """``runtime.plan(self, "batched")``, lowered on the first call and
-        kept: the program training, evaluation and the gradient check
-        run."""
+        kept: the program the graph runs as (:func:`program_of`)."""
         if self._batched_plan is None:
             from .runtime import plan
             self._batched_plan = plan(self, "batched")
@@ -347,22 +331,14 @@ def _m_describe(cfg):
     return f" m={cfg['m']}"
 
 
-_CONV = OpDef(
-    _conv_shape,
-    lambda cfg, ins, table, saved: ops.conv2d_forward(
-        ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
-    _conv_backward, init=_conv_init, draws=True, params=_conv_params,
-    macs=_conv_macs, describe=_conv_describe, depth=1)
-
 OPS: dict[str, OpDef] = {
     "input": OpDef(min_inputs=0),
-    "conv": _CONV,
-    # a grouped conv run as two gemms per group over one im2col (a
-    # different reduction order from "conv"); batched plans lower to it
-    "conv_grouped": replace(
-        _CONV, forward=lambda cfg, ins, table, saved:
-        ops.conv2d_grouped_forward(ins[0], table["weight"],
-                                   table.get("bias"), cfg["params"], saved)),
+    "conv": OpDef(
+        _conv_shape,
+        lambda cfg, ins, table, saved: ops.conv2d_forward(
+            ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
+        _conv_backward, init=_conv_init, draws=True, params=_conv_params,
+        macs=_conv_macs, describe=_conv_describe, depth=1),
     "bn": OpDef(
         _bn_shape,
         lambda cfg, ins, table, saved: ops.batchnorm2d(
@@ -541,29 +517,42 @@ def infer_shapes(graph: Graph, input_shape) -> dict:
 # execution
 
 
+def program_of(program):
+    """The step program that ``program`` runs: a :class:`Graph` runs its
+    batched plan (:meth:`Graph.batched_plan`), and a plan runs itself."""
+    return program.batched_plan() if isinstance(program, Graph) else program
+
+
+class Tape(dict):
+    """Each train-mode step's ``saved`` dict by step id, and ``out``: the
+    (shape, dtype) of the output whose gradient the backward pass takes."""
+    out = None
+
+
 def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     """The forward interpreter of :func:`graph_forward` and
     ``runtime.execute``, on arrays.
 
-    ``program`` (a :class:`Graph` or an execution plan) has ``steps``,
-    ``input_id`` and ``output_id``.  Each step runs
+    ``program`` (an execution plan) has ``steps``, ``input_id`` and
+    ``output_id``; ``weights`` None means its graph's table.  Each step runs
     ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
     step with a ``group`` index reads only that group's block of the table's
     rows; the table holds one block per group step reading it.  Arrays are
     freed at their last use.  In train mode each step's forward gets a
-    fresh ``saved`` dict, and the tape records that dict, keyed by step id,
-    and nothing else: it keeps an array alive only while some backward
-    reads it.  Any :class:`CosnetError` or missing
+    fresh ``saved`` dict, and the :class:`Tape` records that dict, keyed by
+    step id, and the output's shape and dtype: it keeps an array alive only
+    while some backward reads it.  Any :class:`CosnetError` or missing
     table entry raised inside a step is re-raised as ``error``, naming the
     step.
 
     Returns (output, tape); the tape is None in eval mode.
     """
     steps = program.steps
+    weights = program.graph.weights if weights is None else weights
     uses = Counter(src for s in steps for src in s.inputs)
     blocks = Counter(s.src_node for s in steps if s.group is not None)
     acts = {program.input_id: x}
-    tape = {} if mode == "train" else None
+    tape = Tape() if mode == "train" else None
     out = None
     for s in steps:
         op = OPS[s.kind]
@@ -590,15 +579,9 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
                 del acts[src]
     if out is None:
         raise error("the program never produced its output tensor")
+    if tape is not None:
+        tape.out = (out.shape, out.dtype)
     return out, tape
-
-
-def _weights_of(program, weights):
-    """``weights``, or the table of the graph that ``program`` (a graph or
-    a plan of one) runs."""
-    if weights is not None:
-        return weights
-    return getattr(program, "graph", program).weights
 
 
 def _array_of(x: Tensor, error) -> np.ndarray:
@@ -610,16 +593,16 @@ def _array_of(x: Tensor, error) -> np.ndarray:
 
 
 def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
-    """Run a graph or an execution plan; ``weights`` defaults to the
-    graph's table.
+    """Run an execution plan, or a graph's batched plan
+    (:func:`program_of`); ``weights`` defaults to the graph's table.
 
-    Returns (output Tensor, tape); the tape is :func:`run_steps`'s: each
-    step's ``saved`` dict by step id in train mode, None in eval mode.
+    Returns (output Tensor, tape); the tape is :func:`run_steps`'s
+    :class:`Tape` in train mode, None in eval mode.
     """
     if mode not in ("train", "eval"):
         raise GraphError(f"unknown mode {mode!r}")
-    out, tape = run_steps(program, _array_of(x, GraphError),
-                          _weights_of(program, weights), mode)
+    out, tape = run_steps(program_of(program), _array_of(x, GraphError),
+                          weights, mode)
     return Tensor(out), tape
 
 
@@ -627,7 +610,10 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     """Reverse-mode gradients over the program a train-mode
     :func:`graph_forward` ran; fan-out accumulates by summation.  The pass
     takes each step's entry off the tape as it reaches the step, so a tape
-    serves one backward pass and is empty after it.
+    serves one backward pass and is empty after it.  ``grad_output`` must
+    have the forward output's shape and dtype, checked before anything
+    leaves the tape; an error inside a step's backward is re-raised as
+    :class:`GraphError` naming the step.
 
     Returns (grad table keyed like the weight table, by each step's
     ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
@@ -637,20 +623,30 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     if not tape:
         raise GraphError("backward requires an unused tape from a "
                          "train-mode forward")
+    program = program_of(program)
     grouped = next((s for s in program.steps if s.group is not None), None)
     if grouped is not None:
         raise GraphError(f"cannot differentiate the per-group step "
                          f"{grouped.name}; run the graph or its batched plan")
-    weights = _weights_of(program, weights)
-    out_grads = {program.output_id: _array_of(grad_output, GraphError)}
+    go = _array_of(grad_output, GraphError)
+    shape, dtype = tape.out
+    if (go.shape, go.dtype) != (shape, dtype):
+        raise GraphError(f"grad_output is {go.dtype} {go.shape}; the "
+                         f"forward output is {dtype} {shape}")
+    weights = weights if weights is not None else program.graph.weights
+    out_grads = {program.output_id: go}
     param_grads = {}
     for s in reversed(program.steps):
         saved = tape.pop(s.id)
         if s.id not in out_grads:
             continue
-        go = out_grads.pop(s.id)
-        in_grads, pgrads = OPS[s.kind].backward(
-            s.config, go, saved, weights.get(s.src_node, {}))
+        try:
+            in_grads, pgrads = OPS[s.kind].backward(
+                s.config, out_grads.pop(s.id), saved,
+                weights.get(s.src_node, {}))
+        except (CosnetError, KeyError) as exc:
+            raise GraphError(f"backward failed at step {s.id} ({s.name}): "
+                             f"{exc}") from exc
         if pgrads:
             param_grads[s.src_node] = pgrads
         for src, g in zip(s.inputs, in_grads):
@@ -667,7 +663,8 @@ def _activation_signature(program, tape) -> bytes:
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
     return b"".join(OPS[s.kind].kinks(s.config, tape[s.id])
-                    for s in program.steps if OPS[s.kind].kinks is not None)
+                    for s in program_of(program).steps
+                    if OPS[s.kind].kinks is not None)
 
 
 def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
@@ -689,18 +686,17 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     if graph.num_params() > 10_000:
         raise GraphError(f"grad_check guard: {graph.num_params()} parameters "
                          "exceeds the 10,000 limit")
-    program = graph.batched_plan()
     w64 = graph.copy_weights(dtype=np.float64)
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0,
                       dtype=np.float64)
 
     def loss_of(weights, xt):
-        out, tape = graph_forward(program, xt, mode="train", weights=weights)
-        return float(out.data.sum()), _activation_signature(program, tape)
+        out, tape = graph_forward(graph, xt, mode="train", weights=weights)
+        return float(out.data.sum()), _activation_signature(graph, tape)
 
-    out, tape = graph_forward(program, x, mode="train", weights=w64)
+    out, tape = graph_forward(graph, x, mode="train", weights=w64)
     ones = tensor_create(out.shape, "ones", dtype=np.float64)
-    pgrads, gin = graph_backward(program, tape, ones, weights=w64)
+    pgrads, gin = graph_backward(graph, tape, ones, weights=w64)
 
     def worst_error(arr, analytic):
         """Max relative error of ``analytic`` over the elements of ``arr``,

@@ -30,10 +30,12 @@ activation.  With m = n*h*w values per channel:
   ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
 
 Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
-matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back;
-max and average pool backward build their window gradients in that layout
-too.  Everything follows the dtype of its inputs (float32 in normal use,
-float64 during gradient checking).
+matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back.
+:func:`conv2d_forward` is the one convolution kernel: a single gemm for one
+group, and two gemms per group (over the halves of its input channels,
+summed) for a grouped convolution.  Max and average pool backward build
+their window gradients in that layout too.  Everything follows the dtype
+of its inputs (float32 in normal use, float64 during gradient checking).
 """
 
 from __future__ import annotations
@@ -86,62 +88,45 @@ def _group_slices(p: ConvParams):
             for gi in range(p.groups)]
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                  p: ConvParams, gemm, saved) -> np.ndarray:
-    """Both forward kernels: ``gemm(weight rows, patch rows)`` per group
-    into one (out_channels, n*Ho*Wo) buffer, then one copy back to NCHW,
-    to which any bias is added.  With one group the gemm result is that
-    buffer.  A ``saved`` dict receives the :func:`im2col_nd` patch matrix
-    and the input shape."""
+def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                   params: ConvParams,
+                   saved: dict | None = None) -> np.ndarray:
+    """im2col + gemm convolution into one (out_channels, n*Ho*Wo) buffer,
+    then one copy back to NCHW, to which any bias is added.
+
+    One group is one gemm.  Groups split channels into independent slices
+    of one patch matrix: per group, two gemms over the halves of its input
+    channels (split at ``max(cin_g // 2, 1) * kh * kw`` rows), summed.  A
+    ``saved`` dict receives the patch matrix and input shape that
+    :func:`conv2d_backward` reads.
+    """
+    p = params
+    if x.shape[1] != p.in_channels:
+        raise ConfigError(f"input has {x.shape[1]} channels, conv expects "
+                          f"{p.in_channels}")
+    if tuple(weight.shape) != p.weight_shape:
+        raise ShapeError(
+            f"weight shape {weight.shape} != expected {p.weight_shape}")
     cols = im2col_nd(x, p.kernel, p.stride, p.pad)
     ho, wo = _out_hw(*x.shape[2:], p.kernel, p.stride, p.pad)
     if saved is not None:
         saved["cols"], saved["in_shape"] = cols, x.shape
     wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
     if p.groups == 1:
-        out = gemm(wmat, cols)
+        out = mm(wmat, cols)
     else:
+        kk = p.kernel[0] * p.kernel[1]
+        split = max(p.in_channels // p.groups // 2, 1) * kk
         out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
         for o, r in _group_slices(p):
-            out[o] = gemm(wmat[o], cols[r])
+            w, c = wmat[o], cols[r]
+            out[o] = mm(w[:, :split], c[:split])
+            out[o] += mm(w[:, split:], c[split:])
     out = np.ascontiguousarray(
         out.reshape(p.out_channels, x.shape[0], ho, wo).transpose(1, 0, 2, 3))
     if bias is not None:
         out += bias.astype(x.dtype, copy=False)[None, :, None, None]
     return out
-
-
-def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                   params: ConvParams,
-                   saved: dict | None = None) -> np.ndarray:
-    """im2col + gemm convolution; groups split channels into independent
-    slices.  A ``saved`` dict receives the state :func:`conv2d_backward`
-    reads."""
-    if x.shape[1] != params.in_channels:
-        raise ConfigError(f"input has {x.shape[1]} channels, conv expects "
-                          f"{params.in_channels}")
-    if tuple(weight.shape) != params.weight_shape:
-        raise ShapeError(
-            f"weight shape {weight.shape} != expected {params.weight_shape}")
-    return _conv_forward(x, weight, bias, params, mm, saved)
-
-
-def conv2d_grouped_forward(x: np.ndarray, weight: np.ndarray,
-                           bias: np.ndarray | None, p: ConvParams,
-                           saved: dict | None = None) -> np.ndarray:
-    """Grouped convolution as two gemms per group over one im2col.
-
-    Each group's inner dimension is split in two at half its input
-    channels, and the two partial products are summed: a deliberately
-    different reduction order from the single gemm per group of
-    :func:`conv2d_forward`, whose gradients it shares.
-    """
-    split = max(p.in_channels // p.groups // 2, 1) * p.kernel[0] * p.kernel[1]
-
-    def two_gemms(w, c):
-        return mm(w[:, :split], c[:split]) + mm(w[:, split:], c[split:])
-
-    return _conv_forward(x, weight, bias, p, two_gemms, saved)
 
 
 def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,

@@ -2,26 +2,25 @@
 running it, in two column-execution modes.
 
 Every layer kind is defined once, in ``graph.OPS``, and one interpreter,
-``graph.run_steps``, runs both a graph (``graph_forward``) and a plan
-(:func:`execute`).  The interpreter never looks at the mode: the lowering
-chooses each step's kind, and through it the kernel.  The modes differ only
-in how they lower a grouped convolution:
+``graph.run_steps``, runs every plan, through :func:`execute` or
+``graph.graph_forward``.  Every forward and backward pass runs one of the
+two plans below; a graph runs as its ``batched`` plan.  The modes differ
+only in how they lower a grouped convolution:
 
-``batched`` keeps it as one ``conv_grouped`` step
-(``ops.conv2d_grouped_forward``: one im2col, then per group two gemms over
-the halves of its input channels, summed).  It also folds input
-replication: a grouped conv reading ``ir(M)`` with groups=M becomes one
-dense ``conv`` over the ``ir``'s own input with the same weight table, and
-the ``ir`` step is dropped unless another node reads it.  ``unrolled``
-expands a grouped conv into explicit per-group slice / convolve /
-concatenate steps; each per-group conv reads its group's block of the
-weight rows and runs the im2col path.  The two modes are mathematically
-identical but accumulate in a different order, so their float32 outputs
-differ at rounding level; the equivalence checker bounds that difference.
-A graph whose convolutions all have a single group lowers to
-step-identical plans in both modes.
+``batched`` keeps it as one ``conv`` step (``ops.conv2d_forward``: one
+im2col, then per group two gemms over the halves of its input channels,
+summed).  It also folds input replication: a grouped conv reading
+``ir(M)`` with groups=M becomes one dense ``conv`` over the ``ir``'s own
+input with the same weight table, and the ``ir`` step is dropped unless
+another node reads it.  ``unrolled`` expands a grouped conv into explicit
+per-group slice / convolve / concatenate steps; each per-group conv has
+one group, reads its group's block of the weight rows and runs one gemm.
+The two modes are mathematically identical but accumulate in a different
+order, so their float32 outputs differ at rounding level; the equivalence
+checker bounds that difference.  A graph whose convolutions all have a
+single group lowers to step-identical plans in both modes.
 
-Training, evaluation and the gradient check also run the ``batched`` plan,
+Training, evaluation and the gradient check run the ``batched`` plan,
 through ``graph.graph_forward`` and ``graph.graph_backward``; an
 ``unrolled`` plan's per-group steps cannot be differentiated.
 """
@@ -35,12 +34,23 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from .errors import ConfigError, PlanError
-from .graph import Graph, PlanStep, _array_of, reinit_weights, run_steps
+from .graph import Graph, _array_of, reinit_weights, run_steps
 from .ops import ConvParams
 from .tensor import Tensor, tensor_create
 
 MODES = ("batched", "unrolled")
 INPUT_ID = -1   # plan-level id of the external input tensor
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    id: int
+    kind: str
+    config: dict
+    inputs: tuple
+    name: str
+    src_node: int | None = None   # graph node whose weight table this reads
+    group: int | None = None      # group index for unrolled per-group convs
 
 
 @dataclass
@@ -68,15 +78,16 @@ def _replication_folds(graph: Graph):
     the identical weight tensor (M*N, S, k, k).  Returns ({conv node: ir
     node} for each such conv, the ir nodes that nothing else reads).
     """
+    nodes = [graph.node(nid) for nid in graph.order if nid != graph.input_id]
     folds = {}
-    for s in graph.steps:
-        p = s.config.get("params")
-        if s.kind == "conv" and p.groups > 1:
-            src = graph.node(s.inputs[0])
+    for n in nodes:
+        p = n.config.get("params")
+        if n.kind == "conv" and p.groups > 1:
+            src = graph.node(n.inputs[0])
             if src.kind == "ir" and src.config["m"] == p.groups:
-                folds[s.id] = src.id
-    readers = Counter(src for s in graph.steps if s.id not in folds
-                      for src in s.inputs)
+                folds[n.id] = src.id
+    readers = Counter(src for n in nodes if n.id not in folds
+                      for src in n.inputs)
     dropped = {ir for ir in folds.values()
                if not readers[ir] and ir != graph.output_id}
     return folds, dropped
@@ -98,9 +109,9 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
                               src_node=src_node, group=group))
         return sid
 
-    for node in graph.steps:
+    for node in map(graph.node, graph.order):
         nid = node.id
-        if nid in dropped:
+        if nid == graph.input_id or nid in dropped:
             continue
         kind, config, srcs = node.kind, dict(node.config), node.inputs
         p: ConvParams | None = config.get("params")
@@ -113,11 +124,7 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
         except KeyError as exc:
             raise PlanError(f"node {node.name} reads unplanned node "
                             f"{exc.args[0]}") from None
-        if kind == "conv" and p.groups > 1:
-            if mode == "batched":
-                produced[nid] = emit("conv_grouped", config, ins, node.name,
-                                     src_node=nid)
-                continue
+        if kind == "conv" and p.groups > 1 and mode == "unrolled":
             g = p.groups
             cin_g = p.in_channels // g
             gp = dc_replace(p, in_channels=cin_g,
@@ -139,7 +146,6 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
     """Run a plan in inference mode; arrays are freed at last use."""
-    weights = weights if weights is not None else p.graph.weights
     out, _ = run_steps(p, _array_of(x, PlanError), weights, "eval",
                        error=PlanError)
     return Tensor(out)

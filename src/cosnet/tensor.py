@@ -19,6 +19,7 @@ used here.
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -59,11 +60,18 @@ def seeded_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _check_shape(shape):
-    if len(shape) != 4:
+    """``shape`` as a tuple of ints: a sequence of four integers (Python or
+    numpy), each >= 1; anything else raises :class:`ShapeError`."""
+    try:
+        dims = tuple(operator.index(d) for d in shape)
+    except TypeError:
+        raise ShapeError(f"expected a sequence of integers, got "
+                         f"{shape!r}") from None
+    if len(dims) != 4:
         raise ShapeError(f"expected 4-D shape, got {shape}")
-    if any(int(d) < 1 for d in shape):
+    if any(d < 1 for d in dims):
         raise ShapeError(f"all dimensions must be >= 1, got {shape}")
-    return tuple(int(d) for d in shape)
+    return dims
 
 
 class Tensor:

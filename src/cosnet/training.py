@@ -7,18 +7,17 @@ beats chance and a small network can fit the training split to high accuracy
 in a few epochs.  All randomness is seed-driven; with the deterministic
 matmul path enabled, a rerun reproduces training bitwise.
 
-Training and evaluation run the network's batched execution plan
-(``Graph.batched_plan``), lowered once per graph: each column level is one
-grouped conv, and the level-1 conv reads the squeezed input once instead of
-M replicated copies.  The train-mode tape keeps each conv's patch matrix,
-each batch norm's 1/sigma and x-hat, each ReLU's sign mask and each max
-pool's window argmax for the backward pass.
+Training and evaluation run the graph, which runs as its batched execution
+plan (``Graph.batched_plan``), lowered once per graph: each column level is
+one grouped conv, and the level-1 conv reads the squeezed input once
+instead of M replicated copies.  The train-mode tape keeps each conv's
+patch matrix, each batch norm's 1/sigma and x-hat, each ReLU's sign mask
+and each max pool's window argmax for the backward pass.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -145,42 +144,57 @@ def save_dataset(path: str, ds: Dataset) -> None:
             f.write(q[i].tobytes())
 
 
-def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise DatasetFormatError(f"truncated dataset file while reading {what}")
-    return buf
+class _Reader:
+    """Bounded reads through the bytes of a dataset or checkpoint file:
+    :meth:`take` returns the next ``n`` bytes (a view, not a copy) or raises
+    ``error`` naming the field it was reading."""
+
+    def __init__(self, buf, error, label: str):
+        self.buf, self.off = memoryview(buf), 0
+        self.error, self.label = error, label
+
+    def take(self, n: int, what: str):
+        if self.off + n > len(self.buf):
+            raise self.error(f"truncated {self.label} while reading {what}")
+        self.off += n
+        return self.buf[self.off - n:self.off]
+
+    def unpack(self, fmt: str, what: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def left(self) -> int:
+        return len(self.buf) - self.off
 
 
 def load_dataset(path: str, test_fraction: float = 0.2,
                  split_seed: int = 1) -> Dataset:
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != DATASET_MAGIC:
-            raise DatasetFormatError(f"bad dataset magic {magic!r}")
-        hdr = _read_exact(f, struct.calcsize("<HIHHHH"), "header")
-        version, count, classes, c, h, w = struct.unpack("<HIHHHH", hdr)
-        if version != DATASET_VERSION:
-            raise DatasetFormatError(f"unsupported dataset version {version}")
-        if count == 0:
-            raise DatasetFormatError("dataset file contains no records")
-        if 0 in (classes, c, h, w):
-            raise DatasetFormatError(
-                f"header has a zero dimension: classes={classes}, "
-                f"c={c}, h={h}, w={w}")
-        # check the declared size against the file before allocating it
-        rec_bytes = c * h * w
-        need = count * (2 + rec_bytes)
-        have = os.fstat(f.fileno()).st_size - f.tell()
-        if have < need:
-            raise DatasetFormatError(
-                f"truncated dataset file: header declares {count} records "
-                f"({need} bytes), file holds {have}")
-        if have > need:
-            raise DatasetFormatError("trailing bytes after last record")
-        recs = np.frombuffer(_read_exact(f, need, "records"),
-                             dtype=[("label", "<u2"),
-                                    ("pixels", "u1", (rec_bytes,))])
+        buf = f.read()
+    if buf[:4] != DATASET_MAGIC:
+        raise DatasetFormatError(f"bad dataset magic {buf[:4]!r}")
+    r = _Reader(buf, DatasetFormatError, "dataset file")
+    r.take(4, "magic")
+    version, count, classes, c, h, w = r.unpack("<HIHHHH", "header")
+    if version != DATASET_VERSION:
+        raise DatasetFormatError(f"unsupported dataset version {version}")
+    if count == 0:
+        raise DatasetFormatError("dataset file contains no records")
+    if 0 in (classes, c, h, w):
+        raise DatasetFormatError(
+            f"header has a zero dimension: classes={classes}, "
+            f"c={c}, h={h}, w={w}")
+    # check the declared size against the file before allocating it
+    rec_bytes = c * h * w
+    need = count * (2 + rec_bytes)
+    if r.left() < need:
+        raise DatasetFormatError(
+            f"truncated dataset file: header declares {count} records "
+            f"({need} bytes), file holds {r.left()}")
+    if r.left() > need:
+        raise DatasetFormatError("trailing bytes after last record")
+    recs = np.frombuffer(r.take(need, "records"),
+                         dtype=[("label", "<u2"),
+                                ("pixels", "u1", (rec_bytes,))])
     bad = np.flatnonzero(recs["label"] >= classes)
     if bad.size:
         i = int(bad[0])
@@ -246,13 +260,12 @@ def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
         raise ConfigError("cannot evaluate over zero images")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    program = graph.batched_plan()
     total_loss = 0.0
     correct = 0
     for lo in range(0, count, batch_size):
         xb = Tensor(images[lo:lo + batch_size])
         yb = labels[lo:lo + batch_size]
-        out, _ = graph_forward(program, xb, mode="eval")
+        out, _ = graph_forward(graph, xb, mode="eval")
         loss, _ = softmax_cross_entropy(out, yb)
         total_loss += loss * len(yb)
         pred = out.data.reshape(len(yb), -1).argmax(axis=1)
@@ -275,7 +288,6 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
     velocity = {nid: {f: np.zeros_like(graph.weights[nid][f])
                       for f in fields}
                 for nid, fields in _param_fields(graph).items()}
-    program = graph.batched_plan()
     history = []
     train_idx = ds.train_idx
     for epoch in range(config.epochs):
@@ -288,11 +300,11 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
                 continue   # batch statistics need at least two samples
             xb = Tensor(ds.images[idx])
             yb = ds.labels[idx]
-            out, tape = graph_forward(program, xb, mode="train")
+            out, tape = graph_forward(graph, xb, mode="train")
             loss, grad = softmax_cross_entropy(out, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            pgrads, _ = graph_backward(program, tape, grad)
+            pgrads, _ = graph_backward(graph, tape, grad)
             for nid, fields in velocity.items():
                 for f, v in fields.items():
                     theta = graph.weights[nid][f]
@@ -359,15 +371,9 @@ def save_checkpoint(path: str, graph: Graph, spec_text: str) -> None:
         f.write(bytes(body))
 
 
-def _ck_read(buf, off, n, what):
-    if off + n > len(buf):
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf[off:off + n], off + n
-
-
 def _ck_text(raw, what):
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
 
@@ -385,45 +391,37 @@ def load_checkpoint(path: str, graph: Graph | None = None):
         buf = f.read()
     if len(buf) < 4 + 2 + 4 + 4:
         raise CheckpointError("checkpoint file too short")
-    stored_crc = struct.unpack("<I", buf[-4:])[0]
-    buf = buf[:-4]   # every field lies before the checksum
-    if zlib.crc32(buf) & 0xFFFFFFFF != stored_crc:
+    # every field lies before the checksum
+    r = _Reader(memoryview(buf)[:-4], CheckpointError, "checkpoint")
+    if zlib.crc32(r.buf) & 0xFFFFFFFF != struct.unpack("<I", buf[-4:])[0]:
         raise CheckpointError("checkpoint checksum mismatch")
-    off = 0
-    magic, off = _ck_read(buf, off, 4, "magic")
+    magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    raw, off = _ck_read(buf, off, 2, "version")
-    (version,) = struct.unpack("<H", raw)
+        raise CheckpointError(f"bad checkpoint magic {bytes(magic)!r}")
+    (version,) = r.unpack("<H", "version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    raw, off = _ck_read(buf, off, 4, "variant text length")
-    (spec_len,) = struct.unpack("<I", raw)
-    raw, off = _ck_read(buf, off, spec_len, "variant text")
-    spec_text = _ck_text(raw, "variant text")
-    raw, off = _ck_read(buf, off, 4, "tensor count")
-    (count,) = struct.unpack("<I", raw)
+    (spec_len,) = r.unpack("<I", "variant text length")
+    spec_text = _ck_text(r.take(spec_len, "variant text"), "variant text")
+    (count,) = r.unpack("<I", "tensor count")
     tensors = {}
     for i in range(count):
-        raw, off = _ck_read(buf, off, 2, f"tensor {i} name length")
-        (nlen,) = struct.unpack("<H", raw)
-        raw, off = _ck_read(buf, off, nlen, f"tensor {i} name")
-        name = _ck_text(raw, f"tensor {i} name")
+        (nlen,) = r.unpack("<H", f"tensor {i} name length")
+        name = _ck_text(r.take(nlen, f"tensor {i} name"), f"tensor {i} name")
         if name in tensors:
             raise CheckpointError(f"tensor {name} appears twice")
-        raw, off = _ck_read(buf, off, 16, f"tensor {name} dims")
-        dims = struct.unpack("<4I", raw)
+        dims = r.unpack("<4I", f"tensor {name} dims")
         # Python ints: a product of four uint32 dims can overflow int64
         size = math.prod(dims)
-        raw, off = _ck_read(buf, off, 4 * size, f"tensor {name} payload")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        arr = np.frombuffer(r.take(4 * size, f"tensor {name} payload"),
+                            dtype="<f4").reshape(dims).copy()
         if not np.isfinite(arr).all():
             raise CheckpointError(f"tensor {name} holds a value that is not "
                                   "finite")
         if name.endswith(":running_var") and (arr < 0).any():
             raise CheckpointError(f"tensor {name} holds a negative variance")
         tensors[name] = arr
-    if off != len(buf):
+    if r.left():
         raise CheckpointError("trailing bytes after last tensor")
     if graph is not None:
         _install(graph, tensors)

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cosnet.graph import LayerNode
-from cosnet.runtime import INPUT_ID
+from cosnet.runtime import INPUT_ID, PlanStep
 from cosnet.tensor import deterministic_enabled, set_deterministic
 
 
@@ -53,3 +55,15 @@ class PlanAsGraph:
 
     def node(self, nid):
         return self._steps[nid]
+
+
+def node_program(g):
+    """The graph's nodes as a step program, one step per non-input node
+    reading its own weight table: no replication fold, each grouped conv
+    over its replicated input.  The reference the batched plan is checked
+    against; it has no weight table of its own, so pass ``weights``."""
+    return SimpleNamespace(
+        steps=[PlanStep(n.id, n.kind, n.config, n.inputs, n.name,
+                        src_node=n.id)
+               for n in map(g.node, g.order) if n.id != g.input_id],
+        input_id=g.input_id, output_id=g.output_id)

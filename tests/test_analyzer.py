@@ -103,6 +103,9 @@ class TestBranchStats:
     def test_chain_peaks_at_two(self):
         g = _single_conv_graph()
         assert analysis.branch_stats(g)["peak_live"] == 2
+        # a graph is counted as its batched plan
+        assert analysis.branch_stats(g) == analysis.branch_stats(
+            g.batched_plan())
 
     def test_diamond_peaks_at_three(self):
         b = GraphBuilder()

@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PlanAsGraph
+from conftest import PlanAsGraph, node_program
 from cosnet import graph as graphmod
 from cosnet import ops
 from cosnet.analysis import count_flops, emit_report
 from cosnet.arch import UnitConfig, build_mini_network, build_unit
-from cosnet.errors import ConfigError, GraphError
+from cosnet.errors import ConfigError, GraphError, ShapeError
 from cosnet.graph import (OPS, GraphBuilder, _activation_signature,
                           describe, grad_check, graph_backward,
                           graph_forward, infer_shapes, reinit_weights)
@@ -64,7 +64,8 @@ def _branch_graph(widths, seed=0):
 
 def _every_kind_graph():
     """One node of every kind, named after its role (the output node keeps
-    its default name)."""
+    its default name).  Its batched plan keeps one step per node: the
+    grouped conv reads the bn, so no replication is folded."""
     b = GraphBuilder()
     x = b.add("input")
     c = b.add("conv", [x], "c", params=ConvParams(
@@ -77,15 +78,15 @@ def _every_kind_graph():
     a = b.add("add", [pa, pm], "a")
     bn = b.add("bn", [a], "bn", channels=2)
     ir = b.add("ir", [bn], "ir", m=2)
-    cg = b.add("conv_grouped", [ir], "cg", params=ConvParams(
-        out_channels=4, in_channels=4, groups=2))
+    cg = b.add("conv", [bn], "cg", params=ConvParams(
+        out_channels=4, in_channels=2, groups=2))
     bs = b.add("block_sum", [cg], "bs", m=2)
     sl = b.add("slice", [ir], "sl", start=1, stop=3)
     cat = b.add("concat", [bs, sl], "cat")
     gp = b.add("gap", [cat], "gap")
     fc = b.add("linear", [gp], "fc", in_features=4, out_features=3)
     g = b.freeze(b.add("output", [fc]), seed=0)
-    assert {s.kind for s in g.steps} == set(OPS) - {"input"}
+    assert {s.kind for s in g.batched_plan().steps} == set(OPS) - {"input"}
     return g
 
 
@@ -271,6 +272,14 @@ class TestShapes:
                            r"shape|all dimensions must be >= 1), got"):
             fn(_chain_graph(), shape)
 
+    @pytest.mark.parametrize("shape", [5, (2, "a", 8, 8), (2, 3.7, 32, 32),
+                                       (2.0, 3, 32, 32)])
+    def test_non_integer_input_shape_refused(self, shape):
+        # a float is not truncated: (2, 3.7, 32, 32) is not 3 channels
+        with pytest.raises(GraphError, match=r"\(input\): expected a "
+                           "sequence of integers"):
+            infer_shapes(build_mini_network(), shape)
+
 
 class TestForwardBackward:
     def test_eval_has_no_tape(self):
@@ -310,6 +319,37 @@ class TestForwardBackward:
         with pytest.raises(GraphError):
             graph_forward(g, tensor_create((1, 2, 4, 4)), mode="predict")
 
+    @pytest.mark.parametrize("shape, dtype", [((2, 7, 1, 1), np.float32),
+                                              ((2, 10, 1, 1), np.float64)])
+    def test_backward_refuses_a_mismatched_grad_output(self, shape, dtype):
+        g = build_mini_network(columns=2, seed=0)
+        x = tensor_create((2, 3, 32, 32), "uniform", seed=1)
+        out, tape = graph_forward(g.batched_plan(), x, mode="train")
+        assert out.shape == (2, 10, 1, 1)
+        steps = set(tape)
+        with pytest.raises(GraphError, match=r"grad_output is .*; the forward"
+                           r" output is float32 \(2, 10, 1, 1\)"):
+            graph_backward(g.batched_plan(), tape,
+                           tensor_create(shape, "ones", dtype=dtype))
+        # refused before any entry left the tape: it still serves a pass
+        assert set(tape) == steps
+        grads, _ = graph_backward(g.batched_plan(), tape,
+                                  tensor_create(out.shape, "ones"))
+        assert all(a.dtype == np.float32 for table in grads.values()
+                   for a in table.values())
+
+    def test_backward_kernel_error_names_the_step(self):
+        g = build_mini_network(columns=2, seed=0)
+        p = g.batched_plan()
+        x = tensor_create((2, 3, 32, 32), "uniform", seed=1)
+        out, tape = graph_forward(p, x, mode="train")
+        relu = next(s for s in p.steps if s.kind == "relu")
+        tape[relu.id]["mask"] = tape[relu.id]["mask"][:1]
+        with pytest.raises(GraphError, match=rf"backward failed at step "
+                           rf"{relu.id} \({relu.name}\)") as info:
+            graph_backward(p, tape, tensor_create(out.shape, "ones"))
+        assert isinstance(info.value.__cause__, ShapeError)
+
     def test_boundary_takes_only_tensors(self):
         g = _chain_graph()
         x = tensor_create((2, 2, 6, 6), "uniform", seed=1)
@@ -342,22 +382,23 @@ def _mini_pff(columns, seed=0):
 
 def _sgd_gradients(program, g, x, labels):
     """One training step's gradients over ``program``, on a copy of g's
-    weights (the train-mode forward updates BN running statistics)."""
-    weights = g.copy_weights()
+    weights in x's dtype (the train-mode forward updates BN running
+    statistics)."""
+    weights = g.copy_weights(dtype=x.data.dtype)
     out, tape = graph_forward(program, x, mode="train", weights=weights)
     _, grad = softmax_cross_entropy(out, labels)
     return graph_backward(program, tape, grad, weights=weights)
 
 
 class TestBackwardOverPlans:
-    def _inputs(self, seed):
-        x = tensor_create((8, 3, 32, 32), "uniform", seed=seed)
+    def _inputs(self, seed, dtype=np.float32):
+        x = tensor_create((8, 3, 32, 32), "uniform", seed=seed, dtype=dtype)
         return x, np.arange(8) % 10
 
     def test_single_column_plan_is_bitwise_the_graph(self):
         g = build_mini_network(columns=1, seed=3)
         x, labels = self._inputs(3)
-        want_p, want_x = _sgd_gradients(g, g, x, labels)
+        want_p, want_x = _sgd_gradients(node_program(g), g, x, labels)
         got_p, got_x = _sgd_gradients(plan(g, "batched"), g, x, labels)
         assert set(got_p) == set(want_p)
         for nid, fields in want_p.items():
@@ -373,8 +414,12 @@ class TestBackwardOverPlans:
         p = plan(g, "batched")
         # the level-1 convs read the un-replicated input
         assert not any(s.kind == "ir" for s in p.steps)
-        x, labels = self._inputs(columns)
-        want_p, want_x = _sgd_gradients(g, g, x, labels)
+        # in float64: the two programs sum in different orders, and a
+        # float32 rounding difference can flip a ReLU or max-pool decision
+        # (mini M=4 at seed 4 flips one), which moves gradients by more
+        # than rounding
+        x, labels = self._inputs(columns, np.float64)
+        want_p, want_x = _sgd_gradients(node_program(g), g, x, labels)
         got_p, got_x = _sgd_gradients(p, g, x, labels)
         pairs = [(got_p[nid][f], arr) for nid, fields in want_p.items()
                  for f, arr in fields.items()] + [(got_x.data, want_x.data)]
@@ -399,18 +444,21 @@ class TestBackwardOverPlans:
         count, concat and slice channel counts.  Only linear keeps an
         input array, and no entry holds a Tensor."""
         g = _every_kind_graph()
-        ids = {g.node(n).name: n for n in g.order}
+        p = g.batched_plan()
+        ids = {s.name: s.id for s in p.steps}
         c, r, pa, pm, a, bn, ir, cg, bs, sl, cat, gp, fc = (
             ids[name] for name in ("c", "r", "pa", "pm", "a", "bn", "ir",
                                    "cg", "bs", "sl", "cat", "gap", "fc"))
         xt = tensor_create((2, 2, 6, 6), "uniform", seed=1, lo=-1, hi=1)
         out, tape = graph_forward(g, xt, mode="train")
-        assert set(tape) == {s.id for s in g.steps}
-        for s in g.steps:
+        assert set(tape) == {s.id for s in p.steps}
+        for s in p.steps:
             for value in tape[s.id].values():
                 assert not isinstance(value, Tensor)
-        conv_out = ops.conv2d_forward(xt.data, g.weights[c]["weight"], None,
-                                      g.node(c).config["params"])
+        conv = p.steps[c]
+        conv_out = ops.conv2d_forward(xt.data,
+                                      g.weights[conv.src_node]["weight"],
+                                      None, conv.config["params"])
         relu_out = np.maximum(conv_out, 0)
         arg = ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
                                 -np.inf).argmax(axis=2)
@@ -425,7 +473,7 @@ class TestBackwardOverPlans:
         assert tape[pm]["arg"].dtype == np.uint8
         assert np.array_equal(tape[pm]["arg"], arg)
         assert tape[a] == {"count": 2}
-        assert tape[ir] == tape[bs] == tape[g.output_id] == {}
+        assert tape[ir] == tape[bs] == tape[p.output_id] == {}
         assert tape[sl] == {"channels": 4}
         assert tape[cat] == {"channels": [2, 2]}
         assert tape[gp] == {"in_shape": (2, 4, 3, 3)}
@@ -451,11 +499,10 @@ class TestBackwardOverPlans:
         entry."""
         if program == "every_kind":
             g, shape = _every_kind_graph(), (2, 2, 6, 6)
-            p, shapes = g, infer_shapes(g, shape)
         else:
             g, shape = build_mini_network(columns=3, seed=0), (2, 3, 32, 32)
-            p = g.batched_plan()
-            shapes = infer_shapes(PlanAsGraph(p), shape)
+        p = g.batched_plan()
+        shapes = infer_shapes(PlanAsGraph(p), shape)
         steps = iter(p.steps)   # run_steps runs each step's forward in order
         step_of = {}            # id of a saved dict -> its step
         backwards = []

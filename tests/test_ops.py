@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from conftest import max_rel_err, numeric_grad
 from cosnet import ops
 from cosnet.errors import ConfigError, LabelError, ShapeError
-from cosnet.graph import OPS
+from cosnet.graph import OPS, GraphBuilder
 from cosnet.ops import ConvParams
+from cosnet.runtime import execute, plan
 from cosnet.tensor import (Tensor, deterministic_enabled, im2col_nd,
                            set_deterministic, tensor_create)
 
@@ -64,10 +65,10 @@ class TestConvForward:
         g = 3
         p = ConvParams(out_channels=6, in_channels=9, kernel=(3, 3),
                        pad=(1, 1), groups=g)
-        x = tensor_create((2, 9, 5, 5), "uniform", seed=4).data
+        xt = tensor_create((2, 9, 5, 5), "uniform", seed=4)
+        x = xt.data
         w = np.random.default_rng(5).normal(size=p.weight_shape) \
             .astype(np.float32)
-        whole = ops.conv2d_forward(x, w, None, p)
         sub = ConvParams(out_channels=2, in_channels=3, kernel=(3, 3),
                          pad=(1, 1))
         parts = []
@@ -75,7 +76,17 @@ class TestConvForward:
             xs = x[:, 3 * gi:3 * gi + 3].copy()
             parts.append(ops.conv2d_forward(xs, w[2 * gi:2 * gi + 2],
                                             None, sub))
-        assert np.array_equal(whole, ops.channel_concat(parts))
+        stacked = ops.channel_concat(parts)
+        # the unrolled plan runs exactly those per-group convs
+        b = GraphBuilder()
+        conv = b.add("conv", [b.add("input")], "c", params=p)
+        net = b.freeze(conv)
+        net.weights[conv]["weight"] = w
+        unrolled = execute(plan(net, "unrolled"), xt).data
+        assert np.array_equal(unrolled, stacked)
+        # the kernel splits each group's reduction in two halves
+        whole = ops.conv2d_forward(x, w, None, p)
+        assert float(np.abs(whole - stacked).max()) < 1e-5
 
     def test_bias(self):
         p = ConvParams(out_channels=2, in_channels=1, has_bias=True)
@@ -98,6 +109,9 @@ class TestConvForward:
 
 
 class TestConvGroupedForward:
+    """conv2d_forward with groups > 1: two gemms per group over one
+    im2col."""
+
     @pytest.mark.parametrize("cout, cin, k, stride, g", [
         (8, 12, 3, 2, 4),    # stride 2
         (12, 12, 1, 1, 3),   # 1x1 pairwise fusion, odd g
@@ -112,8 +126,16 @@ class TestConvGroupedForward:
         x = tensor_create((2, cin, 7, 7), "uniform", seed=6, lo=-1, hi=1).data
         w = np.random.default_rng(7).normal(
             0.0, 0.5, size=p.weight_shape).astype(np.float32)
-        got = ops.conv2d_grouped_forward(x, w, None, p)
-        want = ops.conv2d_forward(x, w, None, p)
+        got = ops.conv2d_forward(x, w, None, p)
+        # the one-gemm im2col kernel, once per group
+        sub = ConvParams(out_channels=cout // g, in_channels=cin // g,
+                         kernel=(k, k), stride=(stride, stride),
+                         pad=(k // 2, k // 2))
+        step = cin // g
+        want = ops.channel_concat([ops.conv2d_forward(
+            x[:, gi * step:(gi + 1) * step].copy(),
+            w[gi * (cout // g):(gi + 1) * (cout // g)], None, sub)
+            for gi in range(g)])
         assert got.shape == want.shape
         assert float(np.abs(got - want).max()) < 1e-5
         exact = _naive_conv(x.astype(np.float64), w.astype(np.float64), p)
@@ -124,7 +146,7 @@ class TestConvGroupedForward:
         x = tensor_create((1, 4, 2, 2), "ones").data
         w = np.ones(p.weight_shape, dtype=np.float32)
         b = np.array([1.0, -1.0, 0.0, 2.0], dtype=np.float32)
-        out = ops.conv2d_grouped_forward(x, w, b, p)
+        out = ops.conv2d_forward(x, w, b, p)
         assert np.array_equal(out[0, :, 0, 0], [3.0, 1.0, 2.0, 4.0])
 
     def test_two_gemms_per_group_through_mm(self, monkeypatch):
@@ -145,7 +167,7 @@ class TestConvGroupedForward:
         monkeypatch.setattr(ops, "mm", spy)
         set_deterministic(True)
         try:
-            det = ops.conv2d_grouped_forward(x, w, None, p)
+            det = ops.conv2d_forward(x, w, None, p)
         finally:
             set_deterministic(False)
         # inner dimension split at half the group's channels: 2*9 and 2*9
@@ -219,14 +241,13 @@ class TestConvBackward:
         with pytest.raises(ShapeError):
             ops.conv2d_backward(tensor_create((1, 1, 3, 3)).data, saved, w, p)
 
-    @pytest.mark.parametrize("forward", [ops.conv2d_forward,
-                                         ops.conv2d_grouped_forward])
-    def test_saved_state_is_the_forward_patch_matrix(self, forward):
+    def test_saved_state_is_the_forward_patch_matrix(self):
         p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1), groups=2)
         x = tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1, hi=1).data
         saved = {}
-        forward(x, np.ones(p.weight_shape, np.float32), None, p, saved)
+        ops.conv2d_forward(x, np.ones(p.weight_shape, np.float32), None, p,
+                           saved)
         assert saved["in_shape"] == x.shape
         assert np.array_equal(saved["cols"],
                               im2col_nd(x, p.kernel, p.stride, p.pad))

@@ -7,7 +7,8 @@ from conftest import PlanAsGraph
 from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
-from cosnet.graph import graph_forward, infer_shapes, reinit_weights
+from cosnet.graph import (graph_backward, graph_forward, infer_shapes,
+                          reinit_weights)
 from cosnet.tensor import tensor_create
 
 
@@ -16,6 +17,13 @@ def _unit(m=2, n=4, l=2, **kw):
                      kernels_per_layer=n, column_depth=l, expand_channels=16,
                      **kw)
     return build_unit_graph(cfg, seed=1)
+
+
+# mini M=4, and a unit whose batched plan keeps its ir (the level-(1,2)
+# shallow skip reads it)
+_GRAPHS = [(lambda: build_mini_network(columns=4, seed=0), 3),
+           (lambda: _unit(m=4, n=8, downsample=False), 8)]
+_GRAPH_IDS = ["mini_m4", "unit_keeps_ir"]
 
 
 class TestPlan:
@@ -49,9 +57,10 @@ class TestPlan:
         assert level1.inputs == (src.id,)
         assert level1.config["params"].weight_shape == \
             g.weights[level1.src_node]["weight"].shape
+        # the later levels stay one grouped conv each
         later = [s for s in p.steps if ".col.level" in s.name
-                 and s.kind.startswith("conv") and s is not level1]
-        assert later and all(s.kind == "conv_grouped" for s in later)
+                 and s.kind == "conv" and s is not level1]
+        assert later and all(s.config["params"].groups == 4 for s in later)
 
     def test_batched_keeps_replication_with_other_readers(self):
         # S == N and no downsampling: the level-(1,2) shallow skip reads the
@@ -123,19 +132,41 @@ class TestPlan:
 
 class TestExecute:
     def test_unrolled_matches_graph_forward(self):
+        # the graph runs its batched plan: the unrolled plan's per-group
+        # convs sum in another order (their exactness against stacked
+        # convs is tests/test_ops.py's)
         g = _unit(m=4)
         x = tensor_create((2, 8, 12, 12), "uniform", seed=0, lo=-1, hi=1)
         want, _ = graph_forward(g, x)
         got = runtime.execute(runtime.plan(g, "unrolled"), x)
-        # both run each group through the im2col kernel
-        assert np.array_equal(got.data, want.data)
+        assert 0.0 < float(np.abs(got.data - want.data).max()) < 1e-5
 
     def test_batched_matches_graph_forward(self):
-        g = _unit(m=4)
-        x = tensor_create((2, 8, 12, 12), "uniform", seed=0, lo=-1, hi=1)
-        want, _ = graph_forward(g, x)
-        got = runtime.execute(runtime.plan(g, "batched"), x)
-        assert float(np.abs(got.data - want.data).max()) < 1e-5
+        for graph, channels in _GRAPHS:
+            g = graph()
+            x = tensor_create((2, channels, 16, 16), "uniform", seed=0,
+                              lo=-1, hi=1)
+            want, _ = graph_forward(g, x)
+            got = runtime.execute(g.batched_plan(), x)
+            assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("graph, channels", _GRAPHS, ids=_GRAPH_IDS)
+    def test_graph_backward_runs_the_batched_plan(self, graph, channels):
+        g = graph()
+        x = tensor_create((2, channels, 16, 16), "uniform", seed=0, lo=-1,
+                          hi=1)
+        results = []
+        for program in (g, g.batched_plan()):
+            weights = g.copy_weights()
+            out, tape = graph_forward(program, x, mode="train",
+                                      weights=weights)
+            go = tensor_create(out.shape, "uniform", seed=2, lo=-1, hi=1)
+            pgrads, gin = graph_backward(program, tape, go, weights=weights)
+            results.append([out.data, gin.data] + [
+                pgrads[nid][f] for nid in sorted(pgrads)
+                for f in sorted(pgrads[nid])])
+        assert ([a.tobytes() for a in results[0]]
+                == [a.tobytes() for a in results[1]])
 
     def test_explicit_weights_override(self):
         g = _unit(m=2)

@@ -62,3 +62,21 @@ def test_traced_execute_counts_replicated_bytes():
     assert replicate["calls"] == 3   # one per unit
     assert replicate["work"] > 0
     assert summary[("setup", "runtime.execute")]["calls"] == 1
+
+
+def test_traced_batched_execute_spans_every_conv():
+    # the per-layer conv metric covers grouped convs: each conv step of the
+    # batched plan, grouped or not, is one ops.conv2d_forward span
+    spans = _spans()
+    p = build_mini_network(columns=4, seed=0).batched_plan()
+    convs = [s.config["params"].groups for s in p.steps if s.kind == "conv"]
+    assert 1 in convs and max(convs) == 4
+    x = tensor.tensor_create((2, 3, 32, 32), "uniform", seed=1)
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, cosnet)
+    try:
+        runtime.execute(p, x)
+    finally:
+        restore()
+    summary = tracer.summary()
+    assert summary[("setup", "ops.conv2d_forward")]["calls"] == len(convs)

@@ -29,6 +29,19 @@ class TestTensor:
         t = Tensor(np.ones((1, 1, 2, 2), dtype=np.int32))
         assert t.data.dtype == np.float32
 
+    @pytest.mark.parametrize("shape", [5, None, (2.5, 3, 4, 4),
+                                       (2, 3.0, 4, 4), (2, "a", 4, 4),
+                                       (2, np.float32(3), 4, 4)])
+    def test_create_refuses_a_shape_of_non_integers(self, shape):
+        with pytest.raises(ShapeError, match="sequence of integers"):
+            tensor_create(shape)
+
+    def test_create_takes_numpy_integers(self):
+        shape = (np.int64(2), np.int32(3), np.uint8(4), 4)
+        t = tensor_create(shape)
+        assert t.shape == (2, 3, 4, 4)
+        assert tensor_create(np.array([2, 3, 4, 4])).shape == (2, 3, 4, 4)
+
 
 class TestCreate:
     def test_fills(self):

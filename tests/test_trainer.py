@@ -291,8 +291,7 @@ class TestTraining:
         counts = Counter(calls)
         assert counts["backward", "im2col"] == 0
         assert counts["backward", "bn"] == 0
-        assert counts["forward", "im2col"] == (kinds.count("conv")
-                                               + kinds.count("conv_grouped"))
+        assert counts["forward", "im2col"] == kinds.count("conv")
         assert counts["forward", "bn"] == kinds.count("bn")
 
     def test_max_pool_backward_builds_no_windows(self, monkeypatch):
