@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 
 from . import analysis, arch, graph as graphmod, runtime, training
@@ -48,9 +49,9 @@ def _input_shape(batch: int, input_res: int):
     return (batch, 3, input_res, input_res)
 
 
-def _add_model_arg(p):
+def _add_model_arg(p, **kwargs):
     p.add_argument("model", help="'mini', a registry variant name, or a "
-                                 "path to a variant text file")
+                                 "path to a variant text file", **kwargs)
 
 
 def cmd_describe(args) -> int:
@@ -149,6 +150,8 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     shape = _input_shape(args.batch, args.input_res)
+    if args.all:
+        return _bench_all(args, shape)
     g, _ = _load_model(args.model, seed=0)
     p = runtime.plan(g, args.mode)
     stats = runtime.bench(p, shape, warmup=args.warmup, iters=args.iters)
@@ -158,6 +161,46 @@ def cmd_bench(args) -> int:
         print(f"{args.model} mode={stats['mode']} steps={stats['steps']} "
               f"mean {stats['mean_ms']:.1f}ms p50 {stats['p50_ms']:.1f}ms "
               f"p95 {stats['p95_ms']:.1f}ms over {stats['iters']} iters")
+    return 0
+
+
+def _bench_all(args, shape) -> int:
+    """Every registry variant in both modes.  Each of ``--iters`` repeats
+    times one :func:`runtime.bench` execute per mode, the mode order
+    alternating between repeats; reported per mode: the median ms and the
+    GMAC/s it reaches on the MACs of ``analysis.count_flops``.
+    ResNet-50-ref, whose two plans are step-identical, is the control."""
+    _check_sizes(("--iters", args.iters))
+    variants = {}
+    for name, spec in arch.REGISTRY.items():
+        g = arch.build_network(spec, seed=0)
+        macs = analysis.count_flops(g, shape)
+        plans = {mode: runtime.plan(g, mode) for mode in runtime.MODES}
+        times = {mode: [] for mode in plans}
+        for r in range(args.iters):
+            for mode in (runtime.MODES[::-1] if r % 2 else runtime.MODES):
+                stats = runtime.bench(plans[mode], shape, iters=1,
+                                      warmup=args.warmup if r == 0 else 0)
+                times[mode].append(stats["p50_ms"])
+        row = {"macs": macs}
+        for mode, ms in times.items():
+            med = statistics.median(ms)
+            row[mode] = {"steps": plans[mode].num_steps(), "median_ms": med,
+                         "gmac_s": macs / med / 1e6}
+        variants[name] = row
+        _log(f"{name}: batched {row['batched']['median_ms']:.1f}ms "
+             f"unrolled {row['unrolled']['median_ms']:.1f}ms")
+    if args.json:
+        print(json.dumps({"batch": args.batch, "input_res": args.input_res,
+                          "iters": args.iters, "variants": variants}))
+        return 0
+    print(f"{'variant':<16} {'MMAC':>8}  {'batched ms':>10} {'GMAC/s':>7}  "
+          f"{'unrolled ms':>11} {'GMAC/s':>7}")
+    for name, row in variants.items():
+        b, u = row["batched"], row["unrolled"]
+        print(f"{name:<16} {row['macs'] / 1e6:>8.1f}  {b['median_ms']:>10.2f} "
+              f"{b['gmac_s']:>7.2f}  {u['median_ms']:>11.2f} "
+              f"{u['gmac_s']:>7.2f}")
     return 0
 
 
@@ -242,8 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write a checkpoint here when done")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("bench", help="wall-clock one model configuration")
-    _add_model_arg(p)
+    p = sub.add_parser("bench", help="wall-clock one model configuration, "
+                                     "or with --all every registry variant")
+    _add_model_arg(p, nargs="?")
+    p.add_argument("--all", action="store_true",
+                   help="time every registry variant in both modes "
+                        "(--mode is ignored)")
     p.add_argument("--mode", choices=runtime.MODES, default="batched")
     p.add_argument("--input-res", type=int, default=32)
     p.add_argument("--batch", type=int, default=1)
@@ -264,6 +311,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.command == "analyze" and not args.calibrate and args.model is None:
         ap.error("analyze needs a model (or --calibrate)")
+    if args.command == "bench" and (args.model is None) != args.all:
+        ap.error("bench needs a model or --all, not both")
     try:
         return args.func(args)
     except (ConfigError, VariantLookupError) as exc:

@@ -524,8 +524,10 @@ def program_of(program):
 
 
 class Tape(dict):
-    """Each train-mode step's ``saved`` dict by step id, and ``out``: the
-    (shape, dtype) of the output whose gradient the backward pass takes."""
+    """Each train-mode step's ``saved`` dict by step id; ``program``: the
+    program that recorded it; and ``out``: the (shape, dtype) of the output
+    whose gradient the backward pass takes."""
+    program = None
     out = None
 
 
@@ -540,10 +542,10 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     rows; the table holds one block per group step reading it.  Arrays are
     freed at their last use.  In train mode each step's forward gets a
     fresh ``saved`` dict, and the :class:`Tape` records that dict, keyed by
-    step id, and the output's shape and dtype: it keeps an array alive only
-    while some backward reads it.  Any :class:`CosnetError` or missing
-    table entry raised inside a step is re-raised as ``error``, naming the
-    step.
+    step id, the program, and the output's shape and dtype: it keeps an
+    array alive only while some backward reads it.  Any
+    :class:`CosnetError` or missing table entry raised inside a step is
+    re-raised as ``error``, naming the step.
 
     Returns (output, tape); the tape is None in eval mode.
     """
@@ -580,7 +582,7 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     if out is None:
         raise error("the program never produced its output tensor")
     if tape is not None:
-        tape.out = (out.shape, out.dtype)
+        tape.program, tape.out = program, (out.shape, out.dtype)
     return out, tape
 
 
@@ -610,10 +612,11 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     """Reverse-mode gradients over the program a train-mode
     :func:`graph_forward` ran; fan-out accumulates by summation.  The pass
     takes each step's entry off the tape as it reaches the step, so a tape
-    serves one backward pass and is empty after it.  ``grad_output`` must
-    have the forward output's shape and dtype, checked before anything
-    leaves the tape; an error inside a step's backward is re-raised as
-    :class:`GraphError` naming the step.
+    serves one backward pass and is empty after it.  The tape must come
+    from this program, and ``grad_output`` must have the forward output's
+    shape and dtype, both checked before anything leaves the tape; an
+    error inside a step's backward is re-raised as :class:`GraphError`
+    naming the step.
 
     Returns (grad table keyed like the weight table, by each step's
     ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
@@ -624,6 +627,9 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
         raise GraphError("backward requires an unused tape from a "
                          "train-mode forward")
     program = program_of(program)
+    if getattr(tape, "program", None) is not program:
+        raise GraphError("the tape was recorded by another program; pass "
+                         "the graph or plan whose forward made it")
     grouped = next((s for s in program.steps if s.group is not None), None)
     if grouped is not None:
         raise GraphError(f"cannot differentiate the per-group step "

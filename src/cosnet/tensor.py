@@ -15,10 +15,17 @@ products in k order.  Deterministic mode evaluates that order a block of k
 at a time (see :func:`mm`), so a result depends only on the operands, never
 on the block size.  The two paths agree within 1e-6 relative on the sizes
 used here.
+
+:func:`im2col_nd`, the patch matrix every convolution multiplies, has two
+ways to build it and one set of bytes: a map of at most 16 pixels is one
+gather through a cached index of where each patch entry reads, every larger
+map is copied strided.  Both only move values, so any input, -0.0, inf and
+NaN included, lands bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 
@@ -155,29 +162,79 @@ def _pad_hw(x: np.ndarray, pad, fill=0.0) -> np.ndarray:
     return xp
 
 
+# im2col_nd gathers the patch matrix of a map of at most this many pixels
+# and copies larger maps strided: the gather is faster than the copy on 4x4
+# and 2x2 maps, where the copy's inner loops run over a few elements each,
+# but not on every 8x8 map measured.
+_GATHER_MAX_PIXELS = 16
+
+
 def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
     """Lower a batch (n,c,h,w) to the gemm patch matrix (c*kh*kw, n*Ho*Wo).
 
     Patch rows are ordered channel-major, then kernel row, then kernel col;
-    columns are ordered by sample, then output row, then output col.  The
-    matrix is written as (c, kh, kw, n, Ho, Wo) from a channel-major view
-    of the input.  Out-of-bounds elements are zero.  A 1x1 kernel with
-    stride 1 and no padding is one transpose-reshape of the input.
+    columns are ordered by sample, then output row, then output col.
+    Out-of-bounds elements are +0.0.  A 1x1 kernel with stride 1 and no
+    padding is one transpose-reshape of the input.  Any other geometry is
+    built one of two ways, with the same bytes:
+
+    - a map of at most ``_GATHER_MAX_PIXELS`` pixels is copied once into a
+      channel-major (c, n*h*w + 1) source whose last column is +0.0, and
+      the matrix is one ``take`` of that source's columns through the
+      geometry's cached index (:func:`_gather_index`);
+    - otherwise kh*kw strided copies from a channel-major, zero-padded view
+      of the input (:func:`_im2col_copy`).
+
+    Both only move values: no arithmetic, no threads, and no dependence on
+    the data or on deterministic mode.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
-    sh, sw = stride
-    ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
-    xc = x.transpose(1, 0, 2, 3)
-    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return xc.reshape(c, n * h * w)
-    xc = _pad_hw(xc, pad)
+    if (kh, kw, *stride, *pad) == (1, 1, 1, 1, 0, 0):
+        return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    if h * w <= _GATHER_MAX_PIXELS:
+        src = np.empty((c, n * h * w + 1), dtype=x.dtype)
+        # splitting the rows' contiguous axis: a view, never a copy
+        np.copyto(src[:, :-1].reshape(c, n, h, w), x.transpose(1, 0, 2, 3))
+        src[:, -1] = 0
+        idx = _gather_index(n, h, w, tuple(kernel), tuple(stride), tuple(pad))
+        # "wrap" leaves an index in range as it is, and is numpy's fastest
+        cols = src.take(idx, axis=1, mode="wrap")
+    else:
+        cols = _im2col_copy(x, kernel, stride, pad, ho, wo)
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+@functools.lru_cache(maxsize=32)
+def _gather_index(n: int, h: int, w: int, kernel, stride,
+                  pad) -> np.ndarray:
+    """Where each patch entry of im2col on n maps of h x w reads, in the
+    patch matrix's (kernel row, kernel col, sample, output pixel) order:
+    the pixel's column of the (c, n*h*w + 1) channel-major source, or
+    n*h*w, the source's zero column, for padding.  It is the strided copy
+    of the pixels' own indices, built at first use and kept read-only."""
+    ho, wo = _out_hw(h, w, kernel, stride, pad)
+    cells = np.arange(n * h * w, dtype=np.intp).reshape(n, 1, h, w)
+    idx = _im2col_copy(cells, kernel, stride, pad, ho, wo,
+                       fill=n * h * w).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+def _im2col_copy(x: np.ndarray, kernel, stride, pad, ho, wo,
+                 fill=0) -> np.ndarray:
+    """The patch matrix as (c, kh, kw, n, Ho, Wo), written by kh*kw strided
+    copies from a channel-major view of x padded with ``fill``."""
+    n, c = x.shape[:2]
+    kh, kw = kernel
+    sh, sw = stride
+    xc = _pad_hw(x.transpose(1, 0, 2, 3), pad, fill)
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for ki in range(kh):
         for kj in range(kw):
             cols[:, ki, kj] = xc[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
-    return cols.reshape(c * kh * kw, n * ho * wo)
+    return cols
 
 
 def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosnet import analysis
+from cosnet.arch import REGISTRY
 from cosnet.cli import main
+from cosnet.runtime import MODES
 from cosnet.tensor import deterministic_enabled
 from cosnet.training import load_checkpoint, save_dataset, synth_dataset
 
@@ -88,6 +90,8 @@ class TestVerify:
     ["verify", "mini", "--input-res", "0"],
     ["bench", "mini", "--input-res", "-1"],
     ["bench", "mini", "--warmup", "-1"],
+    ["bench", "--all", "--iters", "0"],
+    ["bench", "--all", "--warmup", "-1"],
     ["gradcheck", "--size", "0"],
     ["gradcheck", "--eps", "0"],
     ["gradcheck", "--tol", "-1"],
@@ -178,6 +182,30 @@ class TestBench:
         assert "mode=unrolled" in capsys.readouterr().out
 
 
+    def test_all_json_covers_the_registry(self, capsys):
+        assert main(["bench", "--all", "--json", "--input-res", "32",
+                     "--iters", "2", "--warmup", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"batch", "input_res", "iters", "variants"}
+        assert list(report["variants"]) == list(REGISTRY)
+        for row in report["variants"].values():
+            assert set(row) == {"macs", *MODES} and row["macs"] > 0
+            for mode in MODES:
+                assert set(row[mode]) == {"steps", "median_ms", "gmac_s"}
+                assert row[mode]["median_ms"] > 0
+                assert row[mode]["gmac_s"] == pytest.approx(
+                    row["macs"] / row[mode]["median_ms"] / 1e6)
+        ref = report["variants"]["ResNet-50-ref"]
+        assert ref["batched"]["steps"] == ref["unrolled"]["steps"]
+
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "mini", "--all"]])
+    def test_all_or_a_model(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "a model or --all" in capsys.readouterr().err
+
+
 class TestExport:
     def test_round_trip_through_file(self, tmp_path, capsys):
         out = tmp_path / "v.txt"
@@ -211,7 +239,8 @@ _CLI_SURFACE = {
                "--momentum", "--weight-decay", "--seed"],
               ["--deterministic"]),
     "bench": (["bench", "mini"],
-              ["--input-res", "--batch", "--warmup", "--iters"], ["--json"]),
+              ["--input-res", "--batch", "--warmup", "--iters"],
+              ["--json", "--all"]),
     "export": (["export", "CoSNet-A0"], [], []),
 }
 

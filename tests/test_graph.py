@@ -338,6 +338,22 @@ class TestForwardBackward:
         assert all(a.dtype == np.float32 for table in grads.values()
                    for a in table.values())
 
+    @pytest.mark.parametrize("recorded, given", [(1, 2), (2, 1)])
+    def test_backward_refuses_another_programs_tape(self, recorded, given):
+        x = tensor_create((2, 3, 32, 32), "uniform", seed=1)
+        g = build_mini_network(columns=recorded, seed=0)
+        other = build_mini_network(columns=given, seed=0)
+        out, tape = graph_forward(g, x, mode="train")
+        steps = set(tape)
+        go = tensor_create(out.shape, "ones")
+        for program in (other, other.batched_plan(), plan(g, "batched")):
+            with pytest.raises(GraphError, match="another program"):
+                graph_backward(program, tape, go)
+        # refused before any entry left the tape: it still serves a pass
+        assert set(tape) == steps
+        graph_backward(g, tape, go)
+        assert not tape
+
     def test_backward_kernel_error_names_the_step(self):
         g = build_mini_network(columns=2, seed=0)
         p = g.batched_plan()

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosnet.errors import ConfigError, GeometryError, ShapeError
-from cosnet.tensor import (_BLOCK_MAX_OUTPUT, Tensor, _pad_hw, col2im_nd,
+from cosnet.tensor import (_BLOCK_MAX_OUTPUT, _GATHER_MAX_PIXELS, Tensor,
+                           _gather_index, _pad_hw, col2im_nd,
                            conv_output_size, deterministic_enabled,
                            elementwise, im2col_nd, mm, set_deterministic,
                            tensor_create)
@@ -224,6 +225,91 @@ class TestIm2col:
         lhs = float((u * cols).sum())
         rhs = float((col2im_nd(u, v.shape, (k, k), (s, s), (p, p)) * v).sum())
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(lhs))
+
+
+def _gather_calls():
+    """How often :func:`im2col_nd` has taken the small-map gather."""
+    info = _gather_index.cache_info()
+    return info.hits + info.misses
+
+
+class TestIm2colGather:
+    """Maps of at most ``_GATHER_MAX_PIXELS`` pixels gather the patch matrix
+    through a cached index; the bytes are those of the strided copy, for
+    any values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(1, 4), _GEOMETRY,
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_matches_index_formula_bytewise(self, n, c, h, w, geom, dtype,
+                                            data):
+        kh, kw, sh, sw, ph, pw = geom
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        x = _signed_zero_data(rng, (n, c, h, w), dtype)
+        args = ((kh, kw), (sh, sw), (ph, pw))
+        before = _gather_calls()
+        cols = im2col_nd(x, *args)
+        if geom != (1, 1, 1, 1, 0, 0):   # the 1x1 shortcut is a view
+            assert _gather_calls() == before + 1
+            assert cols.flags.c_contiguous
+        assert cols.dtype == dtype
+        assert cols.tobytes() == _im2col_by_index(x, *args).tobytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, -0.0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_value_lands_in_its_own_entries(self, value, dtype):
+        x = np.random.default_rng(3).normal(size=(2, 3, 4, 4)).astype(dtype)
+        x[1, 2, 1, 2] = value
+        args = ((3, 3), (1, 1), (1, 1))
+        before = _gather_calls()
+        cols = im2col_nd(x, *args)
+        assert _gather_calls() == before + 1
+        want = _im2col_by_index(x, *args)
+        assert cols.tobytes() == want.tobytes()
+        # an interior pixel of a 3x3 kernel with pad 1 lands in 9 entries,
+        # and the value in no others
+        if np.isnan(value):
+            hit = np.isnan(cols)
+        else:
+            hit = (cols == value) & (np.signbit(cols) == np.signbit(value))
+        assert hit.sum() == 9
+
+    def test_deterministic_mode_gives_the_same_bytes(self):
+        x = np.random.default_rng(4).normal(size=(2, 8, 4, 4)).astype(
+            np.float32)
+        args = ((3, 3), (2, 2), (1, 1))
+        fast = im2col_nd(x, *args)
+        set_deterministic(True)
+        try:
+            det = im2col_nd(x, *args)
+        finally:
+            set_deterministic(False)
+        assert det.tobytes() == fast.tobytes()
+        assert fast.tobytes() == _im2col_by_index(x, *args).tobytes()
+
+    @pytest.mark.parametrize("h, w", [(4, 4), (5, 5), (2, 8), (1, 17)])
+    def test_pixel_bound(self, h, w):
+        x = np.random.default_rng(5).normal(size=(2, 3, h, w)).astype(
+            np.float32)
+        args = ((3, 3), (1, 1), (1, 1))
+        before = _gather_calls()
+        cols = im2col_nd(x, *args)
+        assert _gather_calls() - before == (h * w <= _GATHER_MAX_PIXELS)
+        assert cols.tobytes() == _im2col_by_index(x, *args).tobytes()
+
+    def test_index_is_cached_and_read_only(self):
+        key = (2, 4, 4, (3, 3), (2, 2), (1, 1))
+        idx = _gather_index(*key)
+        assert _gather_index(*key) is idx
+        assert idx.shape == (9 * 2 * 2 * 2,)
+        # each entry reads one of the 2*16 pixels or the zero cell, 32
+        assert idx.min() >= 0 and idx.max() == 2 * 16
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
 
 def _sequential_mm(a, b):
