@@ -164,42 +164,75 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# bench --all's control: its two plans are step-identical
+BENCH_CONTROL = "ResNet-50-ref"
+
+
+def _pair_ms(variant, control, shape, warmup: int, control_first: bool):
+    """(variant ms, control ms) of one :func:`runtime.bench` execute of
+    each plan, run back to back in the order ``control_first`` gives."""
+    first, second = (control, variant) if control_first else (variant,
+                                                              control)
+    a, b = (runtime.bench(p, shape, iters=1, warmup=warmup)["p50_ms"]
+            for p in (first, second))
+    return (b, a) if control_first else (a, b)
+
+
 def _bench_all(args, shape) -> int:
-    """Every registry variant in both modes.  Each of ``--iters`` repeats
-    times one :func:`runtime.bench` execute per mode, the mode order
-    alternating between repeats; reported per mode: the median ms and the
-    GMAC/s it reaches on the MACs of ``analysis.count_flops``.
-    ResNet-50-ref, whose two plans are step-identical, is the control."""
+    """Every registry variant in both modes, each timed in pairs with the
+    control, :data:`BENCH_CONTROL`.  In each of ``--iters`` repeats, per
+    mode, one execute of the variant's plan runs next to one of the
+    control's plan in that mode, the mode order and the order within the
+    pair alternating between repeats.  Reported per mode: the median ms,
+    the GMAC/s it reaches on the MACs of ``analysis.count_flops``, and the
+    median of the per-pair ratio of variant to control ms, in which drift
+    over the minutes between variants cancels.  Only the control and one
+    variant are built at a time."""
     _check_sizes(("--iters", args.iters))
+    control = arch.build_network(arch.REGISTRY[BENCH_CONTROL], seed=0)
+    control_plans = {mode: runtime.plan(control, mode)
+                     for mode in runtime.MODES}
     variants = {}
     for name, spec in arch.REGISTRY.items():
-        g = arch.build_network(spec, seed=0)
+        g = (control if name == BENCH_CONTROL
+             else arch.build_network(spec, seed=0))
         macs = analysis.count_flops(g, shape)
         plans = {mode: runtime.plan(g, mode) for mode in runtime.MODES}
         times = {mode: [] for mode in plans}
+        ratios = {mode: [] for mode in plans}
         for r in range(args.iters):
-            for mode in (runtime.MODES[::-1] if r % 2 else runtime.MODES):
-                stats = runtime.bench(plans[mode], shape, iters=1,
-                                      warmup=args.warmup if r == 0 else 0)
-                times[mode].append(stats["p50_ms"])
+            flip = r % 2 == 1
+            for mode in (runtime.MODES[::-1] if flip else runtime.MODES):
+                ms, ms_control = _pair_ms(
+                    plans[mode], control_plans[mode], shape,
+                    args.warmup if r == 0 else 0, control_first=flip)
+                times[mode].append(ms)
+                ratios[mode].append(ms / ms_control)
         row = {"macs": macs}
         for mode, ms in times.items():
             med = statistics.median(ms)
             row[mode] = {"steps": plans[mode].num_steps(), "median_ms": med,
-                         "gmac_s": macs / med / 1e6}
+                         "gmac_s": macs / med / 1e6,
+                         "ratio_to_control": statistics.median(ratios[mode])}
         variants[name] = row
+        g = plans = None   # free this variant before building the next
         _log(f"{name}: batched {row['batched']['median_ms']:.1f}ms "
-             f"unrolled {row['unrolled']['median_ms']:.1f}ms")
+             f"({row['batched']['ratio_to_control']:.2f}x control) unrolled "
+             f"{row['unrolled']['median_ms']:.1f}ms "
+             f"({row['unrolled']['ratio_to_control']:.2f}x control)")
     if args.json:
         print(json.dumps({"batch": args.batch, "input_res": args.input_res,
-                          "iters": args.iters, "variants": variants}))
+                          "iters": args.iters, "control": BENCH_CONTROL,
+                          "variants": variants}))
         return 0
-    print(f"{'variant':<16} {'MMAC':>8}  {'batched ms':>10} {'GMAC/s':>7}  "
-          f"{'unrolled ms':>11} {'GMAC/s':>7}")
+    print(f"ratios are per-pair medians against {BENCH_CONTROL}")
+    print(f"{'variant':<16} {'MMAC':>8}  {'batched ms':>10} {'ratio':>6} "
+          f"{'GMAC/s':>7}  {'unrolled ms':>11} {'ratio':>6} {'GMAC/s':>7}")
     for name, row in variants.items():
         b, u = row["batched"], row["unrolled"]
         print(f"{name:<16} {row['macs'] / 1e6:>8.1f}  {b['median_ms']:>10.2f} "
-              f"{b['gmac_s']:>7.2f}  {u['median_ms']:>11.2f} "
+              f"{b['ratio_to_control']:>6.2f} {b['gmac_s']:>7.2f}  "
+              f"{u['median_ms']:>11.2f} {u['ratio_to_control']:>6.2f} "
               f"{u['gmac_s']:>7.2f}")
     return 0
 

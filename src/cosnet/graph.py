@@ -2,6 +2,12 @@
 interpreter, the reverse-mode backward pass, and the finite-difference
 gradient-check harness.
 
+Shapes are logical (n, c, h, w) throughout: every shape rule,
+:func:`infer_shapes`, ``describe``, the analyzer and the tape's output
+check use them.  Arrays inside the interpreter are channel-major
+(c, n, h, w); :func:`run_steps` and :func:`graph_backward` are the only
+places that transpose, where a ``Tensor`` comes in or goes out.
+
 Every layer kind is defined once, as an :class:`OpDef` in :data:`OPS`: its
 shape rule, forward, backward, weight init, parameter and MAC counts and
 description.  Shape propagation, both forward paths (:func:`graph_forward`
@@ -113,7 +119,9 @@ class Graph:
 @dataclass(frozen=True)
 class OpDef:
     """One layer kind.  ``cfg`` is a node's config dict, ``ins`` its input
-    shapes (shape rule) or arrays and ``table`` its weight table.  A
+    shapes (shape rule: logical (n, c, h, w)) or arrays (forward and
+    backward: channel-major (c, n, h, w), see :func:`run_steps`) and
+    ``table`` its weight table.  A
     forward runs in train mode exactly when it gets a ``saved`` dict (None
     in eval mode), and puts into it everything its backward reads; the
     backward gets that dict and nothing else, so the tape is the steps'
@@ -272,7 +280,7 @@ def _concat_shape(cfg, ins):
 
 def _concat_forward(cfg, ins, table, saved):
     if saved is not None:
-        saved["channels"] = [t.shape[1] for t in ins]
+        saved["channels"] = [t.shape[0] for t in ins]
     return ops.channel_concat(ins)
 
 
@@ -298,17 +306,17 @@ def _slice_shape(cfg, ins):
 
 
 def _slice_forward(cfg, ins, table, saved):
-    channels = ins[0].shape[1]
+    channels = ins[0].shape[0]
     start, stop = _slice_range(cfg, channels)
     if saved is not None:
         saved["channels"] = channels
-    return ins[0][:, start:stop].copy()
+    return ins[0][start:stop].copy()
 
 
 def _slice_backward(cfg, grad_out, saved, table):
-    n, _, h, w = grad_out.shape
-    full = np.zeros((n, saved["channels"], h, w), dtype=grad_out.dtype)
-    full[:, cfg["start"]:cfg["stop"]] = grad_out
+    full = np.zeros((saved["channels"], *grad_out.shape[1:]),
+                    dtype=grad_out.dtype)
+    full[cfg["start"]:cfg["stop"]] = grad_out
     return [full], {}
 
 
@@ -525,15 +533,27 @@ def program_of(program):
 
 class Tape(dict):
     """Each train-mode step's ``saved`` dict by step id; ``program``: the
-    program that recorded it; and ``out``: the (shape, dtype) of the output
-    whose gradient the backward pass takes."""
+    program that recorded it; and ``out``: the logical (n, c, h, w) shape
+    and the dtype of the output whose gradient the backward pass takes."""
     program = None
     out = None
+
+
+def _swap_nc(a: np.ndarray) -> np.ndarray:
+    """``a`` with its first two axes swapped, C-contiguous: (n, c, h, w) to
+    channel-major (c, n, h, w) and back.  The interpreter's only layout
+    change, made where arrays cross the boundary."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
 def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     """The forward interpreter of :func:`graph_forward` and
     ``runtime.execute``, on arrays.
+
+    ``x`` and the output are (n, c, h, w).  Between them every activation
+    is a channel-major (c, n, h, w) array, the layout every kernel of
+    :mod:`cosnet.ops` takes and returns: ``x`` is transposed once on the
+    way in and the output once on the way out.
 
     ``program`` (an execution plan) has ``steps``, ``input_id`` and
     ``output_id``; ``weights`` None means its graph's table.  Each step runs
@@ -553,7 +573,7 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     weights = program.graph.weights if weights is None else weights
     uses = Counter(src for s in steps for src in s.inputs)
     blocks = Counter(s.src_node for s in steps if s.group is not None)
-    acts = {program.input_id: x}
+    acts = {program.input_id: _swap_nc(x)}
     tape = Tape() if mode == "train" else None
     out = None
     for s in steps:
@@ -581,6 +601,7 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
                 del acts[src]
     if out is None:
         raise error("the program never produced its output tensor")
+    out = _swap_nc(out)
     if tape is not None:
         tape.program, tape.out = program, (out.shape, out.dtype)
     return out, tape
@@ -616,7 +637,9 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     from this program, and ``grad_output`` must have the forward output's
     shape and dtype, both checked before anything leaves the tape; an
     error inside a step's backward is re-raised as :class:`GraphError`
-    naming the step.
+    naming the step.  ``grad_output`` and the input gradient are
+    (n, c, h, w); every gradient in between is channel-major, as the
+    activations of :func:`run_steps` are.
 
     Returns (grad table keyed like the weight table, by each step's
     ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
@@ -640,7 +663,7 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
         raise GraphError(f"grad_output is {go.dtype} {go.shape}; the "
                          f"forward output is {dtype} {shape}")
     weights = weights if weights is not None else program.graph.weights
-    out_grads = {program.output_id: go}
+    out_grads = {program.output_id: _swap_nc(go)}
     param_grads = {}
     for s in reversed(program.steps):
         saved = tape.pop(s.id)
@@ -660,7 +683,7 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
                 out_grads[src] = out_grads[src] + g
             else:
                 out_grads[src] = g
-    return param_grads, Tensor(out_grads[program.input_id])
+    return param_grads, Tensor(_swap_nc(out_grads[program.input_id]))
 
 
 def _activation_signature(program, tape) -> bytes:

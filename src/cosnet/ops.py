@@ -1,9 +1,16 @@
 """Differentiable layer operations: convolution (incl. grouped), pooling,
 batch norm, activation, input replication, channel fusion, linear, loss.
 
-Kernels take (n, c, h, w) arrays and return C-contiguous arrays they
-allocated, copying explicitly where a result would be a view; only
-:func:`softmax_cross_entropy` takes and returns a ``Tensor``.
+Kernels take channel-major (c, n, h, w) arrays, the layout the interpreter
+keeps every activation and gradient in (see ``graph.run_steps``), and
+return C-contiguous arrays in that layout that they allocated, copying
+explicitly where a result would be a view of an input; only
+:func:`softmax_cross_entropy` takes and returns a ``Tensor``, in the
+boundary's (n, c, h, w) order.  Channel-major keeps each channel's n*h*w
+values in one row: a conv's gemm writes its output in that order and
+:func:`im2col_nd` reads its input in it, so a conv copies no layout, batch
+norm broadcasts per channel over whole rows, and replication, channel
+fusion, concat and slice are block copies or sums along axis 0.
 
 Forward functions are pure, except that train-mode batch norm updates the
 running statistics in its weight table.  Convolution, pooling, batch norm
@@ -18,7 +25,8 @@ backward takes only what it reads: the input shape (global average pool),
 the input (linear), the channel counts (concat) or the replication factor.
 
 Batch norm has one formula per mode, each a few passes over the
-activation.  With m = n*h*w values per channel:
+activation.  With m = n*h*w values per channel, and each per-channel sum
+taken by :func:`_channel_sums`:
 
 * train forward: ``x - mu`` is formed once, sigma^2 is the mean of its
   squares (as ``np.var`` forms it), and the same buffer is scaled by
@@ -30,7 +38,8 @@ activation.  With m = n*h*w values per channel:
   ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
 
 Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
-matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back.
+matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back,
+and write their output as (out_channels, n*Ho*Wo): channel-major already.
 :func:`conv2d_forward` is the one convolution kernel: a single gemm for one
 group, and two gemms per group (over the halves of its input channels,
 summed) for a grouped convolution.  Max and average pool backward build
@@ -92,7 +101,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
                    params: ConvParams,
                    saved: dict | None = None) -> np.ndarray:
     """im2col + gemm convolution into one (out_channels, n*Ho*Wo) buffer,
-    then one copy back to NCHW, to which any bias is added.
+    which is the channel-major output; any bias is added to it.
 
     One group is one gemm.  Groups split channels into independent slices
     of one patch matrix: per group, two gemms over the halves of its input
@@ -101,8 +110,8 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     :func:`conv2d_backward` reads.
     """
     p = params
-    if x.shape[1] != p.in_channels:
-        raise ConfigError(f"input has {x.shape[1]} channels, conv expects "
+    if x.shape[0] != p.in_channels:
+        raise ConfigError(f"input has {x.shape[0]} channels, conv expects "
                           f"{p.in_channels}")
     if tuple(weight.shape) != p.weight_shape:
         raise ShapeError(
@@ -122,10 +131,9 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
             w, c = wmat[o], cols[r]
             out[o] = mm(w[:, :split], c[:split])
             out[o] += mm(w[:, split:], c[split:])
-    out = np.ascontiguousarray(
-        out.reshape(p.out_channels, x.shape[0], ho, wo).transpose(1, 0, 2, 3))
+    out = out.reshape(p.out_channels, x.shape[1], ho, wo)
     if bias is not None:
-        out += bias.astype(x.dtype, copy=False)[None, :, None, None]
+        out += bias.astype(x.dtype, copy=False)[:, None, None, None]
     return out
 
 
@@ -139,40 +147,40 @@ def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
     """
     cols, in_shape = saved["cols"], saved["in_shape"]
     cout = params.out_channels
-    want = (in_shape[0], cout, *_out_hw(*in_shape[2:], params.kernel,
+    want = (cout, in_shape[1], *_out_hw(*in_shape[2:], params.kernel,
                                         params.stride, params.pad))
     if grad_out.shape != want:
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
                          f"{want}")
-    go = grad_out.transpose(1, 0, 2, 3).reshape(cout, -1)
+    go = grad_out.reshape(cout, -1)
     wmat = weight.reshape(cout, -1).astype(cols.dtype, copy=False)
     grad_w = np.empty(wmat.shape, dtype=cols.dtype)
     grad_cols = np.empty_like(cols)
     for o, r in _group_slices(params):
         grad_w[o] = mm(go[o], cols[r].T)
         grad_cols[r] = mm(wmat[o].T, go[o])
-    grad_x = np.ascontiguousarray(col2im_nd(
-        grad_cols, in_shape, params.kernel, params.stride, params.pad))
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if params.has_bias else None
+    grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
+                       params.pad)
+    grad_b = _channel_sums(grad_out) if params.has_bias else None
     return grad_x, grad_w.reshape(weight.shape), grad_b
 
 
 def input_replicate(x: np.ndarray, m: int) -> np.ndarray:
-    """Tile the channel block m times: (n,c,h,w) -> (n, m*c, h, w)."""
+    """Tile the channel block m times: (c,n,h,w) -> (m*c, n, h, w)."""
     if m < 1:
         raise ShapeError("replication factor must be >= 1")
-    return np.concatenate([x] * m, axis=1)
+    return np.concatenate([x] * m, axis=0)
 
 
 def input_replicate_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
-    n, c, h, w = grad_out.shape
+    c, n, h, w = grad_out.shape
     if c % m:
         raise ShapeError(f"{c} channels not divisible by m={m}")
-    return grad_out.reshape(n, m, c // m, h, w).sum(axis=1)
+    return grad_out.reshape(m, c // m, n, h, w).sum(axis=0)
 
 
 def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
-    """The kh*kw strided (n, c, Ho, Wo) views of x padded with ``fill``,
+    """The kh*kw strided (c, n, Ho, Wo) views of x padded with ``fill``,
     one per kernel offset in (row, col) order."""
     sh, sw = stride
     ho, wo = _out_hw(*x.shape[2:], kernel, stride, pad)
@@ -182,7 +190,7 @@ def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
 
 
 def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
-    """The window stack (n, c, kh*kw, Ho, Wo) of :func:`_window_slices`."""
+    """The window stack (c, n, kh*kw, Ho, Wo) of :func:`_window_slices`."""
     return np.stack(_window_slices(x, kernel, stride, pad, fill), axis=2)
 
 
@@ -230,26 +238,42 @@ def pool2d_backward(grad_out: np.ndarray, saved: dict, kind: str, kernel,
                     stride, pad) -> np.ndarray:
     """Scatter the window gradients back through :func:`col2im_nd`, from the
     ``saved`` dict :func:`pool2d` filled; they are built as its (c, kh*kw,
-    n, Ho, Wo) patch matrix."""
+    n, Ho, Wo) patch matrix, which the channel-major grad_out fills with no
+    transpose."""
     in_shape = saved["in_shape"]
-    n, c, h, w = in_shape
+    c, n, h, w = in_shape
     kk = kernel[0] * kernel[1]
     ho, wo = _out_hw(h, w, kernel, stride, pad)
-    if grad_out.shape != (n, c, ho, wo):
+    if grad_out.shape != (c, n, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
-                         f"{(n, c, ho, wo)}")
-    go = grad_out.transpose(1, 0, 2, 3)[:, None]
+                         f"{(c, n, ho, wo)}")
+    go = grad_out[:, None]
     if kind == "max":
         gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
-        np.put_along_axis(gcols, saved["arg"].transpose(1, 0, 2, 3)[:, None],
-                          go, axis=1)
+        np.put_along_axis(gcols, saved["arg"][:, None], go, axis=1)
     elif kind == "avg":
         gcols = np.broadcast_to(go / np.asarray(kk, dtype=go.dtype),
                                 (c, kk, n, ho, wo))
     else:
         raise ShapeError(f"unknown pool kind {kind!r}")
-    return np.ascontiguousarray(col2im_nd(gcols, in_shape, kernel, stride,
-                                          pad))
+    return col2im_nd(gcols, in_shape, kernel, stride, pad)
+
+
+def _channel_sums(x: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a channel-major (c, n, h, w) array, bitwise what
+    ``sum(axis=(0, 2, 3))`` gives on the same values in (n, c, h, w) order.
+
+    numpy sums each sample's h*w values pairwise there, then adds the n
+    partial sums in sample order; here each (channel, sample) row is summed
+    pairwise, and ``np.add.reduce`` over the outer axis of the contiguous
+    (n, c) partial sums adds them one after another.  With one channel numpy
+    sums all n*h*w values as one pairwise sum, and so does this.
+    """
+    c, n = x.shape[:2]
+    if c == 1:
+        return x.reshape(1, -1).sum(axis=1)
+    part = x.reshape(c, n, -1).sum(axis=2)
+    return np.add.reduce(np.ascontiguousarray(part.T), axis=0)
 
 
 def _bn_normalize(x: np.ndarray):
@@ -257,15 +281,17 @@ def _bn_normalize(x: np.ndarray):
     var, 1/sigma, x-hat).
 
     ``x - mean`` is formed once; the variance is the mean of its squares,
-    summed and divided as ``np.var`` does, so both statistics are bitwise
-    ``np.mean`` and ``np.var``; then the same buffer is scaled in place by
-    1/sigma into x-hat.
+    summed and divided as ``np.var`` does; both sums are
+    :func:`_channel_sums`, so the statistics are bitwise ``np.mean`` and
+    ``np.var`` of the (n, c, h, w) layout.  Then the same buffer is scaled
+    in place by 1/sigma into x-hat.
     """
-    mean = x.mean(axis=(0, 2, 3))
-    xhat = x - mean[None, :, None, None]
-    var = np.square(xhat).sum(axis=(0, 2, 3)) / (x.size // x.shape[1])
+    m = x.size // x.shape[0]
+    mean = _channel_sums(x) / m
+    xhat = x - mean[:, None, None, None]
+    var = _channel_sums(np.square(xhat)) / m
     inv = 1.0 / np.sqrt(var + np.asarray(BN_EPSILON, dtype=x.dtype))
-    xhat *= inv[None, :, None, None]
+    xhat *= inv[:, None, None, None]
     return mean, var, inv, xhat
 
 
@@ -282,8 +308,8 @@ def batchnorm2d(x: np.ndarray, table, mode: str,
     ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
     """
     gamma = table["gamma"]
-    if x.shape[1] != gamma.shape[0]:
-        raise ShapeError(f"input has {x.shape[1]} channels, batch norm has "
+    if x.shape[0] != gamma.shape[0]:
+        raise ShapeError(f"input has {x.shape[0]} channels, batch norm has "
                          f"{gamma.shape[0]}")
     dt = x.dtype
     if mode == "train":
@@ -293,14 +319,14 @@ def batchnorm2d(x: np.ndarray, table, mode: str,
         for name, stat in (("running_mean", mean), ("running_var", var)):
             table[name][...] = ((1 - BN_MOMENTUM) * table[name]
                                 + BN_MOMENTUM * stat.astype(np.float32))
-        out = xhat * gamma.astype(dt)[None, :, None, None]
-        out += table["beta"].astype(dt)[None, :, None, None]
+        out = xhat * gamma.astype(dt)[:, None, None, None]
+        out += table["beta"].astype(dt)[:, None, None, None]
         return out
     scale = gamma.astype(dt) / np.sqrt(table["running_var"].astype(dt)
                                        + np.asarray(BN_EPSILON, dtype=dt))
     shift = table["beta"].astype(dt) - table["running_mean"].astype(dt) * scale
-    out = x * scale[None, :, None, None]
-    out += shift[None, :, None, None]
+    out = x * scale[:, None, None, None]
+    out += shift[:, None, None, None]
     return out
 
 
@@ -313,15 +339,15 @@ def batchnorm2d_backward(grad_out: np.ndarray, saved: dict, table):
     inv, xhat = saved["inv"], saved["xhat"]
     if grad_out.shape != xhat.shape:
         raise ShapeError(f"grad shape {grad_out.shape} != input {xhat.shape}")
-    m = grad_out.size // grad_out.shape[1]
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
+    m = grad_out.size // grad_out.shape[0]
+    grad_beta = _channel_sums(grad_out)
     grad_x = grad_out * xhat
-    grad_gamma = grad_x.sum(axis=(0, 2, 3))
+    grad_gamma = _channel_sums(grad_x)
     # grad_x is rebuilt in the buffer that held g * x-hat
-    np.multiply(xhat, (grad_gamma / m)[None, :, None, None], out=grad_x)
-    grad_x += (grad_beta / m)[None, :, None, None]
+    np.multiply(xhat, (grad_gamma / m)[:, None, None, None], out=grad_x)
+    grad_x += (grad_beta / m)[:, None, None, None]
     np.subtract(grad_out, grad_x, out=grad_x)
-    grad_x *= (table["gamma"].astype(xhat.dtype) * inv)[None, :, None, None]
+    grad_x *= (table["gamma"].astype(xhat.dtype) * inv)[:, None, None, None]
     return grad_x, grad_gamma, grad_beta
 
 
@@ -346,33 +372,33 @@ def channel_concat(inputs) -> np.ndarray:
         raise ShapeError("concat needs at least one input")
     ref = inputs[0].shape
     for t in inputs[1:]:
-        if t.shape[:1] + t.shape[2:] != ref[:1] + ref[2:]:
+        if t.shape[1:] != ref[1:]:
             raise ShapeError(
                 f"concat mismatch: {t.shape} vs {ref} (batch/spatial)")
-    return np.concatenate(inputs, axis=1)
+    return np.concatenate(inputs, axis=0)
 
 
 def channel_concat_backward(grad_out: np.ndarray, channel_counts):
     grads = []
     off = 0
     for c in channel_counts:
-        grads.append(grad_out[:, off:off + c].copy())
+        grads.append(grad_out[off:off + c].copy())
         off += c
-    if off != grad_out.shape[1]:
+    if off != grad_out.shape[0]:
         raise ShapeError("concat backward channel counts do not sum up")
     return grads
 
 
 def channel_block_sum(x: np.ndarray, m: int) -> np.ndarray:
-    """Sum the m channel blocks: (n, m*c, h, w) -> (n, c, h, w)."""
-    n, c, h, w = x.shape
+    """Sum the m channel blocks: (m*c, n, h, w) -> (c, n, h, w)."""
+    c, n, h, w = x.shape
     if c % m:
         raise ShapeError(f"{c} channels not divisible by m={m}")
-    return x.reshape(n, m, c // m, h, w).sum(axis=1)
+    return x.reshape(m, c // m, n, h, w).sum(axis=0)
 
 
 def channel_block_sum_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
-    return np.concatenate([grad_out] * m, axis=1)
+    return np.concatenate([grad_out] * m, axis=0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
@@ -384,26 +410,38 @@ def global_avg_pool_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
     return np.broadcast_to(grad_out / scale, in_shape).copy()
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Channel-major (c, n, 1, 1) features as a C-contiguous (n, c)
+    matrix."""
+    return np.ascontiguousarray(x.reshape(x.shape[:2]).T)
+
+
+def _features(rows: np.ndarray) -> np.ndarray:
+    """An (n, c) matrix as channel-major (c, n, 1, 1) features."""
+    return np.ascontiguousarray(rows.T)[:, :, None, None]
+
+
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Fully connected head on (n, c, 1, 1) features."""
-    n, c, h, w = x.shape
+    """Fully connected head on channel-major (c, n, 1, 1) features.  It
+    keeps the gemm ``x(n, c) @ W.T`` and its order of sums: the tiny input
+    and output are transposed around it."""
+    c, n, h, w = x.shape
     if h != 1 or w != 1:
         raise ShapeError(f"linear expects 1x1 spatial input, got {x.shape}")
     if weight.shape[1] != c:
         raise ShapeError(
             f"linear weight expects {weight.shape[1]} features, got {c}")
-    out = mm(x.reshape(n, c), weight.T.astype(x.dtype, copy=False))
+    out = mm(_rows(x), weight.T.astype(x.dtype, copy=False))
     out = out + bias.astype(x.dtype, copy=False)[None, :]
-    return out[:, :, None, None]
+    return _features(out)
 
 
 def linear_backward(grad_out: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    go = grad_out.reshape(grad_out.shape[:2])
-    xin = x.reshape(x.shape[:2])
-    grad_w = mm(go.T, xin)
+    go = _rows(grad_out)
+    grad_w = mm(go.T, _rows(x))
     grad_b = go.sum(axis=0)
     grad_x = mm(go, weight.astype(x.dtype, copy=False))
-    return grad_x[:, :, None, None], grad_w, grad_b
+    return _features(grad_x), grad_w, grad_b
 
 
 def softmax_cross_entropy(logits: Tensor, labels):

@@ -1,12 +1,16 @@
 """Dense 4-D tensors and the two primitive kernels everything else is built on.
 
-Storage is 32-bit float in n-major (then channel, row, col) order.
-:class:`Tensor` is the validated type of the package's boundary: what a
-caller passes to ``graph_forward``, ``graph_backward`` and
-``runtime.execute`` and gets back from them.  Inside, the kernels, the
-layer table and the interpreter pass plain C-contiguous arrays, and no op
-writes into an array it did not allocate (train-mode batch norm's running
-statistics, in the weight table, are the one documented exception).
+:class:`Tensor` is the validated type of the package's boundary: a 32-bit
+float array in (n, c, h, w) order, what a caller passes to
+``graph_forward``, ``graph_backward`` and ``runtime.execute`` and gets back
+from them.  Shapes are logical (n, c, h, w) wherever they are named: in a
+``Tensor``, in every shape rule and in ``graph.infer_shapes``.  Inside, the
+kernels, the layer table and the interpreter pass plain C-contiguous arrays
+in channel-major (c, n, h, w) order, the order a conv gemm writes and
+:func:`im2col_nd` reads; only ``graph.run_steps`` and ``graph.graph_backward``
+transpose, at the boundary.  No op writes into an array it did not allocate
+(train-mode batch norm's running statistics, in the weight table, are the
+one documented exception).
 :func:`mm` has a documented accumulation order: the fast path is a
 single BLAS call; deterministic mode (``COSNET_DETERMINISTIC=1`` or
 :func:`set_deterministic`) forces a strictly sequential reduction over the
@@ -17,15 +21,19 @@ on the block size.  The two paths agree within 1e-6 relative on the sizes
 used here.
 
 :func:`im2col_nd`, the patch matrix every convolution multiplies, has two
-ways to build it and one set of bytes: a map of at most 16 pixels is one
+ways to build it and one set of bytes: a map of at most 64 pixels is one
 gather through a cached index of where each patch entry reads, every larger
 map is copied strided.  Both only move values, so any input, -0.0, inf and
-NaN included, lands bit for bit.
+NaN included, lands bit for bit.  Its adjoint :func:`col2im_nd` likewise
+gathers each pixel's patch entries through the transposed index on the
+same maps and scatters strided on larger ones; both add the same terms in
+the same order, so the bytes agree for any input.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import os
 
@@ -112,20 +120,29 @@ def tensor_create(shape, fill: str = "zeros", *, value: float = 0.0,
                   dtype=np.float32) -> Tensor:
     """Create a tensor; random fills are fully determined by ``seed``."""
     shape = _check_shape(shape)
-    if fill == "zeros":
-        data = np.zeros(shape, dtype=dtype)
-    elif fill == "ones":
-        data = np.ones(shape, dtype=dtype)
-    elif fill == "constant":
-        data = np.full(shape, value, dtype=dtype)
-    elif fill == "uniform":
-        rng = seeded_rng(seed)
-        data = rng.uniform(lo, hi, size=shape).astype(dtype)
-    elif fill == "normal":
-        rng = seeded_rng(seed)
-        data = rng.normal(mean, std, size=shape).astype(dtype)
-    else:
-        raise ShapeError(f"unknown fill kind {fill!r}")
+    # random fills draw float64 first
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"a tensor of shape {shape} has more elements "
+                          "than an array can hold")
+    try:
+        if fill == "zeros":
+            data = np.zeros(shape, dtype=dtype)
+        elif fill == "ones":
+            data = np.ones(shape, dtype=dtype)
+        elif fill == "constant":
+            data = np.full(shape, value, dtype=dtype)
+        elif fill == "uniform":
+            rng = seeded_rng(seed)
+            data = rng.uniform(lo, hi, size=shape).astype(dtype)
+        elif fill == "normal":
+            rng = seeded_rng(seed)
+            data = rng.normal(mean, std, size=shape).astype(dtype)
+        else:
+            raise ShapeError(f"unknown fill kind {fill!r}")
+    except MemoryError as exc:
+        # numpy refuses a request this large before allocating any of it
+        raise ConfigError(f"cannot allocate a tensor of shape {shape}: "
+                          f"{exc}") from None
     return Tensor(data)
 
 
@@ -162,41 +179,42 @@ def _pad_hw(x: np.ndarray, pad, fill=0.0) -> np.ndarray:
     return xp
 
 
-# im2col_nd gathers the patch matrix of a map of at most this many pixels
-# and copies larger maps strided: the gather is faster than the copy on 4x4
-# and 2x2 maps, where the copy's inner loops run over a few elements each,
-# but not on every 8x8 map measured.
-_GATHER_MAX_PIXELS = 16
+# im2col_nd and col2im_nd gather on a map of at most this many pixels and
+# copy or scatter larger maps strided.  On 8x8 and smaller maps the strided
+# loops run inner loops of Wo = 2-8 elements, and the gathers were faster
+# on every channel-major shape measured there; on 16x16 maps neither way
+# was faster on every shape.
+_GATHER_MAX_PIXELS = 64
 
 
 def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
-    """Lower a batch (n,c,h,w) to the gemm patch matrix (c*kh*kw, n*Ho*Wo).
+    """Lower a channel-major batch (c,n,h,w) to the gemm patch matrix
+    (c*kh*kw, n*Ho*Wo).
 
     Patch rows are ordered channel-major, then kernel row, then kernel col;
     columns are ordered by sample, then output row, then output col.
     Out-of-bounds elements are +0.0.  A 1x1 kernel with stride 1 and no
-    padding is one transpose-reshape of the input.  Any other geometry is
+    padding is a reshape of the input, not a copy.  Any other geometry is
     built one of two ways, with the same bytes:
 
     - a map of at most ``_GATHER_MAX_PIXELS`` pixels is copied once into a
-      channel-major (c, n*h*w + 1) source whose last column is +0.0, and
-      the matrix is one ``take`` of that source's columns through the
-      geometry's cached index (:func:`_gather_index`);
-    - otherwise kh*kw strided copies from a channel-major, zero-padded view
-      of the input (:func:`_im2col_copy`).
+      (c, n*h*w + 1) source whose last column is +0.0, and the matrix is
+      one ``take`` of that source's columns through the geometry's cached
+      index (:func:`_gather_index`);
+    - otherwise kh*kw strided copies from a zero-padded view of the input
+      (:func:`_im2col_copy`).
 
     Both only move values: no arithmetic, no threads, and no dependence on
     the data or on deterministic mode.
     """
-    n, c, h, w = x.shape
+    c, n, h, w = x.shape
     kh, kw = kernel
     ho, wo = _out_hw(h, w, kernel, stride, pad)
     if (kh, kw, *stride, *pad) == (1, 1, 1, 1, 0, 0):
-        return x.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+        return x.reshape(c, n * h * w)
     if h * w <= _GATHER_MAX_PIXELS:
         src = np.empty((c, n * h * w + 1), dtype=x.dtype)
-        # splitting the rows' contiguous axis: a view, never a copy
-        np.copyto(src[:, :-1].reshape(c, n, h, w), x.transpose(1, 0, 2, 3))
+        src[:, :-1] = x.reshape(c, n * h * w)
         src[:, -1] = 0
         idx = _gather_index(n, h, w, tuple(kernel), tuple(stride), tuple(pad))
         # "wrap" leaves an index in range as it is, and is numpy's fastest
@@ -206,18 +224,46 @@ def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
+def _pixel_patches(n: int, h: int, w: int, kernel, stride,
+                   pad) -> np.ndarray:
+    """The patch matrix of im2col on n maps of h x w whose values are the
+    pixels' own indices, n*h*w for padding: (kh*kw, n*Ho*Wo)."""
+    ho, wo = _out_hw(h, w, kernel, stride, pad)
+    cells = np.arange(n * h * w, dtype=np.intp).reshape(1, n, h, w)
+    return _im2col_copy(cells, kernel, stride, pad, ho, wo,
+                        fill=n * h * w).reshape(kernel[0] * kernel[1], -1)
+
+
 @functools.lru_cache(maxsize=32)
 def _gather_index(n: int, h: int, w: int, kernel, stride,
                   pad) -> np.ndarray:
     """Where each patch entry of im2col on n maps of h x w reads, in the
     patch matrix's (kernel row, kernel col, sample, output pixel) order:
-    the pixel's column of the (c, n*h*w + 1) channel-major source, or
-    n*h*w, the source's zero column, for padding.  It is the strided copy
-    of the pixels' own indices, built at first use and kept read-only."""
-    ho, wo = _out_hw(h, w, kernel, stride, pad)
-    cells = np.arange(n * h * w, dtype=np.intp).reshape(n, 1, h, w)
-    idx = _im2col_copy(cells, kernel, stride, pad, ho, wo,
-                       fill=n * h * w).reshape(-1)
+    the pixel's column of the (c, n*h*w + 1) source, or n*h*w, the source's
+    zero column, for padding.  It is the strided copy of the pixels' own
+    indices (:func:`_pixel_patches`), built at first use and kept
+    read-only."""
+    idx = _pixel_patches(n, h, w, kernel, stride, pad).reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _scatter_index(n: int, h: int, w: int, kernel, stride,
+                   pad) -> np.ndarray:
+    """The transpose of :func:`_gather_index`: (kh*kw, n*h*w), for each
+    kernel offset and each pixel the patch-matrix column that holds the
+    pixel's entry for that offset, in the (c, kh*kw*n*Ho*Wo + 1) view of
+    the matrix, or kh*kw*n*Ho*Wo, that view's zero column, where no output
+    window puts the pixel at that offset.  A pixel sits at one offset of at
+    most one window, so the index is well defined; built at first use and
+    kept read-only."""
+    reads = _pixel_patches(n, h, w, kernel, stride, pad)
+    kk, outs = reads.shape
+    idx = np.full((kk, n * h * w), kk * outs, dtype=np.intp)
+    for k, row in enumerate(reads):
+        hit = np.flatnonzero(row < n * h * w)
+        idx[k, row[hit]] = k * outs + hit
     idx.flags.writeable = False
     return idx
 
@@ -225,42 +271,65 @@ def _gather_index(n: int, h: int, w: int, kernel, stride,
 def _im2col_copy(x: np.ndarray, kernel, stride, pad, ho, wo,
                  fill=0) -> np.ndarray:
     """The patch matrix as (c, kh, kw, n, Ho, Wo), written by kh*kw strided
-    copies from a channel-major view of x padded with ``fill``."""
-    n, c = x.shape[:2]
+    copies from the channel-major x padded with ``fill``."""
+    c, n = x.shape[:2]
     kh, kw = kernel
     sh, sw = stride
-    xc = _pad_hw(x.transpose(1, 0, 2, 3), pad, fill)
+    xp = _pad_hw(x, pad, fill)
     cols = np.empty((c, kh, kw, n, ho, wo), dtype=x.dtype)
     for ki in range(kh):
         for kj in range(kw):
-            cols[:, ki, kj] = xc[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+            cols[:, ki, kj] = xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
     return cols
 
 
 def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:
     """Adjoint of :func:`im2col_nd`: scatter-add a (c*kh*kw, n*Ho*Wo) patch
-    matrix back onto an (n,c,h,w) batch.
+    matrix back onto a C-contiguous channel-major (c,n,h,w) batch.
 
     Each input element is ``((0 + p0) + p1) + ...`` over its patches in
     (kernel row, kernel col) order, so a lone -0.0 patch value lands as
-    +0.0; the 1x1 shortcut adds its single patch to +0.0 the same way.  The
-    scatter runs on a channel-major buffer, so the general result is an
-    (n,c,h,w) view of it.
+    +0.0; the 1x1 shortcut adds its single patch to +0.0 the same way.  Any
+    other geometry is summed one of two ways, with the same bytes:
+
+    - on a map of at most ``_GATHER_MAX_PIXELS`` pixels, the matrix
+      is copied into a (c, kh*kw*n*Ho*Wo + 1) source whose last column is
+      +0.0; per kernel offset, in (kernel row, kernel col) order, one
+      ``take`` through that offset's row of the cached
+      :func:`_scatter_index` fetches every pixel's entry, and one add puts
+      it on the running sum, begun at +0.0.  An offset no window puts the
+      pixel at reads the zero column, and adding +0.0 leaves a sum begun at
+      +0.0 as it is;
+    - otherwise kh*kw strided ``+=`` into a zero-padded buffer.
     """
-    n, c, h, w = in_shape
+    c, n, h, w = in_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
     if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
-        return np.add(cols.reshape(c, n, h, w).transpose(1, 0, 2, 3), 0.0,
-                      order="C")
+        return np.add(cols.reshape(c, n, h, w), 0.0)
     cols = cols.reshape(c, kh, kw, n, ho, wo)
+    if h * w <= _GATHER_MAX_PIXELS:
+        src = np.empty((c, cols[0].size + 1), dtype=cols.dtype)
+        # splitting the rows' contiguous axis: a view, never a copy
+        np.copyto(src[:, :-1].reshape(cols.shape), cols)
+        src[:, -1] = 0
+        idx = _scatter_index(n, h, w, tuple(kernel), tuple(stride),
+                             tuple(pad))
+        # "wrap" leaves an index in range as it is, and is numpy's fastest
+        out = src.take(idx[0], axis=1, mode="wrap")
+        out += 0.0
+        part = np.empty_like(out)
+        for row in idx[1:]:
+            src.take(row, axis=1, mode="wrap", out=part)
+            out += part
+        return out.reshape(c, n, h, w)
     xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for ki in range(kh):
         for kj in range(kw):
             xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += cols[:, ki, kj]
-    return xp[:, :, ph:ph + h, pw:pw + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + w])
 
 
 def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,6 +20,12 @@ def _deterministic_mode_restored():
         pytest.fail(f"test left deterministic mode {'on' if after else 'off'}")
 
 
+def swap_nc(a):
+    """``a`` with its first two axes swapped, C-contiguous: an (n, c, h, w)
+    array in the kernels' channel-major (c, n, h, w) layout, and back."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
 def numeric_grad(f, arr, eps=1e-5):
     """Central finite differences of a scalar function w.r.t. an array."""
     arr = np.asarray(arr, dtype=np.float64)

@@ -119,7 +119,9 @@ def test_criterion_05_batched_unrolled_equivalence(capsys):
 def test_criterion_06_replication_vs_channel_split(capsys):
     m, c, n, hw = 2, 4, 3, 8
     rng = np.random.default_rng(0)
+    # the kernels take channel-major (c, n, h, w) arrays
     x = rng.normal(size=(2, m * c, hw, hw)).astype(np.float32)
+    x = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     w_full = rng.normal(size=(m * n, m * c, 3, 3)).astype(np.float32)
 
     # replicated path: every column convolves the full input

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosnet import analysis
+from cosnet import analysis, cli
 from cosnet.arch import REGISTRY
 from cosnet.cli import main
 from cosnet.runtime import MODES
@@ -92,6 +92,9 @@ class TestVerify:
     ["bench", "mini", "--warmup", "-1"],
     ["bench", "--all", "--iters", "0"],
     ["bench", "--all", "--warmup", "-1"],
+    # numpy refuses the 21 PiB input before allocating any of it
+    ["bench", "mini", "--batch", "100000", "--input-res", "100000",
+     "--iters", "1", "--warmup", "0"],
     ["gradcheck", "--size", "0"],
     ["gradcheck", "--eps", "0"],
     ["gradcheck", "--tol", "-1"],
@@ -104,6 +107,14 @@ def test_empty_sample_or_size_is_usage_error(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and "PASS" not in captured.out
+
+
+def test_unallocatable_input_is_one_error_line(capsys):
+    assert main(["bench", "mini", "--batch", "100000", "--input-res",
+                 "100000", "--iters", "1", "--warmup", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "(100000, 3, 100000, 100000)" in err[0]
 
 
 class TestGradcheck:
@@ -186,17 +197,69 @@ class TestBench:
         assert main(["bench", "--all", "--json", "--input-res", "32",
                      "--iters", "2", "--warmup", "0"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert set(report) == {"batch", "input_res", "iters", "variants"}
+        assert set(report) == {"batch", "input_res", "iters", "control",
+                               "variants"}
+        assert report["control"] == "ResNet-50-ref"
         assert list(report["variants"]) == list(REGISTRY)
         for row in report["variants"].values():
             assert set(row) == {"macs", *MODES} and row["macs"] > 0
             for mode in MODES:
-                assert set(row[mode]) == {"steps", "median_ms", "gmac_s"}
+                assert set(row[mode]) == {"steps", "median_ms", "gmac_s",
+                                          "ratio_to_control"}
                 assert row[mode]["median_ms"] > 0
                 assert row[mode]["gmac_s"] == pytest.approx(
                     row["macs"] / row[mode]["median_ms"] / 1e6)
+                assert row[mode]["ratio_to_control"] > 0
         ref = report["variants"]["ResNet-50-ref"]
         assert ref["batched"]["steps"] == ref["unrolled"]["steps"]
+
+    def test_all_pairs_each_variant_execute_with_the_control(
+            self, monkeypatch, capsys):
+        """Every variant execute runs next to one control execute of the
+        same mode, the order alternating between repeats; the ratio is
+        each pair's variant over control ms, and at most two networks are
+        built at a time."""
+        calls, built, names = [], [], {}
+        real_build = cli.arch.build_network
+
+        def build(spec, seed=0, init=True):
+            built.append(spec.name)
+            g = real_build(spec, seed=seed, init=False)
+            names[id(g)] = spec.name
+            return g
+
+        def bench(p, shape, warmup=1, iters=5, seed=0):
+            name = names[id(p.graph)]
+            calls.append((name, p.mode))
+            # the machine slows down call by call; the variant always takes
+            # twice the control's time
+            return {"p50_ms": len(calls) * (1 if name == "ResNet-50-ref"
+                                            else 2.0)}
+
+        monkeypatch.setattr(cli.arch, "build_network", build)
+        monkeypatch.setattr(cli.runtime, "bench", bench)
+        monkeypatch.setattr(cli.arch, "REGISTRY", {
+            k: REGISTRY[k] for k in ("CoSNet-A0", "ResNet-50-ref")})
+        assert main(["bench", "--all", "--json", "--iters", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert built == ["ResNet-50-ref", "CoSNet-A0"]
+        # three repeats of CoSNet-A0 paired with the control: the mode
+        # order and the order within each pair flip between repeats
+        a0, ref = "CoSNet-A0", "ResNet-50-ref"
+        assert calls[:12] == [
+            (a0, "batched"), (ref, "batched"),
+            (a0, "unrolled"), (ref, "unrolled"),
+            (ref, "unrolled"), (a0, "unrolled"),
+            (ref, "batched"), (a0, "batched"),
+            (a0, "batched"), (ref, "batched"),
+            (a0, "unrolled"), (ref, "unrolled")]
+        for mode in MODES:
+            row = report["variants"]["CoSNet-A0"][mode]
+            # (variant call, control call): batched (1, 2), (8, 7) and
+            # (9, 10), ratios 1, 16/7 and 1.8; unrolled (3, 4), (6, 5) and
+            # (11, 12), ratios 1.5, 2.4 and 11/6
+            assert row["ratio_to_control"] == pytest.approx(
+                {"batched": 1.8, "unrolled": 11 / 6}[mode])
 
     @pytest.mark.parametrize("argv", [["bench"], ["bench", "mini", "--all"]])
     def test_all_or_a_model(self, argv, capsys):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PlanAsGraph, node_program
+from conftest import PlanAsGraph, node_program, swap_nc
 from cosnet import graph as graphmod
 from cosnet import ops
 from cosnet.analysis import count_flops, emit_report
@@ -458,7 +458,8 @@ class TestBackwardOverPlans:
         what its backward reads: relu its sign mask, max pool its window
         argmax, average pool and gap their input shape, add its input
         count, concat and slice channel counts.  Only linear keeps an
-        input array, and no entry holds a Tensor."""
+        input array, and no entry holds a Tensor.  Saved arrays and shapes
+        are channel-major (c, n, h, w), as the interpreter runs."""
         g = _every_kind_graph()
         p = g.batched_plan()
         ids = {s.name: s.id for s in p.steps}
@@ -472,7 +473,7 @@ class TestBackwardOverPlans:
             for value in tape[s.id].values():
                 assert not isinstance(value, Tensor)
         conv = p.steps[c]
-        conv_out = ops.conv2d_forward(xt.data,
+        conv_out = ops.conv2d_forward(swap_nc(xt.data),
                                       g.weights[conv.src_node]["weight"],
                                       None, conv.config["params"])
         relu_out = np.maximum(conv_out, 0)
@@ -492,8 +493,8 @@ class TestBackwardOverPlans:
         assert tape[ir] == tape[bs] == tape[p.output_id] == {}
         assert tape[sl] == {"channels": 4}
         assert tape[cat] == {"channels": [2, 2]}
-        assert tape[gp] == {"in_shape": (2, 4, 3, 3)}
-        assert set(tape[fc]) == {"x"} and tape[fc]["x"].shape == (2, 4, 1, 1)
+        assert tape[gp] == {"in_shape": (4, 2, 3, 3)}
+        assert set(tape[fc]) == {"x"} and tape[fc]["x"].shape == (4, 2, 1, 1)
         # the kink signature reads the relu mask and the max-pool argmax as
         # it read the relu input
         want = (np.packbits(conv_out > 0).tobytes()
@@ -510,9 +511,10 @@ class TestBackwardOverPlans:
     def test_steps_keep_the_array_invariants(self, program, mode,
                                              monkeypatch):
         """Every step output and every input gradient is a C-contiguous
-        float32 array of the shape infer_shapes gives; no forward writes
-        into its inputs, and no backward into its grad_out or its saved
-        entry."""
+        float32 array in channel-major (c, n, h, w) order: the shape
+        infer_shapes gives, with its first two axes swapped.  No forward
+        writes into its inputs, and no backward into its grad_out or its
+        saved entry."""
         if program == "every_kind":
             g, shape = _every_kind_graph(), (2, 2, 6, 6)
         else:
@@ -523,10 +525,11 @@ class TestBackwardOverPlans:
         step_of = {}            # id of a saved dict -> its step
         backwards = []
 
-        def check(arr, want, name):
+        def check(arr, logical, name):
+            n, c, h, w = logical
             assert isinstance(arr, np.ndarray), name
             assert arr.flags.c_contiguous, name
-            assert (arr.dtype, arr.shape) == (np.float32, want), name
+            assert (arr.dtype, arr.shape) == (np.float32, (c, n, h, w)), name
 
         def spy(op):
             def forward(cfg, ins, table, saved):

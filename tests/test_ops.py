@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import max_rel_err, numeric_grad
+from conftest import max_rel_err, numeric_grad, swap_nc
 from cosnet import ops
 from cosnet.errors import ConfigError, LabelError, ShapeError
 from cosnet.graph import OPS, GraphBuilder
@@ -11,6 +11,11 @@ from cosnet.ops import ConvParams
 from cosnet.runtime import execute, plan
 from cosnet.tensor import (Tensor, deterministic_enabled, im2col_nd,
                            set_deterministic, tensor_create)
+
+
+# The kernels take and return channel-major (c, n, h, w) arrays; the tests
+# below keep their data and oracles in (n, c, h, w) and cross with swap_nc,
+# or draw channel-major data where the layout does not matter to the check.
 
 
 def _naive_conv(x, w, p: ConvParams):
@@ -48,7 +53,8 @@ class TestConvForward:
                        stride=(2, 2), pad=(1, 1))
         x = tensor_create((2, 2, 5, 5), "uniform", seed=0, lo=-1, hi=1).data
         w = np.random.default_rng(1).normal(size=p.weight_shape)
-        got = ops.conv2d_forward(x.astype(np.float64), w, None, p)
+        got = swap_nc(ops.conv2d_forward(swap_nc(x.astype(np.float64)), w,
+                                         None, p))
         want = _naive_conv(x.astype(np.float64), w, p)
         assert np.allclose(got, want, atol=1e-10)
 
@@ -57,7 +63,8 @@ class TestConvForward:
                        stride=(1, 1), pad=(1, 1), groups=2)
         x = tensor_create((1, 6, 4, 4), "uniform", seed=2, lo=-1, hi=1).data
         w = np.random.default_rng(3).normal(size=p.weight_shape)
-        got = ops.conv2d_forward(x.astype(np.float64), w, None, p)
+        got = swap_nc(ops.conv2d_forward(swap_nc(x.astype(np.float64)), w,
+                                         None, p))
         want = _naive_conv(x.astype(np.float64), w, p)
         assert np.allclose(got, want, atol=1e-10)
 
@@ -73,10 +80,10 @@ class TestConvForward:
                          pad=(1, 1))
         parts = []
         for gi in range(g):
-            xs = x[:, 3 * gi:3 * gi + 3].copy()
+            xs = swap_nc(x[:, 3 * gi:3 * gi + 3])
             parts.append(ops.conv2d_forward(xs, w[2 * gi:2 * gi + 2],
                                             None, sub))
-        stacked = ops.channel_concat(parts)
+        stacked = swap_nc(ops.channel_concat(parts))
         # the unrolled plan runs exactly those per-group convs
         b = GraphBuilder()
         conv = b.add("conv", [b.add("input")], "c", params=p)
@@ -85,7 +92,7 @@ class TestConvForward:
         unrolled = execute(plan(net, "unrolled"), xt).data
         assert np.array_equal(unrolled, stacked)
         # the kernel splits each group's reduction in two halves
-        whole = ops.conv2d_forward(x, w, None, p)
+        whole = swap_nc(ops.conv2d_forward(swap_nc(x), w, None, p))
         assert float(np.abs(whole - stacked).max()) < 1e-5
 
     def test_bias(self):
@@ -93,14 +100,14 @@ class TestConvForward:
         x = tensor_create((1, 1, 2, 2), "ones").data
         w = np.ones(p.weight_shape, dtype=np.float32)
         b = np.array([1.0, -1.0], dtype=np.float32)
-        out = ops.conv2d_forward(x, w, b, p)
+        out = swap_nc(ops.conv2d_forward(swap_nc(x), w, b, p))
         assert np.array_equal(out[0, 0], np.full((2, 2), 2.0))
         assert np.array_equal(out[0, 1], np.zeros((2, 2)))
 
     def test_channel_mismatch(self):
         p = ConvParams(out_channels=2, in_channels=3)
         with pytest.raises(ConfigError):
-            ops.conv2d_forward(tensor_create((1, 2, 2, 2)).data,
+            ops.conv2d_forward(swap_nc(tensor_create((1, 2, 2, 2)).data),
                                np.zeros(p.weight_shape, np.float32), None, p)
 
     def test_bad_group_divisibility(self):
@@ -126,16 +133,16 @@ class TestConvGroupedForward:
         x = tensor_create((2, cin, 7, 7), "uniform", seed=6, lo=-1, hi=1).data
         w = np.random.default_rng(7).normal(
             0.0, 0.5, size=p.weight_shape).astype(np.float32)
-        got = ops.conv2d_forward(x, w, None, p)
+        got = swap_nc(ops.conv2d_forward(swap_nc(x), w, None, p))
         # the one-gemm im2col kernel, once per group
         sub = ConvParams(out_channels=cout // g, in_channels=cin // g,
                          kernel=(k, k), stride=(stride, stride),
                          pad=(k // 2, k // 2))
         step = cin // g
-        want = ops.channel_concat([ops.conv2d_forward(
-            x[:, gi * step:(gi + 1) * step].copy(),
+        want = swap_nc(ops.channel_concat([ops.conv2d_forward(
+            swap_nc(x[:, gi * step:(gi + 1) * step]),
             w[gi * (cout // g):(gi + 1) * (cout // g)], None, sub)
-            for gi in range(g)])
+            for gi in range(g)]))
         assert got.shape == want.shape
         assert float(np.abs(got - want).max()) < 1e-5
         exact = _naive_conv(x.astype(np.float64), w.astype(np.float64), p)
@@ -146,7 +153,7 @@ class TestConvGroupedForward:
         x = tensor_create((1, 4, 2, 2), "ones").data
         w = np.ones(p.weight_shape, dtype=np.float32)
         b = np.array([1.0, -1.0, 0.0, 2.0], dtype=np.float32)
-        out = ops.conv2d_forward(x, w, b, p)
+        out = swap_nc(ops.conv2d_forward(swap_nc(x), w, b, p))
         assert np.array_equal(out[0, :, 0, 0], [3.0, 1.0, 2.0, 4.0])
 
     def test_two_gemms_per_group_through_mm(self, monkeypatch):
@@ -154,7 +161,8 @@ class TestConvGroupedForward:
         # sequential reduction inside the grouped kernel too
         p = ConvParams(out_channels=6, in_channels=12, kernel=(3, 3),
                        pad=(1, 1), groups=3)
-        x = tensor_create((2, 12, 5, 5), "uniform", seed=8, lo=-1, hi=1).data
+        x = swap_nc(tensor_create((2, 12, 5, 5), "uniform", seed=8, lo=-1,
+                                  hi=1).data)
         w = np.random.default_rng(9).normal(size=p.weight_shape) \
             .astype(np.float32)
         seen = []
@@ -186,8 +194,8 @@ class TestConvGroupedForward:
                     acc += wg[:, k][:, None] * cg[k][None, :]
                 halves.append(acc)
             want[2 * gi:2 * gi + 2] = halves[0] + halves[1]
-        want = want.reshape(6, 2, 5, 5).transpose(1, 0, 2, 3)
-        assert np.array_equal(det, want)
+        # the gemm output is the channel-major result
+        assert np.array_equal(det, want.reshape(6, 2, 5, 5))
 
 
 class TestConvBackward:
@@ -195,10 +203,10 @@ class TestConvBackward:
         p = ConvParams(out_channels=2, in_channels=2, kernel=(3, 3),
                        pad=(1, 1), has_bias=True)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(1, 2, 4, 4))
+        x = swap_nc(rng.normal(size=(1, 2, 4, 4)))
         w = rng.normal(size=p.weight_shape)
         b = rng.normal(size=2)
-        go = rng.normal(size=(1, 2, 4, 4))
+        go = swap_nc(rng.normal(size=(1, 2, 4, 4)))
 
         saved = {}
         ops.conv2d_forward(x, w, b, p, saved)
@@ -217,9 +225,9 @@ class TestConvBackward:
         p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1), groups=2)
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 4, 5, 5))
+        x = swap_nc(rng.normal(size=(2, 4, 5, 5)))
         w = rng.normal(size=p.weight_shape)
-        go = rng.normal(size=(2, 4, 3, 3))
+        go = swap_nc(rng.normal(size=(2, 4, 3, 3)))
         saved = {}
         ops.conv2d_forward(x, w, None, p, saved)
         gx, gw, gb = ops.conv2d_backward(go, saved, w, p)
@@ -244,7 +252,8 @@ class TestConvBackward:
     def test_saved_state_is_the_forward_patch_matrix(self):
         p = ConvParams(out_channels=4, in_channels=4, kernel=(3, 3),
                        stride=(2, 2), pad=(1, 1), groups=2)
-        x = tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1, hi=1).data
+        x = swap_nc(tensor_create((2, 4, 5, 5), "uniform", seed=3, lo=-1,
+                                  hi=1).data)
         saved = {}
         ops.conv2d_forward(x, np.ones(p.weight_shape, np.float32), None, p,
                            saved)
@@ -256,7 +265,7 @@ class TestConvBackward:
 class TestInputReplicate:
     def test_tiles_channel_block(self):
         x = tensor_create((1, 2, 2, 2), "uniform", seed=0).data
-        y = ops.input_replicate(x, 3)
+        y = swap_nc(ops.input_replicate(swap_nc(x), 3))
         assert y.shape == (1, 6, 2, 2)
         for m in range(3):
             assert np.array_equal(y[:, 2 * m:2 * m + 2], x)
@@ -270,14 +279,15 @@ class TestInputReplicate:
 
     def test_backward_sums_blocks(self):
         go = np.arange(12, dtype=np.float32).reshape(1, 6, 1, 2)
-        gx = ops.input_replicate_backward(go, 3)
+        gx = swap_nc(ops.input_replicate_backward(swap_nc(go), 3))
         assert gx.shape == (1, 2, 1, 2)
         want = go[:, 0:2] + go[:, 2:4] + go[:, 4:6]
         assert np.array_equal(gx, want)
 
     def test_backward_divisibility(self):
         with pytest.raises(ShapeError):
-            ops.input_replicate_backward(tensor_create((1, 5, 2, 2)).data, 2)
+            ops.input_replicate_backward(
+                swap_nc(tensor_create((1, 5, 2, 2)).data), 2)
 
 
 class TestPooling:
@@ -428,7 +438,7 @@ class TestBatchNorm:
     def test_train_normalizes_and_updates_running(self):
         table = _bn_table(3)
         x = tensor_create((4, 3, 5, 5), "uniform", seed=0, lo=2.0, hi=4.0).data
-        y = ops.batchnorm2d(x, table, "train")
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "train"))
         assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-5
         assert np.abs(y.var(axis=(0, 2, 3)) - 1).max() < 1e-3
         # momentum 0.1 blend from (0, 1) toward batch stats
@@ -441,7 +451,7 @@ class TestBatchNorm:
         table["running_mean"][:] = [1.0, -1.0]
         table["running_var"][:] = [4.0, 4.0]
         x = tensor_create((1, 2, 2, 2), "ones").data
-        y = ops.batchnorm2d(x, table, "eval")
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "eval"))
         assert np.allclose(y[0, 0], 0.0, atol=1e-3)
         assert np.allclose(y[0, 1], 1.0, atol=1e-3)
 
@@ -455,8 +465,8 @@ class TestBatchNorm:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.batchnorm2d(tensor_create((1, 3, 2, 2)).data, _bn_table(2),
-                            "eval")
+            ops.batchnorm2d(swap_nc(tensor_create((1, 3, 2, 2)).data),
+                            _bn_table(2), "eval")
 
     @staticmethod
     def _random_table(rng, c):
@@ -482,7 +492,7 @@ class TestBatchNorm:
         table = self._random_table(rng, c)
         want_table = {k: v.copy() for k, v in table.items()}
         saved = {}
-        y = ops.batchnorm2d(x, table, "train", saved)
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "train", saved))
         # np.mean and np.var, then normalize, scale and shift
         mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
         inv = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=dtype))
@@ -490,7 +500,7 @@ class TestBatchNorm:
         want = xhat * want_table["gamma"].astype(dtype)[None, :, None, None] \
             + want_table["beta"].astype(dtype)[None, :, None, None]
         assert y.tobytes() == want.tobytes()
-        assert saved["xhat"].tobytes() == xhat.tobytes()
+        assert swap_nc(saved["xhat"]).tobytes() == xhat.tobytes()
         assert saved["inv"].tobytes() == inv.tobytes()
         for name, stat in (("running_mean", mean), ("running_var", var)):
             blended = ((1 - ops.BN_MOMENTUM) * want_table[name]
@@ -505,9 +515,10 @@ class TestBatchNorm:
         x = rng.normal(size=shape) * 3.0 + 1.0
         go = rng.normal(size=shape)
         saved = {}
-        ops.batchnorm2d(x, table, "train", saved)
-        gx, gg, gb = ops.batchnorm2d_backward(go, saved, table)
-        inv, xhat = saved["inv"][None, :, None, None], saved["xhat"]
+        ops.batchnorm2d(swap_nc(x), table, "train", saved)
+        gx, gg, gb = ops.batchnorm2d_backward(swap_nc(go), saved, table)
+        gx = swap_nc(gx)
+        inv, xhat = saved["inv"][None, :, None, None], swap_nc(saved["xhat"])
         # the form with three reductions over gamma * g
         gxh = go * table["gamma"].astype(np.float64)[None, :, None, None]
         m = shape[0] * shape[2] * shape[3]
@@ -523,7 +534,7 @@ class TestBatchNorm:
         table = self._random_table(rng, 6)
         before = {k: v.copy() for k, v in table.items()}
         x = rng.uniform(-1.0, 1.0, size=(3, 6, 5, 4))
-        y = ops.batchnorm2d(x, table, "eval")
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "eval"))
         stat = {k: v.astype(np.float64)[None, :, None, None]
                 for k, v in table.items()}
         inv = 1.0 / np.sqrt(stat["running_var"] + ops.BN_EPSILON)
@@ -541,8 +552,8 @@ class TestBatchNorm:
         table["beta"][:] = rng.uniform(-0.5, 0.5, 2)
         table["running_mean"][:] = rng.uniform(-0.2, 0.2, 2)
         table["running_var"][:] = rng.uniform(0.5, 1.5, 2)
-        x = rng.normal(size=(3, 2, 3, 3))
-        go = rng.normal(size=(3, 2, 3, 3))
+        x = swap_nc(rng.normal(size=(3, 2, 3, 3)))
+        go = swap_nc(rng.normal(size=(3, 2, 3, 3)))
 
         def _frozen(**fields):
             # a copy, so train-mode forwards leave the running stats alone
@@ -599,38 +610,40 @@ class TestFusion:
     def test_concat_and_backward(self):
         a = tensor_create((1, 2, 2, 2), "uniform", seed=0).data
         b = tensor_create((1, 3, 2, 2), "uniform", seed=1).data
-        y = ops.channel_concat([a, b])
+        y = swap_nc(ops.channel_concat([swap_nc(a), swap_nc(b)]))
         assert y.shape == (1, 5, 2, 2)
-        grads = ops.channel_concat_backward(y, [2, 3])
+        grads = [swap_nc(g) for g in
+                 ops.channel_concat_backward(swap_nc(y), [2, 3])]
         assert np.array_equal(grads[0], a)
         assert np.array_equal(grads[1], b)
 
     def test_concat_spatial_mismatch(self):
         with pytest.raises(ShapeError):
-            ops.channel_concat([tensor_create((1, 1, 2, 2)).data,
-                                tensor_create((1, 1, 3, 3)).data])
+            ops.channel_concat([swap_nc(tensor_create((1, 1, 2, 2)).data),
+                                swap_nc(tensor_create((1, 1, 3, 3)).data)])
 
     def test_block_sum(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 4, 1, 2)
-        y = ops.channel_block_sum(x, 2)
+        y = swap_nc(ops.channel_block_sum(swap_nc(x), 2))
         assert np.array_equal(y, x[:, :2] + x[:, 2:])
 
     def test_block_sum_backward_replicates(self):
         go = tensor_create((1, 2, 2, 2), "uniform", seed=2).data
-        gx = ops.channel_block_sum_backward(go, 3)
+        gx = swap_nc(ops.channel_block_sum_backward(swap_nc(go), 3))
         assert gx.shape == (1, 6, 2, 2)
         for m in range(3):
             assert np.array_equal(gx[:, 2 * m:2 * m + 2], go)
 
     def test_block_sum_divisibility(self):
         with pytest.raises(ShapeError):
-            ops.channel_block_sum(tensor_create((1, 5, 2, 2)).data, 2)
+            ops.channel_block_sum(swap_nc(tensor_create((1, 5, 2, 2)).data),
+                                  2)
 
 
 class TestHead:
     def test_gap(self):
         x = np.arange(8, dtype=np.float32).reshape(1, 2, 2, 2)
-        y = ops.global_avg_pool(x)
+        y = swap_nc(ops.global_avg_pool(swap_nc(x)))
         assert np.array_equal(y.reshape(-1), [1.5, 5.5])
 
     def test_gap_backward_finite_difference(self):
@@ -644,12 +657,14 @@ class TestHead:
 
     def test_linear_and_backward(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(3, 4, 1, 1))
+        x = swap_nc(rng.normal(size=(3, 4, 1, 1)))
         w = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
-        y = ops.linear(x, w, b)
+        y = swap_nc(ops.linear(x, w, b))
         assert y.shape == (3, 5, 1, 1)
-        go = rng.normal(size=(3, 5, 1, 1))
+        # the features' n @ W.T, one row per sample
+        assert np.allclose(y.reshape(3, 5), swap_nc(x).reshape(3, 4) @ w.T + b)
+        go = swap_nc(rng.normal(size=(3, 5, 1, 1)))
         gx, gw, gb = ops.linear_backward(go, x, w)
         fx = numeric_grad(
             lambda xx: float((ops.linear(xx, w, b) * go).sum()), x)
@@ -663,8 +678,8 @@ class TestHead:
 
     def test_linear_requires_1x1(self):
         with pytest.raises(ShapeError):
-            ops.linear(tensor_create((1, 4, 2, 2)).data, np.zeros((5, 4)),
-                       np.zeros(5))
+            ops.linear(swap_nc(tensor_create((1, 4, 2, 2)).data),
+                       np.zeros((5, 4)), np.zeros(5))
 
 
 class TestSoftmaxCrossEntropy:

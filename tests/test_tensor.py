@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import swap_nc
 from cosnet.errors import ConfigError, GeometryError, ShapeError
 from cosnet.tensor import (_BLOCK_MAX_OUTPUT, _GATHER_MAX_PIXELS, Tensor,
-                           _gather_index, _pad_hw, col2im_nd,
+                           _gather_index, _pad_hw, _scatter_index, col2im_nd,
                            conv_output_size, deterministic_enabled,
                            elementwise, im2col_nd, mm, set_deterministic,
                            tensor_create)
@@ -68,6 +69,14 @@ class TestCreate:
         t = tensor_create((4, 16, 16, 16), "normal", std=2.0, seed=0)
         assert abs(t.data.std() - 2.0) < 0.05
 
+    @pytest.mark.parametrize("fill", ["zeros", "uniform"])
+    def test_unallocatable_shape_is_a_config_error(self, fill):
+        # numpy refuses both requests before allocating anything
+        for shape in ((100000, 3, 100000, 100000), (10**6,) * 4):
+            with pytest.raises(ConfigError, match=str(shape).replace(
+                    "(", r"\(").replace(")", r"\)")):
+                tensor_create(shape, fill)
+
     def test_unknown_fill(self):
         with pytest.raises(ShapeError):
             tensor_create((1, 1, 1, 1), "sparkles")
@@ -87,6 +96,11 @@ class TestGeometry:
         x = np.zeros((1, 1, 2, 2))
         with pytest.raises(GeometryError):
             im2col_nd(x, (5, 5), (1, 1), (0, 0))
+
+
+# im2col_nd and col2im_nd take and return channel-major (c, n, h, w)
+# arrays; the oracles below index (n, c, h, w) arrays, and the tests cross
+# with swap_nc.
 
 
 def _im2col_by_index(x, kernel, stride, pad):
@@ -135,7 +149,7 @@ def _signed_zero_data(rng, shape, dtype):
 class TestIm2col:
     def test_identity_1x1(self):
         x = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
-        cols = im2col_nd(x, (1, 1), (1, 1), (0, 0))
+        cols = im2col_nd(swap_nc(x), (1, 1), (1, 1), (0, 0))
         # one row per channel, one column per (sample, row, col)
         assert cols.shape == (2, 8)
         assert np.array_equal(cols, [[0, 1, 2, 3, 8, 9, 10, 11],
@@ -143,7 +157,7 @@ class TestIm2col:
 
     def test_known_3x3_patch(self):
         x = np.arange(18, dtype=np.float32).reshape(2, 1, 3, 3)
-        cols = im2col_nd(x, (3, 3), (1, 1), (0, 0))
+        cols = im2col_nd(swap_nc(x), (3, 3), (1, 1), (0, 0))
         # one row per kernel offset, one column per sample
         assert cols.shape == (9, 2)
         assert np.array_equal(cols[:, 0], np.arange(9))
@@ -151,7 +165,7 @@ class TestIm2col:
 
     def test_padding_zeros(self):
         x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        cols = im2col_nd(x, (3, 3), (1, 1), (1, 1))
+        cols = im2col_nd(swap_nc(x), (3, 3), (1, 1), (1, 1))
         # center column sees the full 2x2 block plus 5 zeros
         assert cols.shape == (9, 4)
         assert cols.sum() == 4 * 4   # each input pixel appears 4 times
@@ -159,9 +173,10 @@ class TestIm2col:
         # bottom-right 2x2, zeros elsewhere
         assert np.array_equal(cols[:, 0], [0, 0, 0, 0, 1, 1, 0, 1, 1])
 
+    # maps up to 12x12, on both sides of _GATHER_MAX_PIXELS
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
-           st.integers(1, 6), _GEOMETRY,
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 12), _GEOMETRY,
            st.sampled_from([np.float32, np.float64]), st.data())
     def test_matches_index_formula_bytewise(self, n, c, h, w, geom, dtype,
                                             data):
@@ -171,20 +186,20 @@ class TestIm2col:
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
         x = _signed_zero_data(rng, (n, c, h, w), dtype)
         args = ((kh, kw), (sh, sw), (ph, pw))
-        cols = im2col_nd(x, *args)
+        cols = im2col_nd(swap_nc(x), *args)
         assert cols.dtype == dtype
         assert cols.tobytes() == _im2col_by_index(x, *args).tobytes()
         # the scatter: the 1x1 shortcut adds to +0.0 like the general path,
         # so its -0.0 patch values land as +0.0
         g = _signed_zero_data(rng, cols.shape, dtype)
-        back = col2im_nd(g, x.shape, *args)
-        assert back.shape == x.shape
-        assert back.tobytes() == \
+        back = col2im_nd(g, (c, n, h, w), *args)
+        assert back.shape == (c, n, h, w) and back.flags.c_contiguous
+        assert swap_nc(back).tobytes() == \
             _col2im_by_index(g, x.shape, *args).tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 6),
-           st.integers(1, 6), _GEOMETRY,
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12),
+           st.integers(1, 12), _GEOMETRY,
            st.sampled_from([0.0, -np.inf]),
            st.sampled_from([np.float32, np.float64]), st.data())
     def test_padding_matches_np_pad_bytewise(self, n, c, h, w, geom, fill,
@@ -207,11 +222,11 @@ class TestIm2col:
         ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
         want = np.stack([xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
                          for ki in range(kh) for kj in range(kw)], axis=1)
-        cols = im2col_nd(x, (kh, kw), (sh, sw), (ph, pw))
+        cols = im2col_nd(swap_nc(x), (kh, kw), (sh, sw), (ph, pw))
         assert cols.tobytes() == want.reshape(cols.shape).tobytes()
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 7),
+    @given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 11),
            st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
            st.data())
     def test_col2im_is_adjoint(self, n, c, hw, k, s, p, data):
@@ -251,7 +266,7 @@ class TestIm2colGather:
         x = _signed_zero_data(rng, (n, c, h, w), dtype)
         args = ((kh, kw), (sh, sw), (ph, pw))
         before = _gather_calls()
-        cols = im2col_nd(x, *args)
+        cols = im2col_nd(swap_nc(x), *args)
         if geom != (1, 1, 1, 1, 0, 0):   # the 1x1 shortcut is a view
             assert _gather_calls() == before + 1
             assert cols.flags.c_contiguous
@@ -265,7 +280,7 @@ class TestIm2colGather:
         x[1, 2, 1, 2] = value
         args = ((3, 3), (1, 1), (1, 1))
         before = _gather_calls()
-        cols = im2col_nd(x, *args)
+        cols = im2col_nd(swap_nc(x), *args)
         assert _gather_calls() == before + 1
         want = _im2col_by_index(x, *args)
         assert cols.tobytes() == want.tobytes()
@@ -281,22 +296,23 @@ class TestIm2colGather:
         x = np.random.default_rng(4).normal(size=(2, 8, 4, 4)).astype(
             np.float32)
         args = ((3, 3), (2, 2), (1, 1))
-        fast = im2col_nd(x, *args)
+        fast = im2col_nd(swap_nc(x), *args)
         set_deterministic(True)
         try:
-            det = im2col_nd(x, *args)
+            det = im2col_nd(swap_nc(x), *args)
         finally:
             set_deterministic(False)
         assert det.tobytes() == fast.tobytes()
         assert fast.tobytes() == _im2col_by_index(x, *args).tobytes()
 
-    @pytest.mark.parametrize("h, w", [(4, 4), (5, 5), (2, 8), (1, 17)])
+    @pytest.mark.parametrize("h, w", [(4, 4), (5, 5), (2, 8), (1, 17),
+                                      (8, 8), (1, 64), (9, 8), (5, 13)])
     def test_pixel_bound(self, h, w):
         x = np.random.default_rng(5).normal(size=(2, 3, h, w)).astype(
             np.float32)
         args = ((3, 3), (1, 1), (1, 1))
         before = _gather_calls()
-        cols = im2col_nd(x, *args)
+        cols = im2col_nd(swap_nc(x), *args)
         assert _gather_calls() - before == (h * w <= _GATHER_MAX_PIXELS)
         assert cols.tobytes() == _im2col_by_index(x, *args).tobytes()
 
@@ -310,6 +326,110 @@ class TestIm2colGather:
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0] = 0
+
+
+def _scatter_calls():
+    """How often :func:`col2im_nd` has taken the small-map gather."""
+    info = _scatter_index.cache_info()
+    return info.hits + info.misses
+
+
+def _col2im_strided(cols, in_shape, kernel, stride, pad):
+    """The strided scatter on any map: kh*kw ``+=`` of the patch matrix's
+    (c, n, Ho, Wo) planes into a zeroed, padded (c, n, h, w) buffer, in
+    (ki, kj) order."""
+    c, n, h, w = in_shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    planes = cols.reshape(c, kh, kw, n, ho, wo)
+    xp = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw] += planes[:, ki,
+                                                                      kj]
+    return xp[:, :, ph:ph + h, pw:pw + w]
+
+
+class TestCol2imGather:
+    """Maps of at most ``_GATHER_MAX_PIXELS`` pixels sum each
+    pixel's patch entries through a cached index; the bytes are those of the
+    strided scatter, for any values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 8),
+           st.integers(1, 8), _GEOMETRY,
+           st.sampled_from([np.float32, np.float64]), st.data())
+    def test_matches_the_strided_scatter_bytewise(self, n, c, h, w, geom,
+                                                  dtype, data):
+        kh, kw, sh, sw, ph, pw = geom
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        args = ((kh, kw), (sh, sw), (ph, pw))
+        ho, wo = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        cols = _signed_zero_data(rng, (c * kh * kw, n * ho * wo), dtype)
+        before = _scatter_calls()
+        got = col2im_nd(cols, (c, n, h, w), *args)
+        if geom != (1, 1, 1, 1, 0, 0):   # the 1x1 shortcut adds +0.0
+            assert _scatter_calls() == before + 1
+        assert got.shape == (c, n, h, w) and got.flags.c_contiguous
+        assert got.dtype == dtype
+        want = _col2im_strided(cols, (c, n, h, w), *args)
+        assert got.tobytes() == want.tobytes()
+        assert swap_nc(got).tobytes() == \
+            _col2im_by_index(cols, (n, c, h, w), *args).tobytes()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_value_lands_as_the_scatter_puts_it(self, value, dtype):
+        rng = np.random.default_rng(6)
+        args = ((3, 3), (1, 1), (1, 1))
+        cols = _signed_zero_data(rng, (3 * 9, 2 * 16), dtype)
+        # one entry: row (channel 1, offset (1, 1)), the column of sample 1,
+        # output pixel (2, 1), which that offset puts on input pixel (2, 1)
+        cols[9 + 4, 16 + 2 * 4 + 1] = value
+        before = _scatter_calls()
+        got = col2im_nd(cols, (3, 2, 4, 4), *args)
+        assert _scatter_calls() == before + 1
+        want = _col2im_strided(cols, (3, 2, 4, 4), *args)
+        assert got.tobytes() == want.tobytes()
+        # the value reaches its own pixel and no other
+        hit = np.isnan(got) if np.isnan(value) else got == value
+        assert np.argwhere(hit).tolist() == [[1, 1, 2, 1]]
+
+    @pytest.mark.parametrize("h, w", [(8, 8), (1, 64), (9, 8), (5, 13),
+                                      (16, 16)])
+    def test_pixel_bound(self, h, w):
+        rng = np.random.default_rng(7)
+        args = ((3, 3), (2, 2), (1, 1))
+        ho, wo = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+        cols = _signed_zero_data(rng, (2 * 9, 3 * ho * wo), np.float32)
+        before = _scatter_calls()
+        got = col2im_nd(cols, (2, 3, h, w), *args)
+        assert _scatter_calls() - before == \
+            (h * w <= _GATHER_MAX_PIXELS)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == \
+            _col2im_strided(cols, (2, 3, h, w), *args).tobytes()
+
+    def test_index_is_cached_in_range_and_read_only(self):
+        key = (2, 4, 4, (3, 3), (2, 2), (1, 1))
+        idx = _scatter_index(*key)
+        assert _scatter_index(*key) is idx
+        # one row per kernel offset, one column per pixel of the 2 maps;
+        # the patch matrix has 9 * 2 * 2 * 2 columns, and 72 is its zero
+        assert idx.shape == (9, 2 * 16)
+        assert idx.min() >= 0 and idx.max() == 72
+        # the transpose of the im2col index: each entry that is no padding
+        # reads the pixel that reads it back
+        reads = _gather_index(*key)
+        k, p = np.nonzero(idx < 72)
+        assert np.array_equal(reads[idx[k, p]], p)
+        assert (np.bincount(idx[idx < 72], minlength=72)
+                == (reads < 32)).all()
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0, 0] = 0
 
 
 def _sequential_mm(a, b):
