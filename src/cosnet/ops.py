@@ -26,7 +26,8 @@ the input (linear), the channel counts (concat) or the replication factor.
 
 Batch norm has one formula per mode, each a few passes over the
 activation.  With m = n*h*w values per channel, and each per-channel sum
-taken by :func:`_channel_sums`:
+taken by :func:`_channel_sums` as one pairwise numpy sum along the
+channel's contiguous row of m values (so is a conv's bias gradient):
 
 * train forward: ``x - mu`` is formed once, sigma^2 is the mean of its
   squares (as ``np.var`` forms it), and the same buffer is scaled by
@@ -42,9 +43,16 @@ matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back,
 and write their output as (out_channels, n*Ho*Wo): channel-major already.
 :func:`conv2d_forward` is the one convolution kernel: a single gemm for one
 group, and two gemms per group (over the halves of its input channels,
-summed) for a grouped convolution.  Max and average pool backward build
-their window gradients in that layout too.  Everything follows the dtype
-of its inputs (float32 in normal use, float64 during gradient checking).
+summed) for a grouped convolution.
+
+Pooling windows are only 2-8 pixels wide on the late stages, so
+:func:`pool2d` works pixel-major instead: it copies its input once into a
+padded (h, w, c*n) buffer and runs its kh*kw passes over strided
+(Ho, Wo, c*n) views of it, each inner loop c*n values long, and
+:func:`pool2d_backward` adds the window gradients into a zeroed buffer of
+that layout through the same views.  Each transposes back to channel-major
+once.  Everything follows the dtype of its inputs (float32 in normal use,
+float64 during gradient checking).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LabelError, ShapeError
-from .tensor import Tensor, _out_hw, _pad_hw, col2im_nd, im2col_nd, mm
+from .tensor import Tensor, _out_hw, col2im_nd, im2col_nd, mm
 
 # batch norm: weight of the newest batch in the running statistics, and the
 # variance floor under the square root
@@ -154,11 +162,16 @@ def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
                          f"{want}")
     go = grad_out.reshape(cout, -1)
     wmat = weight.reshape(cout, -1).astype(cols.dtype, copy=False)
-    grad_w = np.empty(wmat.shape, dtype=cols.dtype)
-    grad_cols = np.empty_like(cols)
-    for o, r in _group_slices(params):
-        grad_w[o] = mm(go[o], cols[r].T)
-        grad_cols[r] = mm(wmat[o].T, go[o])
+    if params.groups == 1:
+        # the patch gradient is the gemm's own result
+        grad_w = mm(go, cols.T)
+        grad_cols = mm(wmat.T, go)
+    else:
+        grad_w = np.empty(wmat.shape, dtype=cols.dtype)
+        grad_cols = np.empty_like(cols)
+        for o, r in _group_slices(params):
+            grad_w[o] = mm(go[o], cols[r].T)
+            grad_cols[r] = mm(wmat[o].T, go[o])
     grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
                        params.pad)
     grad_b = _channel_sums(grad_out) if params.has_bias else None
@@ -179,112 +192,131 @@ def input_replicate_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
     return grad_out.reshape(m, c // m, n, h, w).sum(axis=0)
 
 
-def _window_slices(x: np.ndarray, kernel, stride, pad, fill):
-    """The kh*kw strided (c, n, Ho, Wo) views of x padded with ``fill``,
-    one per kernel offset in (row, col) order."""
+def _pixel_major(x: np.ndarray, pad, fill) -> np.ndarray:
+    """The channel-major (c, n, h, w) x as one pixel-major (h + 2*ph,
+    w + 2*pw, c*n) buffer padded with ``fill``: each pixel's c*n values in
+    one contiguous row."""
+    c, n, h, w = x.shape
+    ph, pw = pad
+    shape = (h + 2 * ph, w + 2 * pw, c * n)
+    # a zeroed allocation is cheaper than writing the fill
+    xp = (np.zeros(shape, dtype=x.dtype) if fill == 0
+          else np.full(shape, fill, dtype=x.dtype))
+    xp[ph:ph + h, pw:pw + w] = x.reshape(c * n, h, w).transpose(1, 2, 0)
+    return xp
+
+
+def _windows(xp: np.ndarray, kernel, stride, ho: int, wo: int):
+    """The kh*kw strided (Ho, Wo, c*n) views of a padded pixel-major
+    buffer, one per kernel offset in (row, col) order."""
     sh, sw = stride
-    ho, wo = _out_hw(*x.shape[2:], kernel, stride, pad)
-    xp = _pad_hw(x, pad, fill)
-    return [xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+    return [xp[ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
             for ki in range(kernel[0]) for kj in range(kernel[1])]
 
 
-def _pool_windows(x: np.ndarray, kernel, stride, pad, fill):
-    """The window stack (c, n, kh*kw, Ho, Wo) of :func:`_window_slices`."""
-    return np.stack(_window_slices(x, kernel, stride, pad, fill), axis=2)
+def _channel_major(a: np.ndarray, c: int, n: int) -> np.ndarray:
+    """A pixel-major (h, w, c*n) array as a new C-contiguous channel-major
+    (c, n, h, w) one."""
+    h, w = a.shape[:2]
+    return np.ascontiguousarray(a.transpose(2, 0, 1)).reshape(c, n, h, w)
 
 
 def pool2d(x: np.ndarray, kind: str, kernel, stride, pad,
            saved: dict | None = None) -> np.ndarray:
     """Per-window max or mean; mean divides by the full window size
     (padded zeros count toward the divisor).  A ``saved`` dict receives the
-    input shape and, for max pool, the argmax of each window as ``arg`` in
-    the smallest unsigned dtype that holds kh*kw - 1: what
-    :func:`pool2d_backward` reads.
+    input shape and, for max pool, the argmax of each window as ``arg``: the
+    first offset, in (row, col) order, holding the maximum, or the first
+    NaN, as a (c, n, Ho, Wo) array of the smallest unsigned dtype that holds
+    kh*kw - 1.  That is what :func:`pool2d_backward` reads.
 
+    The input is copied once into a padded pixel-major buffer
+    (:func:`_pixel_major`), and the kh*kw passes run over its strided
+    (Ho, Wo, c*n) window views, so every inner loop is c*n elements long.
     The mean is a running sum from +0.0 over the windows in (row, col)
-    order, the order in which numpy sums a window stack over its window
-    axis (so a one-element window of -0.0 sums to +0.0 here too).  A 1x1
-    output keeps the stack: there the window axis is innermost, and numpy
-    sums it pairwise.
+    order, so a one-element window of -0.0 sums to +0.0; the max is a
+    running ``np.maximum``.  Both give the bytes of numpy's reduction of the
+    (c, n, kh*kw, Ho, Wo) window stack over its window axis.  A 1x1 output
+    keeps that stack, with its window axis innermost: there numpy sums it
+    pairwise and takes its maximum in its own order of +0.0 and -0.0.
     """
+    if kind not in ("max", "avg"):
+        raise ShapeError(f"unknown pool kind {kind!r}")
     if saved is not None:
         saved["in_shape"] = x.shape
-    if kind == "max":
-        wins = _pool_windows(x, kernel, stride, pad, -np.inf)
-        out = wins.max(axis=2)
-        if saved is not None:
-            # wins.argmax(axis=2): the first offset holding the maximum, or
-            # the first NaN; a boolean argmax over the window axis is faster
-            # than a float one
-            hit = (wins == out[:, :, None]) | np.isnan(wins)
-            saved["arg"] = hit.argmax(axis=2).astype(
-                np.min_scalar_type(kernel[0] * kernel[1] - 1))
-        return out
+    c, n, h, w = x.shape
+    ho, wo = _out_hw(h, w, kernel, stride, pad)
+    wins = _windows(_pixel_major(x, pad, -np.inf if kind == "max" else 0.0),
+                    kernel, stride, ho, wo)
+    if ho * wo == 1:
+        stack = np.stack(wins, axis=-1)
+        acc = stack.max(axis=-1) if kind == "max" else stack.sum(axis=-1)
+    elif kind == "max":
+        acc = wins[0].copy()
+        for win in wins[1:]:
+            np.maximum(acc, win, out=acc)
+    else:
+        acc = wins[0] + 0.0
+        for win in wins[1:]:
+            acc += win
     if kind == "avg":
-        wins = _window_slices(x, kernel, stride, pad, 0.0)
-        if wins[0].shape[2:] == (1, 1):
-            out = np.stack(wins, axis=2).sum(axis=2)
-        else:
-            out = wins[0] + 0.0
-            for win in wins[1:]:
-                out += win
-        out /= np.asarray(kernel[0] * kernel[1], dtype=x.dtype)
-        return out
-    raise ShapeError(f"unknown pool kind {kind!r}")
+        acc /= np.asarray(len(wins), dtype=x.dtype)
+    elif saved is not None:
+        arg = np.zeros(acc.shape, dtype=np.min_scalar_type(len(wins) - 1))
+        # from the last offset to the first, so the first hit is kept
+        for k in reversed(range(len(wins))):
+            np.copyto(arg, arg.dtype.type(k),
+                      where=(wins[k] == acc) | np.isnan(wins[k]))
+        saved["arg"] = _channel_major(arg, c, n)
+    return _channel_major(acc, c, n)
 
 
 def pool2d_backward(grad_out: np.ndarray, saved: dict, kind: str, kernel,
                     stride, pad) -> np.ndarray:
-    """Scatter the window gradients back through :func:`col2im_nd`, from the
-    ``saved`` dict :func:`pool2d` filled; they are built as its (c, kh*kw,
-    n, Ho, Wo) patch matrix, which the channel-major grad_out fills with no
-    transpose."""
-    in_shape = saved["in_shape"]
-    c, n, h, w = in_shape
-    kk = kernel[0] * kernel[1]
+    """Gradient of :func:`pool2d` from the ``saved`` dict it filled: each
+    window's gradient, go/(kh*kw) for avg and go at the saved argmax offset
+    (+0.0 elsewhere) for max, is added into a zeroed padded pixel-major
+    buffer through the forward's window views, in (row, col) order.  Each
+    input pixel is then ``((0 + t0) + t1) + ...`` over its window terms, the
+    sum :func:`col2im_nd` forms over the same (c*kh*kw, n*Ho*Wo) patch
+    matrix."""
+    c, n, h, w = saved["in_shape"]
+    ph, pw = pad
     ho, wo = _out_hw(h, w, kernel, stride, pad)
     if grad_out.shape != (c, n, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != forward output "
                          f"{(c, n, ho, wo)}")
-    go = grad_out[:, None]
+    kk = kernel[0] * kernel[1]
+    go = grad_out.reshape(c * n, ho, wo).transpose(1, 2, 0)
     if kind == "max":
-        gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
-        np.put_along_axis(gcols, saved["arg"][:, None], go, axis=1)
+        terms = np.zeros((kk, ho, wo, c * n), dtype=go.dtype)
+        arg = saved["arg"].reshape(c * n, ho, wo).transpose(1, 2, 0)
+        np.put_along_axis(terms, arg[None], go[None], axis=0)
     elif kind == "avg":
-        gcols = np.broadcast_to(go / np.asarray(kk, dtype=go.dtype),
-                                (c, kk, n, ho, wo))
+        term = np.empty((ho, wo, c * n), dtype=go.dtype)
+        np.divide(go, np.asarray(kk, dtype=go.dtype), out=term)
+        terms = [term] * kk
     else:
         raise ShapeError(f"unknown pool kind {kind!r}")
-    return col2im_nd(gcols, in_shape, kernel, stride, pad)
+    gp = np.zeros((h + 2 * ph, w + 2 * pw, c * n), dtype=go.dtype)
+    for view, term in zip(_windows(gp, kernel, stride, ho, wo), terms):
+        view += term
+    return _channel_major(gp[ph:ph + h, pw:pw + w], c, n)
 
 
 def _channel_sums(x: np.ndarray) -> np.ndarray:
-    """Per-channel sums of a channel-major (c, n, h, w) array, bitwise what
-    ``sum(axis=(0, 2, 3))`` gives on the same values in (n, c, h, w) order.
-
-    numpy sums each sample's h*w values pairwise there, then adds the n
-    partial sums in sample order; here each (channel, sample) row is summed
-    pairwise, and ``np.add.reduce`` over the outer axis of the contiguous
-    (n, c) partial sums adds them one after another.  With one channel numpy
-    sums all n*h*w values as one pairwise sum, and so does this.
-    """
-    c, n = x.shape[:2]
-    if c == 1:
-        return x.reshape(1, -1).sum(axis=1)
-    part = x.reshape(c, n, -1).sum(axis=2)
-    return np.add.reduce(np.ascontiguousarray(part.T), axis=0)
+    """Per-channel sums of a channel-major (c, n, h, w) array: one pairwise
+    sum along each channel's contiguous n*h*w row."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
 
 
 def _bn_normalize(x: np.ndarray):
     """Batch statistics per channel over (n, h, w), in x's dtype: (mean,
     var, 1/sigma, x-hat).
 
-    ``x - mean`` is formed once; the variance is the mean of its squares,
-    summed and divided as ``np.var`` does; both sums are
-    :func:`_channel_sums`, so the statistics are bitwise ``np.mean`` and
-    ``np.var`` of the (n, c, h, w) layout.  Then the same buffer is scaled
-    in place by 1/sigma into x-hat.
+    ``x - mean`` is formed once; the variance is the mean of its squares.
+    Both sums are :func:`_channel_sums`, one pairwise sum per channel row.
+    Then the same buffer is scaled in place by 1/sigma into x-hat.
     """
     m = x.size // x.shape[0]
     mean = _channel_sums(x) / m

@@ -27,7 +27,9 @@ map is copied strided.  Both only move values, so any input, -0.0, inf and
 NaN included, lands bit for bit.  Its adjoint :func:`col2im_nd` likewise
 gathers each pixel's patch entries through the transposed index on the
 same maps and scatters strided on larger ones; both add the same terms in
-the same order, so the bytes agree for any input.
+the same order, so the bytes agree for any input.  Convolution backward is
+its one caller: pool backward adds its window gradients in its own
+pixel-major layout (see ``ops.pool2d_backward``).
 """
 
 from __future__ import annotations

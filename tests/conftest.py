@@ -5,7 +5,7 @@ import pytest
 
 from cosnet.graph import LayerNode
 from cosnet.runtime import INPUT_ID, PlanStep
-from cosnet.tensor import deterministic_enabled, set_deterministic
+from cosnet.tensor import col2im_nd, deterministic_enabled, set_deterministic
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +24,60 @@ def swap_nc(a):
     """``a`` with its first two axes swapped, C-contiguous: an (n, c, h, w)
     array in the kernels' channel-major (c, n, h, w) layout, and back."""
     return np.ascontiguousarray(np.swapaxes(a, 0, 1))
+
+
+def window_stack(x, kernel, stride, pad, fill):
+    """The pooling windows of a channel-major (c, n, h, w) x padded with
+    ``fill`` by ``np.pad``: the (c, n, kh*kw, Ho, Wo) stack, one window per
+    kernel offset in (row, col) order."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), constant_values=fill)
+    ho = (xp.shape[2] - kh) // sh + 1
+    wo = (xp.shape[3] - kw) // sw + 1
+    return np.stack([xp[:, :, ki:ki + sh * ho:sh, kj:kj + sw * wo:sw]
+                     for ki in range(kh) for kj in range(kw)], axis=2)
+
+
+def pool_oracle(x, kind, kernel, stride, pad, grad_out=None):
+    """Pooling from the window stack: (output, argmax, input gradient).
+
+    The output is numpy's sum (then division by kh*kw) or max of the stack
+    over its window axis; the argmax (max pool only) is the first offset
+    holding the maximum, or the first NaN, in the smallest unsigned dtype
+    that holds kh*kw - 1.  With ``grad_out`` given, the window gradients
+    (go/(kh*kw), or go at the argmax and +0.0 elsewhere) are built as the
+    (c, kh*kw, n, Ho, Wo) patch matrix and scattered back by
+    :func:`col2im_nd`; otherwise the gradient is None."""
+    kk = kernel[0] * kernel[1]
+    wins = window_stack(x, kernel, stride, pad,
+                        -np.inf if kind == "max" else 0.0)
+    arg = gx = None
+    if kind == "max":
+        out = wins.max(axis=2)
+        arg = ((wins == out[:, :, None]) | np.isnan(wins)).argmax(
+            axis=2).astype(np.min_scalar_type(kk - 1))
+    else:
+        out = wins.sum(axis=2) / np.asarray(kk, dtype=x.dtype)
+    if grad_out is not None:
+        c, n, ho, wo = grad_out.shape
+        go = grad_out[:, None]
+        if kind == "max":
+            gcols = np.zeros((c, kk, n, ho, wo), dtype=go.dtype)
+            np.put_along_axis(gcols, arg[:, None], go, axis=1)
+        else:
+            gcols = np.broadcast_to(go / np.asarray(kk, dtype=go.dtype),
+                                    (c, kk, n, ho, wo))
+        gx = col2im_nd(gcols, x.shape, kernel, stride, pad)
+    return out, arg, gx
+
+
+def nan_canonical_bytes(a):
+    """``a``'s bytes with every NaN replaced by one NaN: which of two NaN
+    operands a float add returns depends on the machine loop numpy picks
+    for the operands' strides, not on the order of the sum."""
+    a = np.array(a, copy=True)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
 
 
 def numeric_grad(f, arr, eps=1e-5):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import PlanAsGraph, node_program, swap_nc
+from conftest import PlanAsGraph, node_program, swap_nc, window_stack
 from cosnet import graph as graphmod
 from cosnet import ops
 from cosnet.analysis import count_flops, emit_report
@@ -477,8 +477,8 @@ class TestBackwardOverPlans:
                                       g.weights[conv.src_node]["weight"],
                                       None, conv.config["params"])
         relu_out = np.maximum(conv_out, 0)
-        arg = ops._pool_windows(relu_out, (2, 2), (2, 2), (0, 0),
-                                -np.inf).argmax(axis=2)
+        arg = window_stack(relu_out, (2, 2), (2, 2), (0, 0),
+                           -np.inf).argmax(axis=2)
         assert set(tape[c]) == set(tape[cg]) == {"cols", "in_shape"}
         assert set(tape[bn]) == {"inv", "xhat"}
         assert set(tape[r]) == {"mask"}

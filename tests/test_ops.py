@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import max_rel_err, numeric_grad, swap_nc
+from conftest import (max_rel_err, nan_canonical_bytes, numeric_grad,
+                      pool_oracle, swap_nc, window_stack)
 from cosnet import ops
 from cosnet.errors import ConfigError, LabelError, ShapeError
 from cosnet.graph import OPS, GraphBuilder
@@ -351,10 +352,66 @@ class TestPooling:
              * 10.0 ** rng.integers(-3, 4, (n, c, hw, hw))).astype(dtype)
         x[rng.random(x.shape) < 0.3] = -0.0
         args = ((k, k), (s, s), (p, p))
-        want = ops._pool_windows(x, *args, 0.0).sum(axis=2) \
+        want = window_stack(x, *args, 0.0).sum(axis=2) \
             / np.asarray(k * k, dtype=dtype)
         assert ops.pool2d(x, "avg", *args).tobytes() == \
             want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["avg", "max"]), st.integers(1, 2),
+           st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+           st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+           st.integers(1, 2), st.integers(0, 1), st.integers(0, 1),
+           st.sampled_from([np.float32, np.float64]), st.booleans(),
+           st.integers(0, 10**6))
+    # 1x1 outputs (a 3x3 map under a 3x3 kernel), where the window stack is
+    # reduced along its innermost axis: a sum these seeds round apart from
+    # a running one, and a max of +0.0 and -0.0 taken apart from a running
+    # np.maximum; and windows that are all padding
+    @example("avg", 2, 3, 3, 3, 3, 3, 1, 1, 0, 0, np.float32, False, 0)
+    @example("max", 2, 3, 3, 3, 3, 3, 1, 1, 0, 0, np.float64, True, 3)
+    @example("max", 1, 2, 1, 1, 1, 1, 2, 2, 1, 1, np.float32, False, 2)
+    def test_pixel_major_pooling_matches_window_stack(
+            self, kind, n, c, h, w, kh, kw, sh, sw, ph, pw, dtype, rounded,
+            seed):
+        """Forward in both modes and backward give the window-stack
+        oracle's bytes (backward: its patch matrix through col2im_nd), on
+        data a quarter -0.0, with +-inf and NaN, and rounded to integers
+        for ties, up to which NaN an add of two NaNs returns."""
+        if h + 2 * ph < kh or w + 2 * pw < kw:
+            return
+        rng = np.random.default_rng(seed)
+
+        def draw(shape):
+            a = (rng.normal(size=shape)
+                 * 10.0 ** rng.integers(-3, 4, shape)).astype(dtype)
+            if rounded:
+                a = np.round(a)
+            u = rng.random(shape)
+            a[u < 0.25] = -0.0
+            a[(u > 0.94) & (u < 0.96)] = np.inf
+            a[(u > 0.96) & (u < 0.98)] = -np.inf
+            a[u > 0.98] = np.nan
+            return a
+
+        x = draw((c, n, h, w))
+        args = ((kh, kw), (sh, sw), (ph, pw))
+        saved = {}
+        # inf - inf is NaN
+        with np.errstate(invalid="ignore"):
+            want, want_arg, _ = pool_oracle(x, kind, *args)
+            go = draw(want.shape)
+            _, _, want_gx = pool_oracle(x, kind, *args, grad_out=go)
+            y_eval = ops.pool2d(x, kind, *args)
+            y = ops.pool2d(x, kind, *args, saved)
+            gx = ops.pool2d_backward(go, saved, kind, *args)
+        for got, ref in ((y_eval, want), (y, want), (gx, want_gx)):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.flags.c_contiguous
+            assert nan_canonical_bytes(got) == nan_canonical_bytes(ref)
+        if kind == "max":
+            assert saved["arg"].dtype == want_arg.dtype
+            assert saved["arg"].tobytes() == want_arg.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 6),
@@ -372,9 +429,12 @@ class TestPooling:
         ho = (hw + 2 * p - k) // s + 1
         want = np.stack([xp[:, :, ki:ki + s * ho:s, kj:kj + s * ho:s]
                          for ki in range(k) for kj in range(k)], axis=2)
-        got = ops._pool_windows(x, (k, k), (s, s), (p, p), fill)
+        # the kernel's pixel-major windows: (kh*kw, Ho, Wo, n*c) here
+        got = np.stack(ops._windows(ops._pixel_major(x, (p, p), fill),
+                                    (k, k), (s, s), ho, ho))
+        want = want.reshape(n * c, k * k, ho, ho).transpose(1, 2, 3, 0)
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     def test_saved_state(self):
         x = tensor_create((2, 3, 4, 4), "uniform", seed=0).data
@@ -400,7 +460,7 @@ class TestPooling:
         args = ((3, 3), (stride, stride), (1, 1))
         saved = {}
         y = ops.pool2d(x, "max", *args, saved)
-        wins = ops._pool_windows(x, *args, -np.inf)
+        wins = window_stack(x, *args, -np.inf)
         assert saved["arg"].tobytes() == wins.argmax(axis=2).astype(
             np.uint8).tobytes()
         assert np.array_equal(y, wins.max(axis=2), equal_nan=True)
@@ -493,8 +553,12 @@ class TestBatchNorm:
         want_table = {k: v.copy() for k, v in table.items()}
         saved = {}
         y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "train", saved))
-        # np.mean and np.var, then normalize, scale and shift
-        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        # the mean and the mean square of x - mean, each one sum along a
+        # channel's contiguous n*h*w row; then normalize, scale and shift
+        m = n * h * w
+        rows = swap_nc(x).reshape(c, m)
+        mean = rows.sum(axis=1) / m
+        var = np.square(rows - mean[:, None]).sum(axis=1) / m
         inv = 1.0 / np.sqrt(var + np.asarray(ops.BN_EPSILON, dtype=dtype))
         xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
         want = xhat * want_table["gamma"].astype(dtype)[None, :, None, None] \
@@ -526,8 +590,40 @@ class TestBatchNorm:
             m * gxh - gxh.sum(axis=(0, 2, 3))[None, :, None, None]
             - xhat * (gxh * xhat).sum(axis=(0, 2, 3))[None, :, None, None])
         assert np.abs(gx - want).max() <= 1e-12 * np.abs(want).max()
-        assert gg.tobytes() == (go * xhat).sum(axis=(0, 2, 3)).tobytes()
-        assert gb.tobytes() == go.sum(axis=(0, 2, 3)).tobytes()
+
+        def row_sums(a):
+            return swap_nc(a).reshape(shape[1], m).sum(axis=1)
+
+        assert gg.tobytes() == row_sums(go * xhat).tobytes()
+        assert gb.tobytes() == row_sums(go).tobytes()
+
+    @pytest.mark.parametrize("shape", [(128, 32, 2, 2), (16, 32, 16, 16),
+                                       (3, 64, 16, 16), (5, 2, 1, 1)])
+    @pytest.mark.parametrize("data", ["normal", "positive"])
+    def test_channel_sums_within_pairwise_bound(self, shape, data):
+        """Each channel's sum is within the rounding bound of numpy's
+        pairwise sum of its m = n*h*w values, gamma_d * sum|x| with
+        gamma_d = d*u / (1 - d*u), of the float64 sum.  The depth d counts
+        the additions on any value's path: the first value, then blocks of
+        at most 128 values summed by 8 running partial sums of 16 values,
+        combined in 3 levels with at most 7 leftovers added after, then
+        ceil(log2(m / 128)) pairwise levels above the blocks.  A sequential
+        sum along each row misses it on the positive data with m = 8192 and
+        16384."""
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-2, 3, shape)
+        if data == "positive":
+            x = np.abs(x) + 0.1
+        x = x.astype(np.float32)
+        m = shape[1] * shape[2] * shape[3]
+        depth = 1 + 25 + max(int(np.ceil(np.log2(m / 128))), 0)
+        u = 2.0 ** -24
+        gamma = depth * u / (1 - depth * u)
+        rows = x.reshape(shape[0], -1).astype(np.float64)
+        got = ops._channel_sums(x)
+        assert got.dtype == np.float32
+        err = np.abs(got.astype(np.float64) - rows.sum(axis=1))
+        assert (err <= gamma * np.abs(rows).sum(axis=1)).all()
 
     def test_eval_affine_matches_normalize_then_scale(self):
         rng = np.random.default_rng(8)

@@ -296,15 +296,16 @@ class TestTraining:
 
     def test_max_pool_backward_builds_no_windows(self, monkeypatch):
         """Max-pool backward and the gradient check's kink fingerprint read
-        the argmax the forward saved; neither builds the window stack."""
+        the argmax the forward saved; neither copies the input into the
+        pixel-major buffer the forward takes its windows from."""
         calls = []
-        windows = ops._pool_windows
+        pixel_major = ops._pixel_major
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return windows(*args, **kwargs)
+            return pixel_major(*args, **kwargs)
 
-        monkeypatch.setattr(ops, "_pool_windows", spy)
+        monkeypatch.setattr(ops, "_pixel_major", spy)
         b = GraphBuilder()
         x = b.add("input")
         pm = b.add("pool_max", [x], "pm", kernel=(3, 3), stride=(2, 2),
@@ -314,9 +315,18 @@ class TestTraining:
         out, tape = graph_forward(g, xt, mode="train")
         assert len(calls) == 1
         _activation_signature(g, tape)
+        # every window's gradient at offset 0: the backward reads the
+        # saved argmax, not the input
+        (saved,) = (entry for entry in tape.values() if "arg" in entry)
+        saved["arg"][...] = 0
         _, gin = graph_backward(g, tape, Tensor(np.ones(out.shape)))
         assert len(calls) == 1
-        assert gin.shape == xt.shape
+        # gap sends 1/16 to each of the 4x4 outputs; offset 0 of window
+        # (i, j) is pixel (2i - 1, 2j - 1), so the even padded rows and
+        # columns of the 10x10 padded map get the gradient
+        padded = np.zeros((2, 3, 10, 10))
+        padded[:, :, 0:8:2, 0:8:2] = 1 / 16
+        assert np.array_equal(gin.data, padded[:, :, 1:9, 1:9])
 
     def test_graph_lowers_its_batched_plan_once(self, monkeypatch):
         calls = []
