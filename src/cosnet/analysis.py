@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .arch import PAPER_REFERENCE, VariantSpec, build_network
 from .errors import ConfigError, GraphError
-from .graph import OPS, Graph, infer_shapes, program_of
+from .graph import OPS, Graph, infer_shapes, last_reads, program_of
 
 
 @dataclass(frozen=True)
@@ -88,32 +88,19 @@ def branch_stats(program):
     """Peak number of simultaneously live tensors while ``program`` runs.
 
     ``program`` is an execution plan, or a :class:`Graph` standing for its
-    batched plan (``graph.program_of``): it has ``steps``, each with ``id``
-    and ``inputs``, executed in order, and ``input_id``.  A tensor is live
-    from the step that produces it until its last consuming step; the input
-    is live from the start.  Returns a dict with ``peak_live``,
+    batched plan (``graph.program_of``).  Lifetimes are the interpreter's
+    own (``graph.last_reads``): the input is live from the start, each
+    step's output from its step, and a tensor dies once its last reader
+    has run; the output never dies.  Returns a dict with ``peak_live``,
     ``total_steps`` and ``final_live``.
     """
     program = program_of(program)
-    steps = program.steps
-    remaining = {program.input_id: 0}
-    for s in steps:
-        remaining[s.id] = 0
-        for src in s.inputs:
-            if src not in remaining:
-                raise GraphError(f"step {s.id} reads unknown tensor {src}")
-            remaining[src] += 1
-    live = {program.input_id}
-    peak = len(live)
-    for s in steps:
-        live.add(s.id)
-        peak = max(peak, len(live))
-        for src in set(s.inputs):
-            remaining[src] -= s.inputs.count(src)
-            if remaining[src] == 0 and src in live:
-                live.discard(src)
-    return {"peak_live": peak, "total_steps": len(steps),
-            "final_live": len(live)}
+    live = peak = 1
+    for dead in last_reads(program):
+        peak = max(peak, live + 1)
+        live += 1 - len(dead)
+    return {"peak_live": peak, "total_steps": len(program.steps),
+            "final_live": live}
 
 
 def emit_report(graph: Graph, input_shape, paper_row=None) -> AnalysisReport:

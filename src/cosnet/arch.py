@@ -448,26 +448,15 @@ def parse_variant_text(text: str) -> VariantSpec:
 
 
 def render_variant_text(spec: VariantSpec) -> str:
-    def tup(t):
-        return ",".join(str(v) for v in t)
-
+    """The text :func:`parse_variant_text` reads back, one line per key of
+    its tables; a reference network is its name alone."""
     lines = [f"name = {spec.name}"]
-    if spec.reference:
-        return "\n".join(lines) + "\n"
-    lines += [
-        f"S = {tup(spec.squeeze)}",
-        f"P = {tup(spec.expand)}",
-        f"N = {tup(spec.kernels)}",
-        f"l = {tup(spec.depth)}",
-        f"M = {tup(spec.columns)}",
-        f"zeta = {spec.zeta}",
-        f"stem_channels = {spec.stem_channels}",
-        f"num_classes = {spec.num_classes}",
-        f"pff = {str(spec.pff).lower()}",
-        f"shallow_proj = {str(spec.shallow_proj).lower()}",
-        f"deep_proj = {str(spec.deep_proj).lower()}",
-        f"deep_proj_pooling = {str(spec.deep_proj_pooling).lower()}",
-        f"fusion = {spec.fusion}",
-        f"first_level_input = {spec.first_level_input}",
-    ]
+    if not spec.reference:
+        lines += [f"{k} = {','.join(map(str, getattr(spec, a)))}"
+                  for k, a in _TUPLE_KEYS.items()]
+        lines += [f"{k} = {getattr(spec, a)}" for k, a in _INT_KEYS.items()]
+        lines += [f"{k} = {str(getattr(spec, a)).lower()}"
+                  for k, a in _BOOL_KEYS.items()]
+        lines += [f"{k} = {getattr(spec, a)}"
+                  for k, (a, _) in _ENUM_KEYS.items()]
     return "\n".join(lines) + "\n"

@@ -28,8 +28,12 @@ def _load_model(name: str, seed: int = 0, init: bool = True):
     if name == "mini":
         return arch.build_mini_network(seed=seed), "name = mini\n"
     if os.path.exists(name):
-        with open(name) as f:
-            spec = arch.parse_variant_text(f.read())
+        with open(name, encoding="utf-8") as f:
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{name}: not UTF-8 text ({exc})") from None
+        spec = arch.parse_variant_text(text)
     else:
         spec = arch.registry_lookup(name)
     return (arch.build_network(spec, seed=seed, init=init),
@@ -242,7 +246,7 @@ def cmd_export(args) -> int:
         raise ConfigError("the mini network has no variant text form")
     _, text = _load_model(args.model, init=False)
     if args.out:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
         _log(f"variant text written to {args.out}")
     else:

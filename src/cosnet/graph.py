@@ -25,7 +25,6 @@ differentiated.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import inf, prod
@@ -546,6 +545,31 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
+def last_reads(program, error=GraphError) -> list:
+    """The lifetime rule of plan tensors: for each of ``program``'s steps,
+    in order, the ids of the tensors whose last reader it is.
+    :func:`run_steps` frees arrays by it and ``analysis.branch_stats``
+    counts with it.  A tensor lives from its step (the input from the
+    start) until its last reader has run; one that no step reads, and the
+    output, which is returned, live to the end.  A read of a tensor that no
+    earlier step made, or an output that no step makes, raises ``error``."""
+    made, last = {program.input_id}, {}
+    for i, s in enumerate(program.steps):
+        for src in s.inputs:
+            if src not in made:
+                raise error(f"step {s.id} ({s.name}) reads unknown tensor "
+                            f"{src}")
+            last[src] = i
+        made.add(s.id)
+    if program.output_id not in made - {program.input_id}:
+        raise error("the program never produced its output tensor")
+    last.pop(program.output_id, None)
+    dying = [[] for _ in program.steps]
+    for src, i in last.items():
+        dying[i].append(src)
+    return dying
+
+
 def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     """The forward interpreter of :func:`graph_forward` and
     ``runtime.execute``, on arrays.
@@ -559,31 +583,29 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     ``output_id``; ``weights`` None means its graph's table.  Each step runs
     ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
     step with a ``group`` index reads only that group's block of the table's
-    rows; the table holds one block per group step reading it.  Arrays are
-    freed at their last use.  In train mode each step's forward gets a
-    fresh ``saved`` dict, and the :class:`Tape` records that dict, keyed by
-    step id, the program, and the output's shape and dtype: it keeps an
-    array alive only while some backward reads it.  Any
+    rows, ``[group*k, (group+1)*k)`` with k its own ``out_channels``.
+    Arrays are freed at their last read (:func:`last_reads`), which also
+    refuses, as ``error``, a program that reads an unknown tensor or never
+    makes its output.  In train mode each step's forward gets a fresh
+    ``saved`` dict, and the :class:`Tape` records that dict, keyed by step
+    id, the program, and the output's shape and dtype: it keeps an array
+    alive only while some backward reads it.  Any
     :class:`CosnetError` or missing table entry raised inside a step is
     re-raised as ``error``, naming the step.
 
     Returns (output, tape); the tape is None in eval mode.
     """
-    steps = program.steps
     weights = program.graph.weights if weights is None else weights
-    uses = Counter(src for s in steps for src in s.inputs)
-    blocks = Counter(s.src_node for s in steps if s.group is not None)
+    dying = last_reads(program, error)
     acts = {program.input_id: _swap_nc(x)}
     tape = Tape() if mode == "train" else None
-    out = None
-    for s in steps:
+    for s, dead in zip(program.steps, dying):
         op = OPS[s.kind]
         try:
             table = weights.get(s.src_node, {})
             if s.group is not None:
-                nb = blocks[s.src_node]
-                table = {f: a[s.group * len(a) // nb:
-                              (s.group + 1) * len(a) // nb]
+                k = s.config["params"].out_channels
+                table = {f: a[s.group * k:(s.group + 1) * k]
                          for f, a in table.items()}
             ins = [acts[src] for src in s.inputs]
             saved = {} if tape is not None else None
@@ -593,15 +615,9 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
                         f"{exc}") from exc
         if tape is not None:
             tape[s.id] = saved
-        if s.id == program.output_id:
-            out = acts[s.id]
-        for src in s.inputs:
-            uses[src] -= 1
-            if uses[src] == 0:
-                del acts[src]
-    if out is None:
-        raise error("the program never produced its output tensor")
-    out = _swap_nc(out)
+        for src in dead:
+            del acts[src]
+    out = _swap_nc(acts[program.output_id])
     if tape is not None:
         tape.program, tape.out = program, (out.shape, out.dtype)
     return out, tape

@@ -145,7 +145,8 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
-    """Run a plan in inference mode; arrays are freed at last use."""
+    """Run a plan in inference mode; arrays are freed at their last read
+    (``graph.last_reads``), and a malformed plan raises :class:`PlanError`."""
     out, _ = run_steps(p, _array_of(x, PlanError), weights, "eval",
                        error=PlanError)
     return Tensor(out)

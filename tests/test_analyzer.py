@@ -3,12 +3,14 @@ from types import SimpleNamespace
 import pytest
 
 from cosnet import analysis
-from cosnet.arch import (build_bottleneck_stage_graph, build_mini_network,
-                         build_network, build_unit_graph, registry_lookup)
+from cosnet.arch import (REGISTRY, build_bottleneck_stage_graph,
+                         build_mini_network, build_network, build_unit_graph,
+                         registry_lookup)
 from cosnet.arch import UnitConfig
 from cosnet.errors import ConfigError, GraphError
-from cosnet.graph import GraphBuilder
+from cosnet.graph import GraphBuilder, last_reads
 from cosnet.ops import ConvParams
+from cosnet.runtime import MODES, plan
 
 
 def _single_conv_graph(cout=4, cin=3, k=3, stride=1, pad=1, groups=1,
@@ -99,6 +101,29 @@ class TestFlops:
                 assert row.macs == 0
 
 
+# (peak_live, total_steps, final_live) of the batched and the unrolled
+# plan, recorded before the interpreter and the analyzer shared one rule
+_BRANCH_STATS = {
+    "CoSNet-A0": ((4, 97, 1), (4, 97, 1)),
+    "CoSNet-A1": ((4, 101, 1), (7, 233, 1)),
+    "CoSNet-A1-PFF": ((4, 137, 1), (7, 317, 1)),
+    "CoSNet-B0": ((4, 101, 1), (7, 233, 1)),
+    "CoSNet-B0-PFF": ((4, 137, 1), (7, 317, 1)),
+    "CoSNet-B1": ((4, 101, 1), (8, 265, 1)),
+    "CoSNet-B1-PFF": ((5, 173, 1), (8, 385, 1)),
+    "CoSNet-B2": ((4, 101, 1), (19, 377, 1)),
+    "CoSNet-B2-PFF": ((4, 137, 1), (19, 521, 1)),
+    "CoSNet-C1": ((4, 109, 1), (7, 257, 1)),
+    "CoSNet-C1-PFF": ((4, 151, 1), (7, 355, 1)),
+    "CoSNet-C2": ((4, 101, 1), (19, 417, 1)),
+    "CoSNet-C2-PFF": ((4, 137, 1), (19, 575, 1)),
+    "ResNet-50-ref": ((3, 175, 1), (3, 175, 1)),
+    "mini M=1": ((3, 54, 1), (3, 54, 1)),
+    "mini M=2": ((3, 57, 1), (4, 84, 1)),
+    "mini M=4": ((3, 57, 1), (6, 108, 1)),
+}
+
+
 class TestBranchStats:
     def test_chain_peaks_at_two(self):
         g = _single_conv_graph()
@@ -119,9 +144,23 @@ class TestBranchStats:
 
     def test_unknown_source_rejected(self):
         program = SimpleNamespace(
-            steps=[SimpleNamespace(id=0, inputs=(99,))], input_id=-1)
-        with pytest.raises(GraphError):
+            steps=[SimpleNamespace(id=0, inputs=(99,), name="s0")],
+            input_id=-1, output_id=0)
+        with pytest.raises(GraphError, match="unknown tensor 99"):
+            last_reads(program)
+        with pytest.raises(GraphError, match="unknown tensor 99"):
             analysis.branch_stats(program)
+
+    @pytest.mark.parametrize("name", [*sorted(REGISTRY), "mini M=1",
+                                      "mini M=2", "mini M=4"])
+    def test_pinned(self, name):
+        if name.startswith("mini"):
+            g = build_mini_network(columns=int(name[-1]))
+        else:
+            g = build_network(REGISTRY[name], init=False)
+        got = tuple(tuple(analysis.branch_stats(plan(g, m)).values())
+                    for m in MODES)
+        assert got == _BRANCH_STATS[name]
 
 
 class TestReport:

@@ -69,6 +69,16 @@ class TestAnalyze:
         assert main(["analyze", str(f)]) == 2
         assert "needs integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["describe", "analyze", "train",
+                                         "verify", "bench", "export"])
+    def test_non_utf8_variant_file(self, tmp_path, capsys, command):
+        f = tmp_path / "v.txt"
+        f.write_bytes(b"\xff\xfe name = x\n")
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_mini_passes(self, capsys):

@@ -1,6 +1,8 @@
 import pickle
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,9 +15,10 @@ from cosnet.arch import UnitConfig, build_mini_network, build_unit
 from cosnet.errors import ConfigError, GraphError, ShapeError
 from cosnet.graph import (OPS, GraphBuilder, _activation_signature,
                           describe, grad_check, graph_backward,
-                          graph_forward, infer_shapes, reinit_weights)
+                          graph_forward, infer_shapes, last_reads,
+                          reinit_weights, run_steps)
 from cosnet.ops import ConvParams, softmax_cross_entropy
-from cosnet.runtime import plan
+from cosnet.runtime import INPUT_ID, MODES, execute, plan
 from cosnet.tensor import Tensor, tensor_create
 
 
@@ -404,6 +407,69 @@ def _sgd_gradients(program, g, x, labels):
     out, tape = graph_forward(program, x, mode="train", weights=weights)
     _, grad = softmax_cross_entropy(out, labels)
     return graph_backward(program, tape, grad, weights=weights)
+
+
+class TestLastReads:
+    """The lifetime rule of plan tensors, which the interpreter frees
+    arrays by and the analyzer counts with."""
+
+    def test_diamond(self):
+        b = GraphBuilder()
+        x = b.add("input")
+        r1 = b.add("relu", [x], "a")
+        r2 = b.add("relu", [x], "b")
+        out = b.add("output", [b.add("add", [r1, r2], "join")])
+        p = b.freeze(out, init=False).batched_plan()
+        # steps a, b, join, output: the output itself is never freed
+        assert last_reads(p) == [[], [INPUT_ID], [0, 1], [2]]
+
+    def test_an_output_read_later_lives_to_the_end(self):
+        step = lambda sid, *ins: SimpleNamespace(id=sid, inputs=ins,
+                                                 name=f"s{sid}")
+        program = SimpleNamespace(steps=[step(0, -1), step(1, 0)],
+                                  input_id=-1, output_id=0)
+        assert last_reads(program) == [[-1], []]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_frees_happen_at_the_last_read(self, monkeypatch, mode):
+        """At the entry of every step's forward, the step outputs still
+        alive are exactly the rule's live set."""
+        p = plan(build_mini_network(columns=4, seed=0), mode)
+        steps, refs, alive = iter(p.steps), {}, []
+
+        def wrap(forward):
+            def run(cfg, ins, table, saved):
+                s = next(steps)
+                alive.append({sid for sid, r in refs.items()
+                              if r() is not None})
+                out = forward(cfg, ins, table, saved)
+                if s.kind != "output":   # it returns its input object
+                    refs[s.id] = weakref.ref(out)
+                return out
+            return run
+
+        for kind, op in OPS.items():
+            monkeypatch.setitem(OPS, kind,
+                                replace(op, forward=wrap(op.forward)))
+        execute(p, tensor_create((2, 3, 32, 32), "uniform", seed=1))
+        live, want = set(), []
+        for s, dead in zip(p.steps, last_reads(p)):
+            want.append(set(live))
+            if s.kind != "output":
+                live.add(s.id)
+            live -= set(dead)
+        assert alive == want
+
+    def test_output_no_step_makes_is_refused(self):
+        g = build_mini_network(seed=0)
+        program = SimpleNamespace(steps=g.batched_plan().steps,
+                                  input_id=INPUT_ID, output_id=10_000,
+                                  graph=g)
+        with pytest.raises(GraphError, match="never produced"):
+            last_reads(program)
+        x = tensor_create((2, 3, 32, 32), "uniform", seed=1).data
+        with pytest.raises(GraphError, match="never produced"):
+            run_steps(program, x, None, "eval")
 
 
 class TestBackwardOverPlans:

@@ -7,8 +7,8 @@ from conftest import PlanAsGraph
 from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
-from cosnet.graph import (graph_backward, graph_forward, infer_shapes,
-                          reinit_weights)
+from cosnet.graph import (GraphBuilder, graph_backward, graph_forward,
+                          infer_shapes, reinit_weights)
 from cosnet.tensor import tensor_create
 
 
@@ -187,6 +187,21 @@ class TestExecute:
         with pytest.raises(GraphError, match="stem") as info:
             graph_forward(g, x)
         assert isinstance(info.value.__cause__, ConfigError)
+
+    @pytest.mark.parametrize("read", [False, True],
+                             ids=["input_alone", "input_read_by_relu"])
+    def test_input_as_output_is_refused(self, read):
+        b = GraphBuilder()
+        x = b.add("input")
+        if read:
+            b.add("relu", [x])
+        g = b.freeze(x, init=False)
+        xt = tensor_create((1, 2, 4, 4), "uniform", seed=0)
+        for mode in runtime.MODES:
+            with pytest.raises(PlanError, match="never produced"):
+                runtime.execute(runtime.plan(g, mode), xt)
+        with pytest.raises(GraphError, match="never produced"):
+            graph_forward(g, xt)
 
     def test_input_must_be_a_tensor(self):
         p = runtime.plan(build_mini_network(seed=0), "batched")
