@@ -28,7 +28,7 @@ def _load_model(name: str, seed: int = 0, init: bool = True):
     if name == "mini":
         return arch.build_mini_network(seed=seed), "name = mini\n"
     if os.path.exists(name):
-        with open(name, encoding="utf-8") as f:
+        with open(name, encoding="utf-8-sig") as f:
             try:
                 text = f.read()
             except UnicodeDecodeError as exc:

@@ -14,12 +14,12 @@ description.  Shape propagation, both forward paths (:func:`graph_forward`
 and ``runtime.execute``), the backward pass, weight init, ``describe`` and
 the analyzer all look the kind up there.
 
-:func:`graph_forward` and :func:`graph_backward` run an execution plan.
-A :class:`Graph` stands for its batched plan (:func:`program_of`), so
-training, evaluation and the gradient check run that plan, whose folded
-level-1 conv reads the un-replicated input and whose grouped convs are one
-step each; only a plan with per-group steps (``unrolled``) cannot be
-differentiated.
+:func:`graph_forward` runs an execution plan, and :func:`graph_backward`
+the one its tape recorded.  A :class:`Graph` stands for its batched plan
+(:func:`program_of`), so training, evaluation and the gradient check run
+that plan, whose folded level-1 conv reads the un-replicated input and
+whose grouped convs are one step each; only a plan with per-group steps
+(``unrolled``) cannot be differentiated.
 """
 
 from __future__ import annotations
@@ -330,7 +330,7 @@ def _add_forward(cfg, ins, table, saved):
         saved["count"] = len(ins)
     out = ins[0]
     for t in ins[1:]:
-        out = elementwise("add", out, t)
+        out = elementwise(out, t)
     return out
 
 
@@ -348,8 +348,7 @@ OPS: dict[str, OpDef] = {
         macs=_conv_macs, describe=_conv_describe, depth=1),
     "bn": OpDef(
         _bn_shape,
-        lambda cfg, ins, table, saved: ops.batchnorm2d(
-            ins[0], table, "train" if saved is not None else "eval", saved),
+        lambda cfg, ins, table, saved: ops.batchnorm2d(ins[0], table, saved),
         _bn_backward, init=_bn_init,
         # affine scale and shift only; running statistics are not trainable
         params=lambda cfg: 2 * cfg["channels"]),
@@ -531,10 +530,12 @@ def program_of(program):
 
 
 class Tape(dict):
-    """Each train-mode step's ``saved`` dict by step id; ``program``: the
-    program that recorded it; and ``out``: the logical (n, c, h, w) shape
-    and the dtype of the output whose gradient the backward pass takes."""
+    """The whole record of one train-mode forward pass, all that
+    :func:`graph_backward` reads: each step's ``saved`` dict by step id;
+    ``program`` and ``weights``: the program that ran and the table it read;
+    ``out``: the logical (n, c, h, w) shape and the dtype of the output."""
     program = None
+    weights = None
     out = None
 
 
@@ -588,8 +589,8 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     refuses, as ``error``, a program that reads an unknown tensor or never
     makes its output.  In train mode each step's forward gets a fresh
     ``saved`` dict, and the :class:`Tape` records that dict, keyed by step
-    id, the program, and the output's shape and dtype: it keeps an array
-    alive only while some backward reads it.  Any
+    id, the program, the weight table and the output's shape and dtype: it
+    keeps an array alive only while some backward reads it.  Any
     :class:`CosnetError` or missing table entry raised inside a step is
     re-raised as ``error``, naming the step.
 
@@ -619,7 +620,8 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
             del acts[src]
     out = _swap_nc(acts[program.output_id])
     if tape is not None:
-        tape.program, tape.out = program, (out.shape, out.dtype)
+        tape.program, tape.weights = program, weights
+        tape.out = (out.shape, out.dtype)
     return out, tape
 
 
@@ -645,30 +647,27 @@ def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
     return Tensor(out), tape
 
 
-def graph_backward(program, tape, grad_output: Tensor, weights=None):
-    """Reverse-mode gradients over the program a train-mode
-    :func:`graph_forward` ran; fan-out accumulates by summation.  The pass
+def graph_backward(tape, grad_output: Tensor):
+    """Reverse-mode gradients of the train-mode :func:`graph_forward` that
+    recorded ``tape``, over the program and the weight table that forward
+    read (the tape holds both); fan-out accumulates by summation.  The pass
     takes each step's entry off the tape as it reaches the step, so a tape
-    serves one backward pass and is empty after it.  The tape must come
-    from this program, and ``grad_output`` must have the forward output's
-    shape and dtype, both checked before anything leaves the tape; an
-    error inside a step's backward is re-raised as :class:`GraphError`
-    naming the step.  ``grad_output`` and the input gradient are
-    (n, c, h, w); every gradient in between is channel-major, as the
-    activations of :func:`run_steps` are.
+    serves one backward pass and is empty after it.  ``grad_output`` must
+    have the forward output's shape and dtype, checked before anything
+    leaves the tape; an error inside a step's backward is re-raised as
+    :class:`GraphError` naming the step.  ``grad_output`` and the input
+    gradient are (n, c, h, w); every gradient in between is channel-major,
+    as the activations of :func:`run_steps` are.
 
     Returns (grad table keyed like the weight table, by each step's
     ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
     earlier one and every backward returns a gradient per input, so the
     input always gets one.
     """
-    if not tape:
+    if not isinstance(tape, Tape) or not tape:
         raise GraphError("backward requires an unused tape from a "
                          "train-mode forward")
-    program = program_of(program)
-    if getattr(tape, "program", None) is not program:
-        raise GraphError("the tape was recorded by another program; pass "
-                         "the graph or plan whose forward made it")
+    program, weights = tape.program, tape.weights
     grouped = next((s for s in program.steps if s.group is not None), None)
     if grouped is not None:
         raise GraphError(f"cannot differentiate the per-group step "
@@ -678,7 +677,6 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     if (go.shape, go.dtype) != (shape, dtype):
         raise GraphError(f"grad_output is {go.dtype} {go.shape}; the "
                          f"forward output is {dtype} {shape}")
-    weights = weights if weights is not None else program.graph.weights
     out_grads = {program.output_id: _swap_nc(go)}
     param_grads = {}
     for s in reversed(program.steps):
@@ -702,13 +700,13 @@ def graph_backward(program, tape, grad_output: Tensor, weights=None):
     return param_grads, Tensor(_swap_nc(out_grads[program.input_id]))
 
 
-def _activation_signature(program, tape) -> bytes:
+def _activation_signature(tape) -> bytes:
     """Fingerprint of every piecewise-linear decision taken in a forward
     pass (ReLU sign masks and max-pool winner indices).  Two evaluations
     with different signatures sit on different linear pieces, so a finite
     difference across them is not an estimate of the local derivative."""
     return b"".join(OPS[s.kind].kinks(s.config, tape[s.id])
-                    for s in program_of(program).steps
+                    for s in tape.program.steps
                     if OPS[s.kind].kinks is not None)
 
 
@@ -729,19 +727,19 @@ def grad_check(graph: Graph, input_shape, seed: int = 0, eps: float = 1e-3,
     if not tol >= 0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
     if graph.num_params() > 10_000:
-        raise GraphError(f"grad_check guard: {graph.num_params()} parameters "
-                         "exceeds the 10,000 limit")
+        raise ConfigError(f"grad_check guard: {graph.num_params()} "
+                          "parameters exceeds the 10,000 limit")
     w64 = graph.copy_weights(dtype=np.float64)
     x = tensor_create(input_shape, "uniform", seed=seed, lo=-1.0, hi=1.0,
                       dtype=np.float64)
 
     def loss_of(weights, xt):
         out, tape = graph_forward(graph, xt, mode="train", weights=weights)
-        return float(out.data.sum()), _activation_signature(graph, tape)
+        return float(out.data.sum()), _activation_signature(tape)
 
     out, tape = graph_forward(graph, x, mode="train", weights=w64)
     ones = tensor_create(out.shape, "ones", dtype=np.float64)
-    pgrads, gin = graph_backward(graph, tape, ones, weights=w64)
+    pgrads, gin = graph_backward(tape, ones)
 
     def worst_error(arr, analytic):
         """Max relative error of ``analytic`` over the elements of ``arr``,

@@ -20,9 +20,11 @@ everything their backward reads: the conv patch matrix (from
 the argmax of each window); batch norm's 1/sigma and x-hat (from
 :func:`_bn_normalize`); ReLU's sign mask.  Their backward functions take
 that dict instead of the forward input, so no backward recomputes forward
-state; the caller keeps the dict between the two passes.  Every other
-backward takes only what it reads: the input shape (global average pool),
-the input (linear), the channel counts (concat) or the replication factor.
+state; the caller keeps the dict between the two passes.  No kernel takes
+a mode: a ``saved`` dict is train mode (batch norm's batch statistics).
+Every other backward takes only what it reads: the input shape (global
+average pool), the input (linear), the channel counts (concat) or the
+replication factor.
 
 Batch norm has one formula per mode, each a few passes over the
 activation.  With m = n*h*w values per channel, and each per-channel sum
@@ -327,16 +329,15 @@ def _bn_normalize(x: np.ndarray):
     return mean, var, inv, xhat
 
 
-def batchnorm2d(x: np.ndarray, table, mode: str,
-                saved: dict | None = None) -> np.ndarray:
+def batchnorm2d(x: np.ndarray, table, saved: dict | None = None) -> np.ndarray:
     """Normalize per channel with the affine ``gamma``/``beta`` of a bn weight
-    table.
+    table, in train mode exactly when ``saved`` is a dict.
 
     Train mode normalizes with batch statistics, ``x-hat * gamma + beta``,
     and blends them into the table's running statistics in place with
-    :data:`BN_MOMENTUM`; a ``saved`` dict receives 1/sigma and x-hat, which
-    :func:`batchnorm2d_backward` reads.  Eval mode is one per-channel affine
-    on the running statistics, ``x * s + t`` with
+    :data:`BN_MOMENTUM`; ``saved`` receives 1/sigma and x-hat, which
+    :func:`batchnorm2d_backward` reads.  Eval mode (``saved`` None) is one
+    per-channel affine on the running statistics, ``x * s + t`` with
     ``s = gamma / sqrt(running_var + eps)`` and ``t = beta - running_mean * s``.
     """
     gamma = table["gamma"]
@@ -344,10 +345,9 @@ def batchnorm2d(x: np.ndarray, table, mode: str,
         raise ShapeError(f"input has {x.shape[0]} channels, batch norm has "
                          f"{gamma.shape[0]}")
     dt = x.dtype
-    if mode == "train":
+    if saved is not None:
         mean, var, inv, xhat = _bn_normalize(x)
-        if saved is not None:
-            saved["inv"], saved["xhat"] = inv, xhat
+        saved["inv"], saved["xhat"] = inv, xhat
         for name, stat in (("running_mean", mean), ("running_var", var)):
             table[name][...] = ((1 - BN_MOMENTUM) * table[name]
                                 + BN_MOMENTUM * stat.astype(np.float32))

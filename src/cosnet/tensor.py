@@ -373,10 +373,8 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def elementwise(op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise sum of two same-shape arrays (``op`` must be "add")."""
+def elementwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise sum of two same-shape arrays."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    raise ShapeError(f"unknown elementwise op {op!r}")
+    return a + b

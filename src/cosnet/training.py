@@ -304,7 +304,7 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
             loss, grad = softmax_cross_entropy(out, yb)
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
-            pgrads, _ = graph_backward(graph, tape, grad)
+            pgrads, _ = graph_backward(tape, grad)
             for nid, fields in velocity.items():
                 for f, v in fields.items():
                     theta = graph.weights[nid][f]

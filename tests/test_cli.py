@@ -79,6 +79,25 @@ class TestAnalyze:
         assert err.startswith("error: ") and "UTF-8" in err
         assert err.count("\n") == 1
 
+    def test_variant_file_with_byte_order_mark(self, tmp_path, capsys):
+        # as some editors save UTF-8: the leading mark is not part of the
+        # first key, and the exported text carries no mark
+        f = tmp_path / "v.txt"
+        f.write_bytes(b"\xef\xbb\xbfname = custom\nM = 2,2,2,2\n")
+        assert main(["describe", str(f)]) == 0
+        out = tmp_path / "out.txt"
+        assert main(["export", str(f), "--out", str(out)]) == 0
+        text = out.read_bytes()
+        assert text.startswith(b"name = custom\n")
+        assert b"\xef\xbb\xbf" not in text and b"M = 2,2,2,2\n" in text
+        # a mark does not make other bytes UTF-8
+        f.write_bytes(b"\xef\xbb\xbf\xff name = x\n")
+        capsys.readouterr()
+        assert main(["describe", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "UTF-8" in err
+        assert err.count("\n") == 1
+
 
 class TestVerify:
     def test_mini_passes(self, capsys):
@@ -137,6 +156,14 @@ class TestGradcheck:
 
     def test_bad_config(self, capsys):
         assert main(["gradcheck", "--columns", "0"]) == 2
+
+    def test_parameter_guard_is_usage_error(self, capsys):
+        # refused before any check runs: a configuration error, not a FAIL
+        assert main(["gradcheck", "--expand", "2000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "10,000" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestTrain:

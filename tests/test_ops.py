@@ -498,7 +498,7 @@ class TestBatchNorm:
     def test_train_normalizes_and_updates_running(self):
         table = _bn_table(3)
         x = tensor_create((4, 3, 5, 5), "uniform", seed=0, lo=2.0, hi=4.0).data
-        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "train"))
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, {}))
         assert np.abs(y.mean(axis=(0, 2, 3))).max() < 1e-5
         assert np.abs(y.var(axis=(0, 2, 3)) - 1).max() < 1e-3
         # momentum 0.1 blend from (0, 1) toward batch stats
@@ -511,7 +511,7 @@ class TestBatchNorm:
         table["running_mean"][:] = [1.0, -1.0]
         table["running_var"][:] = [4.0, 4.0]
         x = tensor_create((1, 2, 2, 2), "ones").data
-        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "eval"))
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table))
         assert np.allclose(y[0, 0], 0.0, atol=1e-3)
         assert np.allclose(y[0, 1], 1.0, atol=1e-3)
 
@@ -520,13 +520,13 @@ class TestBatchNorm:
         table["gamma"][:] = 3.0
         table["beta"][:] = 1.0
         x = tensor_create((1, 1, 2, 2), "constant", value=2.0).data
-        y = ops.batchnorm2d(x, table, "eval")
+        y = ops.batchnorm2d(x, table)
         assert np.allclose(y, 7.0, atol=1e-3)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ops.batchnorm2d(swap_nc(tensor_create((1, 3, 2, 2)).data),
-                            _bn_table(2), "eval")
+                            _bn_table(2))
 
     @staticmethod
     def _random_table(rng, c):
@@ -552,7 +552,7 @@ class TestBatchNorm:
         table = self._random_table(rng, c)
         want_table = {k: v.copy() for k, v in table.items()}
         saved = {}
-        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "train", saved))
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, saved))
         # the mean and the mean square of x - mean, each one sum along a
         # channel's contiguous n*h*w row; then normalize, scale and shift
         m = n * h * w
@@ -579,7 +579,7 @@ class TestBatchNorm:
         x = rng.normal(size=shape) * 3.0 + 1.0
         go = rng.normal(size=shape)
         saved = {}
-        ops.batchnorm2d(swap_nc(x), table, "train", saved)
+        ops.batchnorm2d(swap_nc(x), table, saved)
         gx, gg, gb = ops.batchnorm2d_backward(swap_nc(go), saved, table)
         gx = swap_nc(gx)
         inv, xhat = saved["inv"][None, :, None, None], swap_nc(saved["xhat"])
@@ -630,7 +630,7 @@ class TestBatchNorm:
         table = self._random_table(rng, 6)
         before = {k: v.copy() for k, v in table.items()}
         x = rng.uniform(-1.0, 1.0, size=(3, 6, 5, 4))
-        y = swap_nc(ops.batchnorm2d(swap_nc(x), table, "eval"))
+        y = swap_nc(ops.batchnorm2d(swap_nc(x), table))
         stat = {k: v.astype(np.float64)[None, :, None, None]
                 for k, v in table.items()}
         inv = 1.0 / np.sqrt(stat["running_var"] + ops.BN_EPSILON)
@@ -655,22 +655,24 @@ class TestBatchNorm:
             # a copy, so train-mode forwards leave the running stats alone
             return {**{k: v.copy() for k, v in table.items()}, **fields}
 
+        def forward(xx, tbl):
+            # a saved dict is what puts batch norm in train mode
+            return ops.batchnorm2d(xx, tbl, {} if mode == "train" else None)
+
         saved = {}
-        ops.batchnorm2d(x, _frozen(), mode, saved)
+        ops.batchnorm2d(x, _frozen(), saved)
         gx, gg, gb = ops.batchnorm2d_backward(go, saved, table)
 
         def loss_x(xx):
-            return float((ops.batchnorm2d(xx, _frozen(), mode) * go).sum())
+            return float((forward(xx, _frozen()) * go).sum())
 
         assert max_rel_err(gx, numeric_grad(loss_x, x)) < 1e-3
 
         def loss_gamma(gam):
-            return float((ops.batchnorm2d(x, _frozen(gamma=gam), mode)
-                          * go).sum())
+            return float((forward(x, _frozen(gamma=gam)) * go).sum())
 
         def loss_beta(bet):
-            return float((ops.batchnorm2d(x, _frozen(beta=bet), mode)
-                          * go).sum())
+            return float((forward(x, _frozen(beta=bet)) * go).sum())
 
         assert max_rel_err(gg, numeric_grad(loss_gamma,
                                             table["gamma"].astype(np.float64))) < 1e-3

@@ -161,7 +161,7 @@ class TestExecute:
             out, tape = graph_forward(program, x, mode="train",
                                       weights=weights)
             go = tensor_create(out.shape, "uniform", seed=2, lo=-1, hi=1)
-            pgrads, gin = graph_backward(program, tape, go, weights=weights)
+            pgrads, gin = graph_backward(tape, go)
             results.append([out.data, gin.data] + [
                 pgrads[nid][f] for nid in sorted(pgrads)
                 for f in sorted(pgrads[nid])])

@@ -8,6 +8,7 @@ from pathlib import Path
 import cosnet
 from cosnet import analysis, arch, graph, ops, runtime, tensor, training
 from cosnet.arch import build_mini_network
+from cosnet.training import TrainConfig, synth_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 MODULES = (tensor, ops, graph, runtime, training, arch, analysis)
@@ -80,3 +81,46 @@ def test_traced_batched_execute_spans_every_conv():
         restore()
     summary = tracer.summary()
     assert summary[("setup", "ops.conv2d_forward")]["calls"] == len(convs)
+
+
+def _traced(fn):
+    """The tracer of one call of ``fn`` under :func:`instrument`."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, cosnet)
+    try:
+        fn()
+    finally:
+        restore()
+    return tracer
+
+
+def test_forward_span_names_read_the_mode():
+    # the session tells train-mode forwards from eval ones by the mode,
+    # passed by position or by keyword
+    g = build_mini_network(columns=2, seed=0)
+    x = tensor.tensor_create((2, 3, 32, 32), "uniform", seed=1)
+
+    def forwards():
+        graph.graph_forward(g, x, "train")
+        graph.graph_forward(g, x, mode="train")
+        graph.graph_forward(g, x)
+
+    names = [rec[0] for rec in _traced(forwards).spans
+             if rec[0].startswith("graph.graph_forward")]
+    assert names == ["graph.graph_forward", "graph.graph_forward",
+                     "graph.graph_forward.eval"]
+
+
+def test_traced_training_records_one_backward_per_batch():
+    # the session divides the train per-layer metrics by this count
+    g = build_mini_network(columns=2, seed=0)
+    ds = synth_dataset(count=50, seed=0)
+    config = TrainConfig(epochs=1, batch_size=16)
+    tracer = _traced(lambda: training.train(g, ds, config))
+    n = len(ds.train_idx)
+    batches = sum(1 for lo in range(0, n, config.batch_size)
+                  if n - lo >= 2)
+    summary = tracer.summary()
+    assert summary[("setup", "graph.graph_backward")]["calls"] == batches
+    assert summary[("setup", "graph.graph_forward")]["calls"] == batches

@@ -533,14 +533,9 @@ class TestElementwise:
     def test_add(self):
         a = tensor_create((1, 1, 2, 2), "constant", value=3.0).data
         b = tensor_create((1, 1, 2, 2), "constant", value=2.0).data
-        assert elementwise("add", a, b).flat[0] == 5
+        assert elementwise(a, b).flat[0] == 5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            elementwise("add", tensor_create((1, 1, 2, 2)).data,
+            elementwise(tensor_create((1, 1, 2, 2)).data,
                         tensor_create((1, 1, 3, 3)).data)
-
-    def test_unknown_op(self):
-        with pytest.raises(ShapeError):
-            elementwise("pow", tensor_create((1, 1, 1, 1)).data,
-                        tensor_create((1, 1, 1, 1)).data)

@@ -314,12 +314,12 @@ class TestTraining:
         xt = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8, 8)))
         out, tape = graph_forward(g, xt, mode="train")
         assert len(calls) == 1
-        _activation_signature(g, tape)
+        _activation_signature(tape)
         # every window's gradient at offset 0: the backward reads the
         # saved argmax, not the input
         (saved,) = (entry for entry in tape.values() if "arg" in entry)
         saved["arg"][...] = 0
-        _, gin = graph_backward(g, tape, Tensor(np.ones(out.shape)))
+        _, gin = graph_backward(tape, Tensor(np.ones(out.shape)))
         assert len(calls) == 1
         # gap sends 1/16 to each of the 4x4 outputs; offset 0 of window
         # (i, j) is pixel (2i - 1, 2j - 1), so the even padded rows and
