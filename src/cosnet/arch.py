@@ -121,7 +121,7 @@ def _conv_bn(b: GraphBuilder, src: int, name: str, cin: int, cout: int,
     conv = b.add("conv", [src], name,
                  params=ConvParams(out_channels=cout, in_channels=cin,
                                    kernel=kernel, stride=stride, pad=pad,
-                                   groups=groups, has_bias=False))
+                                   groups=groups))
     bn = b.add("bn", [conv], name + ".bn", channels=cout)
     if with_relu:
         return b.add("relu", [bn], name + ".relu")
@@ -153,8 +153,7 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
                      params=ConvParams(out_channels=m * n,
                                        in_channels=m * prev_c,
                                        kernel=(k, k), stride=(stride, stride),
-                                       pad=(pad, pad), groups=m,
-                                       has_bias=False))
+                                       pad=(pad, pad), groups=m))
         bn = b.add("bn", [conv], f"{stage_name}.col.level{level}.bn",
                    channels=m * n)
         # shallow projection: identity skip over the (i, i+1) level pair,

@@ -155,12 +155,9 @@ def _conv_shape(cfg, ins):
 
 
 def _conv_backward(cfg, grad_out, saved, table):
-    gx, gw, gb = ops.conv2d_backward(grad_out, saved, table["weight"],
-                                     cfg["params"])
-    grads = {"weight": gw}
-    if gb is not None:
-        grads["bias"] = gb
-    return [gx], grads
+    gx, gw = ops.conv2d_backward(grad_out, saved, table["weight"],
+                                 cfg["params"])
+    return [gx], {"weight": gw}
 
 
 def _he_normal(rng, shape, fan_in) -> np.ndarray:
@@ -172,19 +169,12 @@ def _he_normal(rng, shape, fan_in) -> np.ndarray:
 
 
 def _conv_init(cfg, rng):
-    """He normal weight (:func:`_he_normal`), zero bias.  ``rng`` is the
-    node's own stream (:func:`_init_weights`)."""
+    """He normal weight (:func:`_he_normal`) and no bias, since every conv
+    feeds a batch norm.  ``rng`` is the node's own stream
+    (:func:`_init_weights`)."""
     p: ConvParams = cfg["params"]
     fan_in = (p.in_channels // p.groups) * p.kernel[0] * p.kernel[1]
-    table = {"weight": _he_normal(rng, p.weight_shape, fan_in)}
-    if p.has_bias:
-        table["bias"] = np.zeros(p.out_channels, dtype=np.float32)
-    return table
-
-
-def _conv_params(cfg):
-    p: ConvParams = cfg["params"]
-    return prod(p.weight_shape) + (p.out_channels if p.has_bias else 0)
+    return {"weight": _he_normal(rng, p.weight_shape, fan_in)}
 
 
 def _conv_macs(cfg, out_shape):
@@ -343,8 +333,9 @@ OPS: dict[str, OpDef] = {
     "conv": OpDef(
         _conv_shape,
         lambda cfg, ins, table, saved: ops.conv2d_forward(
-            ins[0], table["weight"], table.get("bias"), cfg["params"], saved),
-        _conv_backward, init=_conv_init, draws=True, params=_conv_params,
+            ins[0], table["weight"], cfg["params"], saved),
+        _conv_backward, init=_conv_init, draws=True,
+        params=lambda cfg: prod(cfg["params"].weight_shape),
         macs=_conv_macs, describe=_conv_describe, depth=1),
     "bn": OpDef(
         _bn_shape,
@@ -376,7 +367,7 @@ OPS: dict[str, OpDef] = {
         lambda cfg, ins, table, saved: ops.input_replicate(
             ins[0], cfg["m"]),
         lambda cfg, grad_out, saved, table: (
-            [ops.input_replicate_backward(grad_out, cfg["m"])], {}),
+            [ops.channel_block_sum(grad_out, cfg["m"])], {}),
         describe=_m_describe),
     "concat": OpDef(
         _concat_shape, _concat_forward,
@@ -388,7 +379,7 @@ OPS: dict[str, OpDef] = {
         lambda cfg, ins, table, saved: ops.channel_block_sum(
             ins[0], cfg["m"]),
         lambda cfg, grad_out, saved, table: (
-            [ops.channel_block_sum_backward(grad_out, cfg["m"])], {}),
+            [ops.input_replicate(grad_out, cfg["m"])], {}),
         describe=_m_describe),
     "slice": OpDef(_slice_shape, _slice_forward, _slice_backward),
     "add": OpDef(_add_shape, _add_forward,

@@ -23,13 +23,14 @@ that dict instead of the forward input, so no backward recomputes forward
 state; the caller keeps the dict between the two passes.  No kernel takes
 a mode: a ``saved`` dict is train mode (batch norm's batch statistics).
 Every other backward takes only what it reads: the input shape (global
-average pool), the input (linear), the channel counts (concat) or the
-replication factor.
+average pool), the input (linear) or the channel counts (concat).
+Replication and the channel block sum are adjoint, so each one's backward
+is the other's forward.
 
 Batch norm has one formula per mode, each a few passes over the
 activation.  With m = n*h*w values per channel, and each per-channel sum
 taken by :func:`_channel_sums` as one pairwise numpy sum along the
-channel's contiguous row of m values (so is a conv's bias gradient):
+channel's contiguous row of m values:
 
 * train forward: ``x - mu`` is formed once, sigma^2 is the mean of its
   squares (as ``np.var`` forms it), and the same buffer is scaled by
@@ -80,7 +81,6 @@ class ConvParams:
     stride: tuple[int, int] = (1, 1)
     pad: tuple[int, int] = (0, 0)
     groups: int = 1
-    has_bias: bool = False
 
     def __post_init__(self):
         if self.out_channels < 1 or self.in_channels < 1 or self.groups < 1:
@@ -107,11 +107,12 @@ def _group_slices(p: ConvParams):
             for gi in range(p.groups)]
 
 
-def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
-                   params: ConvParams,
+def conv2d_forward(x: np.ndarray, weight: np.ndarray, params: ConvParams,
                    saved: dict | None = None) -> np.ndarray:
     """im2col + gemm convolution into one (out_channels, n*Ho*Wo) buffer,
-    which is the channel-major output; any bias is added to it.
+    which is the channel-major output.  There is no bias: every conv feeds
+    a batch norm, which subtracts the batch mean in train mode and the
+    running mean in eval mode, so a bias would cancel or be absorbed.
 
     One group is one gemm.  Groups split channels into independent slices
     of one patch matrix: per group, two gemms over the halves of its input
@@ -141,10 +142,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
             w, c = wmat[o], cols[r]
             out[o] = mm(w[:, :split], c[:split])
             out[o] += mm(w[:, split:], c[split:])
-    out = out.reshape(p.out_channels, x.shape[1], ho, wo)
-    if bias is not None:
-        out += bias.astype(x.dtype, copy=False)[:, None, None, None]
-    return out
+    return out.reshape(p.out_channels, x.shape[1], ho, wo)
 
 
 def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
@@ -152,8 +150,7 @@ def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
     """Exact reverse-mode gradients of :func:`conv2d_forward`, from the
     ``saved`` dict its forward filled (patch matrix and input shape).
 
-    Returns (grad_input, grad_weight, grad_bias); grad_bias is None when the
-    layer has no bias.
+    Returns (grad_input, grad_weight); a conv has no bias to differentiate.
     """
     cols, in_shape = saved["cols"], saved["in_shape"]
     cout = params.out_channels
@@ -176,22 +173,15 @@ def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
             grad_cols[r] = mm(wmat[o].T, go[o])
     grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
                        params.pad)
-    grad_b = _channel_sums(grad_out) if params.has_bias else None
-    return grad_x, grad_w.reshape(weight.shape), grad_b
+    return grad_x, grad_w.reshape(weight.shape)
 
 
 def input_replicate(x: np.ndarray, m: int) -> np.ndarray:
-    """Tile the channel block m times: (c,n,h,w) -> (m*c, n, h, w)."""
+    """Tile the channel block m times: (c,n,h,w) -> (m*c, n, h, w).  Its
+    adjoint is :func:`channel_block_sum`, and each is the other's backward."""
     if m < 1:
         raise ShapeError("replication factor must be >= 1")
     return np.concatenate([x] * m, axis=0)
-
-
-def input_replicate_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
-    c, n, h, w = grad_out.shape
-    if c % m:
-        raise ShapeError(f"{c} channels not divisible by m={m}")
-    return grad_out.reshape(m, c // m, n, h, w).sum(axis=0)
 
 
 def _pixel_major(x: np.ndarray, pad, fill) -> np.ndarray:
@@ -427,10 +417,6 @@ def channel_block_sum(x: np.ndarray, m: int) -> np.ndarray:
     if c % m:
         raise ShapeError(f"{c} channels not divisible by m={m}")
     return x.reshape(m, c // m, n, h, w).sum(axis=0)
-
-
-def channel_block_sum_backward(grad_out: np.ndarray, m: int) -> np.ndarray:
-    return np.concatenate([grad_out] * m, axis=0)
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

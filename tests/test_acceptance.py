@@ -128,12 +128,12 @@ def test_criterion_06_replication_vs_channel_split(capsys):
     rep = input_replicate(x, m)
     p_rep = ConvParams(out_channels=m * n, in_channels=m * m * c,
                        kernel=(3, 3), pad=(1, 1), groups=m)
-    y_rep = conv2d_forward(rep, w_full, None, p_rep)
+    y_rep = conv2d_forward(rep, w_full, p_rep)
 
     # same per-column kernels applied as independent dense convs
     p_col = ConvParams(out_channels=n, in_channels=m * c, kernel=(3, 3),
                        pad=(1, 1))
-    cols = [conv2d_forward(x, w_full[gi * n:(gi + 1) * n], None, p_col)
+    cols = [conv2d_forward(x, w_full[gi * n:(gi + 1) * n], p_col)
             for gi in range(m)]
     y_cols = channel_concat(cols)
     agree = float(np.abs(y_rep - y_cols).max())
@@ -143,7 +143,7 @@ def test_criterion_06_replication_vs_channel_split(capsys):
                         for gi in range(m) for o in range(n)])
     p_split = ConvParams(out_channels=m * n, in_channels=m * c,
                          kernel=(3, 3), pad=(1, 1), groups=m)
-    y_split = conv2d_forward(x, w_split, None, p_split)
+    y_split = conv2d_forward(x, w_split, p_split)
     differ = float(np.abs(y_rep - y_split).max())
 
     _emit(capsys, 6, "replication vs channel-split group conv",
@@ -161,7 +161,7 @@ def test_criterion_07_gradient_correctness(capsys):
     x = b.add("input")
     cv = b.add("conv", [x], "c",
                params=ConvParams(out_channels=3, in_channels=2,
-                                 kernel=(3, 3), pad=(1, 1), has_bias=True))
+                                 kernel=(3, 3), pad=(1, 1)))
     bn = b.add("bn", [cv], "bn", channels=3)
     r = b.add("relu", [bn], "r")
     pm = b.add("pool_max", [r], "pm", kernel=(2, 2), stride=(2, 2),

@@ -13,14 +13,13 @@ from cosnet.ops import ConvParams
 from cosnet.runtime import MODES, plan
 
 
-def _single_conv_graph(cout=4, cin=3, k=3, stride=1, pad=1, groups=1,
-                       bias=False):
+def _single_conv_graph(cout=4, cin=3, k=3, stride=1, pad=1, groups=1):
     b = GraphBuilder()
     x = b.add("input", name="input")
     c = b.add("conv", [x], "c",
               params=ConvParams(out_channels=cout, in_channels=cin,
                                 kernel=(k, k), stride=(stride, stride),
-                                pad=(pad, pad), groups=groups, has_bias=bias))
+                                pad=(pad, pad), groups=groups))
     out = b.add("output", [c], "output")
     return b.freeze(out)
 
@@ -61,8 +60,8 @@ class TestDepth:
 
 class TestParams:
     def test_formula_hand_check(self):
-        g = _single_conv_graph(cout=4, cin=3, k=3, bias=True)
-        assert analysis.count_params(g) == 4 * 3 * 9 + 4
+        g = _single_conv_graph(cout=4, cin=3, k=3)
+        assert analysis.count_params(g) == 4 * 3 * 9
 
     def test_grouped_conv(self):
         g = _single_conv_graph(cout=8, cin=8, k=3, groups=4)

@@ -219,6 +219,26 @@ class TestNetworks:
         shapes = infer_shapes(g, (1, 3, 224, 224))
         assert shapes[g.output_id] == (1, 1000, 1, 1)
 
+    def test_every_conv_feeds_exactly_one_batch_norm(self):
+        # why convs carry no bias: a batch norm cancels it in train mode and
+        # its running mean absorbs it in eval mode, so a builder that adds
+        # a bare conv, or one read past its batch norm, must fail here
+        graphs = [build_network(registry_lookup(name), init=False)
+                  for name in REGISTRY]
+        graphs += [build_mini_network(columns=m) for m in (1, 2, 3, 4)]
+        graphs += [build_unit_graph(_unit(m=m, pff=pff), init=False)
+                   for m, pff in ((1, False), (2, False), (2, True),
+                                  (3, True))]
+        for g in graphs:
+            readers = {nid: [] for nid in g.order}
+            for nid in g.order:
+                for src in g.node(nid).inputs:
+                    readers[src].append(g.node(nid).kind)
+            convs = [nid for nid in g.order if g.node(nid).kind == "conv"]
+            assert convs
+            for nid in convs:
+                assert readers[nid] == ["bn"], g.node(nid).name
+
 
 class TestRegistry:
     def test_all_variants_build(self):

@@ -214,6 +214,19 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "train acc" in out and "test" not in out
 
+    def test_more_classes_than_outputs_is_usage_error(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "d20.bin"
+        save_dataset(path, synth_dataset(count=40, num_classes=20))
+        assert main(["train", "mini", "--dataset", str(path),
+                     "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "20 classes" in captured.err and "outputs 10" in captured.err
+        # refused before the first epoch logs
+        assert captured.err.count("\n") == 1
+
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["train", "mini", "--dataset", "/no/such/file"]) in (1, 2)
 
@@ -265,7 +278,7 @@ class TestBench:
             names[id(g)] = spec.name
             return g
 
-        def bench(p, shape, warmup=1, iters=5, seed=0):
+        def bench(p, shape, warmup=1, iters=5):
             name = names[id(p.graph)]
             calls.append((name, p.mode))
             # the machine slows down call by call; the variant always takes

@@ -555,7 +555,7 @@ class TestBackwardOverPlans:
         conv = p.steps[c]
         conv_out = ops.conv2d_forward(swap_nc(xt.data),
                                       g.weights[conv.src_node]["weight"],
-                                      None, conv.config["params"])
+                                      conv.config["params"])
         relu_out = np.maximum(conv_out, 0)
         arg = window_stack(relu_out, (2, 2), (2, 2), (0, 0),
                            -np.inf).argmax(axis=2)
@@ -661,7 +661,7 @@ class TestGradCheck:
         x = b.add("input")
         c = b.add("conv", [x], "c",
                   params=ConvParams(out_channels=2, in_channels=2,
-                                    kernel=(3, 3), pad=(1, 1), has_bias=True))
+                                    kernel=(3, 3), pad=(1, 1)))
         out = b.add("output", [c], "output")
         g = b.freeze(out, seed=0)
         rep = grad_check(g, (1, 2, 4, 4), seed=0)

@@ -208,6 +208,72 @@ class TestTraining:
         with pytest.raises(ConfigError, match="2 training images"):
             train(build_mini_network(seed=0), ds, TrainConfig(epochs=1))
 
+    def test_more_classes_than_outputs_rejected_before_any_step(
+            self, monkeypatch):
+        forwards = []
+        monkeypatch.setattr(training, "graph_forward",
+                            lambda *a, **kw: forwards.append(a))
+        ds = synth_dataset(count=40, num_classes=20, seed=0)
+        with pytest.raises(ConfigError, match="20 classes .* outputs 10"):
+            train(build_mini_network(seed=0), ds, TrainConfig(epochs=1))
+        assert forwards == []
+
+    def test_trailing_batch_of_one_is_skipped(self, monkeypatch):
+        # batch statistics need two images: of 33, one batch of 32 runs
+        batches = []
+        real = training.graph_forward
+
+        def spy(graph, x, mode="eval", weights=None):
+            if mode == "train":
+                batches.append(x.shape[0])
+            return real(graph, x, mode=mode, weights=weights)
+
+        monkeypatch.setattr(training, "graph_forward", spy)
+        ds = synth_dataset(count=41, seed=0)
+        assert len(ds.train_idx) == 33
+        train(build_mini_network(seed=0), ds,
+              TrainConfig(epochs=2, batch_size=32))
+        assert batches == [32, 32]
+
+    def test_conv_off_the_output_path_gets_no_gradient(self, monkeypatch):
+        # a conv whose output reaches no output node: graph_backward skips
+        # its step, and train leaves its weights alone (no decay either)
+        b = GraphBuilder()
+        x = b.add("input")
+        live = b.add("conv", [x], "live", params=ops.ConvParams(
+            out_channels=4, in_channels=3, kernel=(3, 3), pad=(1, 1)))
+        cur = b.add("relu", [b.add("bn", [live], "live.bn", channels=4)])
+        dead = b.add("conv", [cur], "dead", params=ops.ConvParams(
+            out_channels=2, in_channels=4))
+        b.add("bn", [dead], "dead.bn", channels=2)
+        fc = b.add("linear", [b.add("gap", [cur])], "fc", in_features=4,
+                   out_features=10)
+        g = b.freeze(b.add("output", [fc]), seed=0)
+        before = {nid: {f: a.copy() for f, a in table.items()}
+                  for nid, table in g.weights.items()}
+        ds = synth_dataset(count=40, size=8, seed=0)
+        out, tape = graph_forward(g, Tensor(ds.images[:4]), mode="train")
+        backwards = []
+        real = ops.conv2d_backward
+        monkeypatch.setattr(ops, "conv2d_backward", lambda go, saved, w, p: (
+            backwards.append(p), real(go, saved, w, p))[1])
+        pgrads, _ = graph_backward(tape, Tensor(np.ones(out.shape,
+                                                        np.float32)))
+        assert not tape
+        assert live in pgrads and fc in pgrads
+        assert dead not in pgrads
+        assert backwards == [g.node(live).config["params"]]
+        train(g, ds, TrainConfig(epochs=2, batch_size=8))
+        # the dead batch norm's forward runs, so its running statistics
+        # move; the dead weight, gamma and beta do not
+        frozen = [(nid, f) for nid, f in g.param_names()
+                  if nid in (dead, dead + 1)]
+        assert len(frozen) == 3
+        for nid, f in frozen:
+            assert g.weights[nid][f].tobytes() == before[nid][f].tobytes()
+        assert not np.array_equal(g.weights[live]["weight"],
+                                  before[live]["weight"])
+
     def test_evaluate_over_no_images_rejected(self):
         ds = synth_dataset(count=2, seed=0)
         assert len(ds.test_idx) == 0
