@@ -81,6 +81,9 @@ class VariantSpec:
     reference: bool = False   # marks the ResNet-50 calibration network
 
     def __post_init__(self):
+        if self.num_classes < 1:
+            raise ConfigError("num_classes must be positive, got "
+                              f"{self.num_classes}")
         if self.reference:
             return
         for name in ("squeeze", "expand", "kernels", "depth", "columns"):
@@ -407,8 +410,10 @@ def _parse_int(lineno: int, key: str, text: str) -> int:
 
 
 def parse_variant_text(text: str) -> VariantSpec:
-    """Parse the `key = value` variant format (4-tuples comma separated)."""
+    """Parse the `key = value` variant format (4-tuples comma separated);
+    each key may be given once."""
     fields = {}
+    seen = {}   # key -> line it was given on
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -416,6 +421,10 @@ def parse_variant_text(text: str) -> VariantSpec:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key} is already given on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
         if key == "name":
             fields["name"] = value
         elif key in _TUPLE_KEYS:

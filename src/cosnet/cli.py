@@ -93,13 +93,14 @@ def cmd_verify(args) -> int:
     g, _ = _load_model(args.model, seed=args.seed)
     rep = runtime.equivalence_check(g, shape, trials=args.trials,
                                     seed=args.seed, tol=args.tol)
-    for i, (d, s) in enumerate(zip(rep.trial_diffs, rep.trial_scales)):
+    for i, (d, s, e) in enumerate(zip(rep.trial_diffs, rep.trial_scales,
+                                      rep.trial_errors)):
         _log(f"trial {i}: max |batched - unrolled| = {d:.3g}, "
-             f"largest |output| {s:.3g}")
+             f"largest |output| {s:.3g}, max |float32 - float64| {e:.3g}")
     print(f"plans identical: {rep.identical_plans}")
-    print(f"largest |output| {rep.max_scale():.3g}, max diff relative to "
-          f"it {rep.max_rel_diff():.3g}")
-    print(f"max diff {rep.max_diff():.3g} (tol {rep.tol:g}): "
+    print(f"max diff {rep.max_diff():.3g} (tol {rep.tol:g})")
+    print(f"largest |output| {rep.max_scale():.3g}, float64 error relative "
+          f"to it {rep.max_rel_error():.3g} (tol {rep.tol:g}): "
           f"{'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 
@@ -123,6 +124,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # refuse an unwritable checkpoint path before the run, not after it
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(args.out)))):
+        raise ConfigError(f"--out {args.out}: not a file in an existing "
+                          "directory")
     previous = deterministic_enabled()
     if args.deterministic:
         set_deterministic(True)
@@ -280,11 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify",
-                       help="check batched vs unrolled execution agreement")
+                       help="check batched vs unrolled execution agreement, "
+                            "and both against a float64 run")
     _add_model_arg(p)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="bound on max |batched - unrolled|, and on each "
+                        "mode's error against a float64 run relative to "
+                        "the largest |output|")
     p.add_argument("--input-res", type=int, default=32)
     p.add_argument("--batch", type=int, default=2)
     p.set_defaults(func=cmd_verify)

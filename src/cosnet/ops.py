@@ -44,9 +44,8 @@ channel's contiguous row of m values:
 Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
 matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back,
 and write their output as (out_channels, n*Ho*Wo): channel-major already.
-:func:`conv2d_forward` is the one convolution kernel: a single gemm for one
-group, and two gemms per group (over the halves of its input channels,
-summed) for a grouped convolution.
+:func:`conv2d_forward` is the one convolution kernel: one gemm per group,
+over that group's contiguous block of patch rows.
 
 Pooling windows are only 2-8 pixels wide on the late stages, so
 :func:`pool2d` works pixel-major instead: it copies its input once into a
@@ -114,11 +113,11 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, params: ConvParams,
     a batch norm, which subtracts the batch mean in train mode and the
     running mean in eval mode, so a bias would cancel or be absorbed.
 
-    One group is one gemm.  Groups split channels into independent slices
-    of one patch matrix: per group, two gemms over the halves of its input
-    channels (split at ``max(cin_g // 2, 1) * kh * kw`` rows), summed.  A
-    ``saved`` dict receives the patch matrix and input shape that
-    :func:`conv2d_backward` reads.
+    One gemm per group.  Groups split channels into independent slices of
+    one patch matrix, and each group's gemm reads only its own rows, as in
+    :func:`conv2d_backward` and in a single-group conv of that group's
+    channels.  A ``saved`` dict receives the patch matrix and input shape
+    that :func:`conv2d_backward` reads.
     """
     p = params
     if x.shape[0] != p.in_channels:
@@ -135,13 +134,9 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, params: ConvParams,
     if p.groups == 1:
         out = mm(wmat, cols)
     else:
-        kk = p.kernel[0] * p.kernel[1]
-        split = max(p.in_channels // p.groups // 2, 1) * kk
         out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
         for o, r in _group_slices(p):
-            w, c = wmat[o], cols[r]
-            out[o] = mm(w[:, :split], c[:split])
-            out[o] += mm(w[:, split:], c[split:])
+            out[o] = mm(wmat[o], cols[r])
     return out.reshape(p.out_channels, x.shape[1], ho, wo)
 
 

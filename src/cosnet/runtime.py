@@ -8,17 +8,20 @@ two plans below; a graph runs as its ``batched`` plan.  The modes differ
 only in how they lower a grouped convolution:
 
 ``batched`` keeps it as one ``conv`` step (``ops.conv2d_forward``: one
-im2col, then per group two gemms over the halves of its input channels,
-summed).  It also folds input replication: a grouped conv reading
-``ir(M)`` with groups=M becomes one dense ``conv`` over the ``ir``'s own
-input with the same weight table, and the ``ir`` step is dropped unless
-another node reads it.  ``unrolled`` expands a grouped conv into explicit
-per-group slice / convolve / concatenate steps; each per-group conv has
-one group, reads its group's block of the weight rows and runs one gemm.
-The two modes are mathematically identical but accumulate in a different
-order, so their float32 outputs differ at rounding level; the equivalence
-checker bounds that difference.  A graph whose convolutions all have a
-single group lowers to step-identical plans in both modes.
+im2col, then one gemm per group over that group's patch rows).  It also
+folds input replication: a grouped conv reading ``ir(M)`` with groups=M
+becomes one dense ``conv`` over the ``ir``'s own input with the same
+weight table, and the ``ir`` step is dropped unless another node reads it.
+``unrolled`` expands a grouped conv into explicit per-group slice /
+convolve / concatenate steps; each per-group conv has one group, reads its
+group's block of the weight rows and runs one gemm.  The two modes are
+mathematically identical and reduce each output in the same order, so
+their float32 outputs agree to rounding level (on the registry networks,
+exactly).  The equivalence checker bounds their difference, and bounds
+each mode's error against a float64 run of the batched plan, which is
+what shows that the float32 programs are right and not merely alike.  A
+graph whose convolutions all have a single group lowers to step-identical
+plans in both modes.
 
 Training, evaluation and the gradient check run the ``batched`` plan,
 through ``graph.graph_forward`` and ``graph.graph_backward``; an
@@ -157,6 +160,8 @@ class EquivalenceReport:
     tol: float
     trial_diffs: list    # max |batched - unrolled| per trial
     trial_scales: list   # largest |output| of either mode per trial
+    trial_errors: list   # per trial, the larger max |float32 - float64| of
+                         # the two modes
     identical_plans: bool
     passed: bool
 
@@ -166,22 +171,26 @@ class EquivalenceReport:
     def max_scale(self) -> float:
         return max(self.trial_scales) if self.trial_scales else 0.0
 
-    def max_rel_diff(self) -> float:
-        """Largest per-trial difference as a share of that trial's largest
-        output magnitude (0 where both outputs are all zero)."""
-        return max((d / s if s else 0.0
-                    for d, s in zip(self.trial_diffs, self.trial_scales)),
+    def max_rel_error(self) -> float:
+        """Largest per-trial float64 error as a share of that trial's
+        largest output magnitude (0 where the outputs are all zero)."""
+        return max((e / s if s else 0.0
+                    for e, s in zip(self.trial_errors, self.trial_scales)),
                    default=0.0)
 
 
 def equivalence_check(graph: Graph, input_shape, trials: int = 5,
                       seed: int = 0, tol: float = 1e-5) -> EquivalenceReport:
-    """Compare batched and unrolled execution over freshly seeded weights.
+    """Compare batched and unrolled execution with each other and with a
+    float64 run of the batched plan, over freshly seeded weights.
 
-    Each trial draws new weights and a new input, then reports the maximum
-    absolute elementwise difference between the two modes and the largest
-    output magnitude it compares against.  ``tol`` bounds the absolute
-    difference.  Failures are reported, not raised.
+    Each trial draws new weights and a new input, runs both float32 plans
+    and the batched plan on float64 copies of the same weights and input,
+    and reports the maximum absolute difference between the two modes, the
+    largest output magnitude, and the larger of the two modes' maximum
+    absolute errors against the float64 output.  A trial passes when the
+    modes differ by at most ``tol`` and that error is at most ``tol`` times
+    the largest output magnitude.  Failures are reported, not raised.
     """
     if trials < 1:
         raise ConfigError(f"equivalence check needs >= 1 trial, got {trials}")
@@ -189,19 +198,26 @@ def equivalence_check(graph: Graph, input_shape, trials: int = 5,
         raise ConfigError(f"tol must be >= 0, got {tol}")
     pb = plan(graph, "batched")
     pu = plan(graph, "unrolled")
-    diffs, scales = [], []
+    diffs, scales, errors = [], [], []
     for t in range(trials):
         weights = reinit_weights(graph, seed + 1000 * t)
         x = tensor_create(input_shape, "uniform", seed=seed + 1000 * t + 1,
                           lo=-1.0, hi=1.0)
-        yb = execute(pb, x, weights=weights)
-        yu = execute(pu, x, weights=weights)
-        diffs.append(float(np.abs(yb.data - yu.data).max()))
-        scales.append(float(max(np.abs(yb.data).max(),
-                                np.abs(yu.data).max())))
+        yb = execute(pb, x, weights=weights).data
+        yu = execute(pu, x, weights=weights).data
+        w64 = {nid: {k: v.astype(np.float64) for k, v in table.items()}
+               for nid, table in weights.items()}
+        y64 = execute(pb, Tensor(x.data.astype(np.float64)), weights=w64).data
+        diffs.append(float(np.abs(yb - yu).max()))
+        scales.append(float(max(np.abs(yb).max(), np.abs(yu).max())))
+        errors.append(float(max(np.abs(yb - y64).max(),
+                                np.abs(yu - y64).max())))
+    passed = (all(d <= tol for d in diffs)
+              and all(e <= tol * s for e, s in zip(errors, scales)))
     return EquivalenceReport(tol=tol, trial_diffs=diffs, trial_scales=scales,
+                             trial_errors=errors,
                              identical_plans=plans_identical(pb, pu),
-                             passed=all(d <= tol for d in diffs))
+                             passed=passed)
 
 
 def bench(p: ExecutionPlan, input_shape, warmup: int = 1,

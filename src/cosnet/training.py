@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CheckpointError, ConfigError, DatasetFormatError,
-                     DivergenceError, LabelError)
+                     DivergenceError, GraphError, LabelError)
 from .graph import Graph, graph_backward, graph_forward, infer_shapes
 from .ops import softmax_cross_entropy
 from .tensor import Tensor, seeded_rng
@@ -279,14 +279,18 @@ def train(graph: Graph, ds: Dataset, config: TrainConfig, log=None):
 
     Runs the graph's batched plan.  Mutates the graph's weight table in
     place and returns the per-epoch metrics (training-split loss and
-    accuracy).  Raises :class:`ConfigError` before any step if the dataset
-    has more classes than the network outputs, and :class:`DivergenceError`
-    if the loss goes NaN or infinite.
+    accuracy).  Raises :class:`ConfigError` before any step if the network
+    cannot take the dataset's images or has fewer outputs than it has
+    classes, and :class:`DivergenceError` if the loss goes NaN or infinite.
     """
     if len(ds.train_idx) < 2:
         raise ConfigError("batch statistics need >= 2 training images, got "
                           f"{len(ds.train_idx)}")
-    shapes = infer_shapes(graph, (1, *ds.images.shape[1:]))
+    try:
+        shapes = infer_shapes(graph, (1, *ds.images.shape[1:]))
+    except GraphError as exc:
+        raise ConfigError(f"the network cannot take the dataset's images of "
+                          f"shape {ds.images.shape[1:]}: {exc}") from None
     outputs = shapes[graph.output_id][1]
     if ds.num_classes > outputs:
         raise ConfigError(f"the dataset has {ds.num_classes} classes but the "

@@ -76,6 +76,11 @@ class TestVariantSpec:
         with pytest.raises(ConfigError):
             VariantSpec(name="x", columns=(1, 1, 1))
 
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_classes_must_be_positive(self, reference):
+        with pytest.raises(ConfigError, match="num_classes"):
+            VariantSpec(name="x", num_classes=0, reference=reference)
+
     def test_canonical_defaults(self):
         spec = VariantSpec(name="x")
         assert spec.fusion == CANONICAL_FUSION
@@ -270,6 +275,17 @@ class TestVariantText:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_variant_text("warp = 9\n")
+
+    @pytest.mark.parametrize("text, key, first, second", [
+        ("name = x\nname = y\n", "name", 1, 2),
+        ("M = 2,2,2,2\n# note\n\nM = 1,1,1,1\n", "M", 1, 4),
+        ("pff = false\nzeta = 4\npff = false\n", "pff", 1, 3)],
+        ids=["name", "M", "pff"])
+    def test_repeated_key(self, text, key, first, second):
+        with pytest.raises(ConfigError,
+                           match=f"line {second}: {key} is already given "
+                                 f"on line {first}"):
+            parse_variant_text(text)
 
     def test_bad_tuple_arity(self):
         with pytest.raises(ConfigError, match="4 values"):

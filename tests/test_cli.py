@@ -29,6 +29,14 @@ class TestDescribe:
         assert main(["describe", "CoSNet-Z"]) == 2
         assert "known" in capsys.readouterr().err
 
+    def test_zero_classes_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "v.txt"
+        path.write_text("name = x\nnum_classes = 0\n")
+        assert main(["describe", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: num_classes must be positive, got 0\n"
+
 
 class TestAnalyze:
     def test_table(self, capsys):
@@ -107,8 +115,13 @@ class TestVerify:
         assert "largest |output|" in out and "relative to it" in out
 
     def test_zero_tolerance_fails(self, capsys):
+        # float32 never equals the float64 run, so tol 0 cannot hold
         assert main(["verify", "mini", "--trials", "1", "--tol", "0"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_readme_example_passes(self, capsys):
+        assert main(["verify", "CoSNet-B2", "--trials", "1"]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -226,6 +239,33 @@ class TestTrain:
         assert "20 classes" in captured.err and "outputs 10" in captured.err
         # refused before the first epoch logs
         assert captured.err.count("\n") == 1
+
+    def test_images_the_network_cannot_take_is_usage_error(self, tmp_path,
+                                                            capsys):
+        path = tmp_path / "d1.bin"
+        save_dataset(path, synth_dataset(count=40, channels=1))
+        assert main(["train", "mini", "--dataset", str(path),
+                     "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "(1, 32, 32)" in captured.err
+        # refused before the first epoch logs
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("out", ["no-such-dir/m.ckpt", "."],
+                             ids=["missing_dir", "a_directory"])
+    def test_unwritable_output_fails_before_training(self, out, tmp_path,
+                                                     capsys):
+        out = tmp_path / out
+        assert main(["train", "mini", "--epochs", "1", "--synth-count", "8",
+                     "--batch-size", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {out}: ")
+        assert "epoch" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_missing_dataset_file_fails(self, capsys):
         assert main(["train", "mini", "--dataset", "/no/such/file"]) in (1, 2)

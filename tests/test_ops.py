@@ -91,7 +91,7 @@ class TestConvForward:
         net.weights[conv]["weight"] = w
         unrolled = execute(plan(net, "unrolled"), xt).data
         assert np.array_equal(unrolled, stacked)
-        # the kernel splits each group's reduction in two halves
+        # the grouped kernel runs one gemm per group over the same rows
         whole = swap_nc(ops.conv2d_forward(swap_nc(x), w, p))
         assert float(np.abs(whole - stacked).max()) < 1e-5
 
@@ -107,7 +107,7 @@ class TestConvForward:
 
 
 class TestConvGroupedForward:
-    """conv2d_forward with groups > 1: two gemms per group over one
+    """conv2d_forward with groups > 1: one gemm per group over one
     im2col."""
 
     @pytest.mark.parametrize("cout, cin, k, stride, g", [
@@ -139,7 +139,7 @@ class TestConvGroupedForward:
         exact = _naive_conv(x.astype(np.float64), w.astype(np.float64), p)
         assert float(np.abs(got - exact).max()) < 1e-5
 
-    def test_two_gemms_per_group_through_mm(self, monkeypatch):
+    def test_one_gemm_per_group_through_mm(self, monkeypatch):
         # every gemm goes through tensor.mm, so deterministic mode gives the
         # sequential reduction inside the grouped kernel too
         p = ConvParams(out_channels=6, in_channels=12, kernel=(3, 3),
@@ -156,29 +156,28 @@ class TestConvGroupedForward:
             return real_mm(a, b)
 
         monkeypatch.setattr(ops, "mm", spy)
+        fast = ops.conv2d_forward(x, w, p)
         set_deterministic(True)
         try:
             det = ops.conv2d_forward(x, w, p)
         finally:
             set_deterministic(False)
-        # inner dimension split at half the group's channels: 2*9 and 2*9
-        assert seen == [((2, 18), True)] * 6
-        # the sequential reduction, one half after the other
+        # one gemm per group over its whole reduction: 4*9 patch rows
+        assert seen == [((2, 36), False)] * 3 + [((2, 36), True)] * 3
+        # the sequential reduction of each group, in one pass
         cols = im2col_nd(x, p.kernel, p.stride, p.pad)
         assert cols.shape == (12 * 9, 2 * 5 * 5)
         want = np.empty((6, cols.shape[1]), dtype=np.float32)
         for gi in range(3):
             wg = w[2 * gi:2 * gi + 2].reshape(2, 36)
             cg = cols[36 * gi:36 * (gi + 1)]
-            halves = []
-            for lo, hi in ((0, 18), (18, 36)):
-                acc = np.zeros((2, cols.shape[1]), dtype=np.float32)
-                for k in range(lo, hi):
-                    acc += wg[:, k][:, None] * cg[k][None, :]
-                halves.append(acc)
-            want[2 * gi:2 * gi + 2] = halves[0] + halves[1]
+            acc = np.zeros((2, cols.shape[1]), dtype=np.float32)
+            for k in range(36):
+                acc += wg[:, k][:, None] * cg[k][None, :]
+            want[2 * gi:2 * gi + 2] = acc
         # the gemm output is the channel-major result
         assert np.array_equal(det, want.reshape(6, 2, 5, 5))
+        assert float(np.abs(fast - det).max()) < 1e-5
 
 
 class TestConvBackward:

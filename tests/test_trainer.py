@@ -218,6 +218,17 @@ class TestTraining:
             train(build_mini_network(seed=0), ds, TrainConfig(epochs=1))
         assert forwards == []
 
+    def test_images_the_network_cannot_take_rejected_before_any_step(
+            self, monkeypatch):
+        forwards = []
+        monkeypatch.setattr(training, "graph_forward",
+                            lambda *a, **kw: forwards.append(a))
+        ds = synth_dataset(count=40, channels=1, seed=0)
+        with pytest.raises(ConfigError, match=r"images of shape "
+                                              r"\(1, 32, 32\).*expecting 3"):
+            train(build_mini_network(seed=0), ds, TrainConfig(epochs=1))
+        assert forwards == []
+
     def test_trailing_batch_of_one_is_skipped(self, monkeypatch):
         # batch statistics need two images: of 33, one batch of 32 runs
         batches = []
