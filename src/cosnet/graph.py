@@ -241,14 +241,8 @@ def _linear_shape(cfg, ins):
     return (n, cfg["out_features"], 1, 1)
 
 
-def _linear_forward(cfg, ins, table, saved):
-    if saved is not None:
-        saved["x"] = ins[0]
-    return ops.linear(ins[0], table["weight"], table["bias"])
-
-
 def _linear_backward(cfg, grad_out, saved, table):
-    gx, gw, gb = ops.linear_backward(grad_out, saved["x"], table["weight"])
+    gx, gw, gb = ops.linear_backward(grad_out, saved, table["weight"])
     return [gx], {"weight": gw, "bias": gb}
 
 
@@ -356,7 +350,10 @@ OPS: dict[str, OpDef] = {
         lambda cfg, grad_out, saved, table: (
             [ops.global_avg_pool_backward(grad_out, saved["in_shape"])], {})),
     "linear": OpDef(
-        _linear_shape, _linear_forward, _linear_backward, init=_linear_init,
+        _linear_shape,
+        lambda cfg, ins, table, saved: ops.linear(
+            ins[0], table["weight"], table["bias"], saved),
+        _linear_backward, init=_linear_init,
         draws=True,
         params=lambda cfg: (cfg["in_features"] + 1) * cfg["out_features"],
         macs=lambda cfg, out_shape: cfg["in_features"] * cfg["out_features"],

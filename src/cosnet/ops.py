@@ -13,9 +13,9 @@ norm broadcasts per channel over whole rows, and replication, channel
 fusion, concat and slice are block copies or sums along axis 0.
 
 Forward functions are pure, except that train-mode batch norm updates the
-running statistics in its weight table.  Convolution, pooling, batch norm
-and ReLU take an optional ``saved`` dict that their forward fills with
-everything their backward reads: the conv patch matrix (from
+running statistics in its weight table.  Convolution (and so the head),
+pooling, batch norm and ReLU take an optional ``saved`` dict that their
+forward fills with everything their backward reads: the conv patch matrix (from
 :func:`im2col_nd`) and input shape; the pool input shape (and, for max pool,
 the argmax of each window); batch norm's 1/sigma and x-hat (from
 :func:`_bn_normalize`); ReLU's sign mask.  Their backward functions take
@@ -23,9 +23,8 @@ that dict instead of the forward input, so no backward recomputes forward
 state; the caller keeps the dict between the two passes.  No kernel takes
 a mode: a ``saved`` dict is train mode (batch norm's batch statistics).
 Every other backward takes only what it reads: the input shape (global
-average pool), the input (linear) or the channel counts (concat).
-Replication and the channel block sum are adjoint, so each one's backward
-is the other's forward.
+average pool) or the channel counts (concat).  Replication and the channel
+block sum are adjoint, so each one's backward is the other's forward.
 
 Batch norm has one formula per mode, each a few passes over the
 activation.  With m = n*h*w values per channel, and each per-channel sum
@@ -45,7 +44,9 @@ Convolutions lower to gemms over one patch layout, the (c*kh*kw, n*Ho*Wo)
 matrix that :func:`im2col_nd` builds and :func:`col2im_nd` scatters back,
 and write their output as (out_channels, n*Ho*Wo): channel-major already.
 :func:`conv2d_forward` is the one convolution kernel: one gemm per group,
-over that group's contiguous block of patch rows.
+over that group's contiguous block of patch rows, into that group's output
+rows.  It and :func:`conv2d_backward` are the only gemm sites: the head
+(:func:`linear`) is a 1x1 conv on its (c, n, 1, 1) features plus a bias.
 
 Pooling windows are only 2-8 pixels wide on the late stages, so
 :func:`pool2d` works pixel-major instead: it copies its input once into a
@@ -109,15 +110,16 @@ def _group_slices(p: ConvParams):
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, params: ConvParams,
                    saved: dict | None = None) -> np.ndarray:
     """im2col + gemm convolution into one (out_channels, n*Ho*Wo) buffer,
-    which is the channel-major output.  There is no bias: every conv feeds
-    a batch norm, which subtracts the batch mean in train mode and the
-    running mean in eval mode, so a bias would cancel or be absorbed.
+    which is the channel-major output.  There is no bias: every conv layer
+    feeds a batch norm, which subtracts the batch mean in train mode and
+    the running mean in eval mode, so a bias would cancel or be absorbed.
 
     One gemm per group.  Groups split channels into independent slices of
     one patch matrix, and each group's gemm reads only its own rows, as in
     :func:`conv2d_backward` and in a single-group conv of that group's
-    channels.  A ``saved`` dict receives the patch matrix and input shape
-    that :func:`conv2d_backward` reads.
+    channels, and writes only its own output rows.  A ``saved`` dict
+    receives the patch matrix and input shape that :func:`conv2d_backward`
+    reads.
     """
     p = params
     if x.shape[0] != p.in_channels:
@@ -131,12 +133,9 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, params: ConvParams,
     if saved is not None:
         saved["cols"], saved["in_shape"] = cols, x.shape
     wmat = weight.reshape(p.out_channels, -1).astype(x.dtype, copy=False)
-    if p.groups == 1:
-        out = mm(wmat, cols)
-    else:
-        out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
-        for o, r in _group_slices(p):
-            out[o] = mm(wmat[o], cols[r])
+    out = np.empty((p.out_channels, cols.shape[1]), dtype=x.dtype)
+    for o, r in _group_slices(p):
+        mm(wmat[o], cols[r], out[o])
     return out.reshape(p.out_channels, x.shape[1], ho, wo)
 
 
@@ -156,16 +155,11 @@ def conv2d_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray,
                          f"{want}")
     go = grad_out.reshape(cout, -1)
     wmat = weight.reshape(cout, -1).astype(cols.dtype, copy=False)
-    if params.groups == 1:
-        # the patch gradient is the gemm's own result
-        grad_w = mm(go, cols.T)
-        grad_cols = mm(wmat.T, go)
-    else:
-        grad_w = np.empty(wmat.shape, dtype=cols.dtype)
-        grad_cols = np.empty_like(cols)
-        for o, r in _group_slices(params):
-            grad_w[o] = mm(go[o], cols[r].T)
-            grad_cols[r] = mm(wmat[o].T, go[o])
+    grad_w = np.empty(wmat.shape, dtype=cols.dtype)
+    grad_cols = np.empty_like(cols)
+    for o, r in _group_slices(params):
+        mm(go[o], cols[r].T, grad_w[o])
+        mm(wmat[o].T, go[o], grad_cols[r])
     grad_x = col2im_nd(grad_cols, in_shape, params.kernel, params.stride,
                        params.pad)
     return grad_x, grad_w.reshape(weight.shape)
@@ -423,38 +417,30 @@ def global_avg_pool_backward(grad_out: np.ndarray, in_shape) -> np.ndarray:
     return np.broadcast_to(grad_out / scale, in_shape).copy()
 
 
-def _rows(x: np.ndarray) -> np.ndarray:
-    """Channel-major (c, n, 1, 1) features as a C-contiguous (n, c)
-    matrix."""
-    return np.ascontiguousarray(x.reshape(x.shape[:2]).T)
-
-
-def _features(rows: np.ndarray) -> np.ndarray:
-    """An (n, c) matrix as channel-major (c, n, 1, 1) features."""
-    return np.ascontiguousarray(rows.T)[:, :, None, None]
-
-
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Fully connected head on channel-major (c, n, 1, 1) features.  It
-    keeps the gemm ``x(n, c) @ W.T`` and its order of sums: the tiny input
-    and output are transposed around it."""
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+           saved: dict | None = None) -> np.ndarray:
+    """Fully connected head on channel-major (c, n, 1, 1) features: the
+    1x1 conv of the (o, c) weight, plus the bias.  A ``saved`` dict gets
+    what the conv saves."""
     c, n, h, w = x.shape
     if h != 1 or w != 1:
         raise ShapeError(f"linear expects 1x1 spatial input, got {x.shape}")
     if weight.shape[1] != c:
         raise ShapeError(
             f"linear weight expects {weight.shape[1]} features, got {c}")
-    out = mm(_rows(x), weight.T.astype(x.dtype, copy=False))
-    out = out + bias.astype(x.dtype, copy=False)[None, :]
-    return _features(out)
+    out = conv2d_forward(x, weight.reshape(*weight.shape, 1, 1),
+                         ConvParams(*weight.shape), saved)
+    out += bias.astype(x.dtype, copy=False)[:, None, None, None]
+    return out
 
 
-def linear_backward(grad_out: np.ndarray, x: np.ndarray, weight: np.ndarray):
-    go = _rows(grad_out)
-    grad_w = mm(go.T, _rows(x))
-    grad_b = go.sum(axis=0)
-    grad_x = mm(go, weight.astype(x.dtype, copy=False))
-    return _features(grad_x), grad_w, grad_b
+def linear_backward(grad_out: np.ndarray, saved: dict, weight: np.ndarray):
+    """Gradients (input, weight, bias) of :func:`linear`; the bias's is
+    the per-channel row sum of ``grad_out``."""
+    grad_x, grad_w = conv2d_backward(
+        grad_out, saved, weight.reshape(*weight.shape, 1, 1),
+        ConvParams(*weight.shape))
+    return grad_x, grad_w.reshape(weight.shape), _channel_sums(grad_out)
 
 
 def softmax_cross_entropy(logits: Tensor, labels):

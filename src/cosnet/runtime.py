@@ -31,7 +31,6 @@ through ``graph.graph_forward`` and ``graph.graph_backward``; an
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
@@ -78,8 +77,8 @@ def _replication_folds(graph: Graph):
 
     ``ir(M)`` feeding a conv with groups=M hands every group the same
     un-replicated input, so the pair is one dense conv over that input with
-    the identical weight tensor (M*N, S, k, k).  Returns ({conv node: ir
-    node} for each such conv, the ir nodes that nothing else reads).
+    the identical weight tensor (M*N, S, k, k).  Returns {conv node: ir
+    node} for each such conv.
     """
     nodes = [graph.node(nid) for nid in graph.order if nid != graph.input_id]
     folds = {}
@@ -89,21 +88,29 @@ def _replication_folds(graph: Graph):
             src = graph.node(n.inputs[0])
             if src.kind == "ir" and src.config["m"] == p.groups:
                 folds[n.id] = src.id
-    readers = Counter(src for n in nodes if n.id not in folds
-                      for src in n.inputs)
-    dropped = {ir for ir in folds.values()
-               if not readers[ir] and ir != graph.output_id}
-    return folds, dropped
+    return folds
 
 
 def plan(graph: Graph, mode: str) -> ExecutionPlan:
-    """Lower a graph into an ordered step list for the chosen mode."""
+    """Lower a graph into an ordered step list for the chosen mode.  Only
+    nodes the output reads, directly or through others, get steps: one
+    reverse pass over the inputs as the plan reads them decides, so a
+    branch that reaches no output never runs, nor an ``ir`` that only
+    folded convs read."""
     if mode not in MODES:
         raise PlanError(f"unknown execution mode {mode!r}; pick from {MODES}")
     steps = []
     produced = {graph.input_id: INPUT_ID}   # graph node -> plan tensor id
-    folds, dropped = (_replication_folds(graph) if mode == "batched"
-                      else ({}, set()))
+    folds = _replication_folds(graph) if mode == "batched" else {}
+
+    def sources(node):
+        return (graph.node(folds[node.id]).inputs if node.id in folds
+                else node.inputs)
+
+    live = {graph.output_id}
+    for nid in reversed(graph.order):
+        if nid in live:
+            live.update(sources(graph.node(nid)))
 
     def emit(kind, config, inputs, name, src_node=None, group=None):
         sid = len(steps)
@@ -114,12 +121,11 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
     for node in map(graph.node, graph.order):
         nid = node.id
-        if nid == graph.input_id or nid in dropped:
+        if nid == graph.input_id or nid not in live:
             continue
-        kind, config, srcs = node.kind, dict(node.config), node.inputs
+        kind, config, srcs = node.kind, dict(node.config), sources(node)
         p: ConvParams | None = config.get("params")
         if nid in folds:
-            kind, srcs = "conv", graph.node(folds[nid]).inputs
             p = config["params"] = dc_replace(
                 p, in_channels=p.in_channels // p.groups, groups=1)
         try:

@@ -11,14 +11,15 @@ in channel-major (c, n, h, w) order, the order a conv gemm writes and
 transpose, at the boundary.  No op writes into an array it did not allocate
 (train-mode batch norm's running statistics, in the weight table, are the
 one documented exception).
-:func:`mm` has a documented accumulation order: the fast path is a
-single BLAS call; deterministic mode (``COSNET_DETERMINISTIC=1`` or
-:func:`set_deterministic`) forces a strictly sequential reduction over the
-inner dimension: every output element is ``((0 + p0) + p1) + ...`` with its
-products in k order.  Deterministic mode evaluates that order a block of k
-at a time (see :func:`mm`), so a result depends only on the operands, never
-on the block size.  The two paths agree within 1e-6 relative on the sizes
-used here.
+:func:`mm` writes into a buffer its caller allocated (a conv's output or
+gradient, or one group's rows of it) and has a documented accumulation
+order: the fast path is a single BLAS call; deterministic mode
+(``COSNET_DETERMINISTIC=1`` or :func:`set_deterministic`) forces a strictly
+sequential reduction over the inner dimension: every output element is
+``((0 + p0) + p1) + ...`` with its products in k order.  Deterministic
+mode evaluates that order a block of k at a time (see :func:`mm`), so a
+result depends only on the operands, never on the block size.  The two
+paths agree within 1e-6 relative on the sizes used here.
 
 :func:`im2col_nd`, the patch matrix every convolution multiplies, has two
 ways to build it and one set of bytes: a map of at most 64 pixels is one
@@ -334,27 +335,32 @@ def col2im_nd(cols: np.ndarray, in_shape, kernel, stride, pad) -> np.ndarray:
     return np.ascontiguousarray(xp[:, :, ph:ph + h, pw:pw + w])
 
 
-def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with the package's fixed accumulation contract.
+def mm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Matrix product with the package's fixed accumulation contract,
+    written into the caller's buffer ``out`` and returned.  ``out`` is
+    (m, n) of the product's dtype, shares no memory with ``a`` or ``b``
+    and may be a row block of a larger buffer; its old contents are never
+    read, so the bytes are those of a product into a fresh buffer.
 
-    Fast mode is ``a @ b``.  Deterministic mode sums each output element's
-    products strictly in k order from +0.0, bitwise equal to the loop
-    ``out += a[:, k, None] * b[k]`` over k, but takes a block of ``kc``
-    inner indices per step: the block's products fill rows 1..kc of a
-    buffer, the running sum row 0, and ``np.add.reduce`` over that outer
-    axis adds the rows to each element one after another.  (numpy starts
-    that reduce from +0.0, which leaves a running sum unchanged: a sum
-    begun at +0.0 is never -0.0.)  Two output sizes keep the per-k loop:
-    m*n == 1, where the reduced axis would become numpy's inner loop and be
-    summed pairwise, and m*n >= ``_BLOCK_MAX_OUTPUT``, where a block
-    measured no faster.
+    Fast mode is ``np.matmul(a, b, out=out)``.  Deterministic mode sums
+    each output element's products strictly in k order from +0.0, bitwise
+    equal to the loop ``out += a[:, k, None] * b[k]`` over k, but takes a
+    block of ``kc`` inner indices per step: the block's products fill rows
+    1..kc of a buffer, the running sum row 0, and ``np.add.reduce`` over
+    that outer axis adds the rows to each element one after another.
+    (numpy starts that reduce from +0.0, which leaves a running sum
+    unchanged: a sum begun at +0.0 is never -0.0.)  Two output sizes keep
+    the per-k loop: m*n == 1, where the reduced axis would become numpy's
+    inner loop and be summed pairwise, and m*n >= ``_BLOCK_MAX_OUTPUT``,
+    where a block measured no faster.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul mismatch: {a.shape} x {b.shape}")
-    if not _DETERMINISTIC:
-        return a @ b
     (m, kdim), n = a.shape, b.shape[1]
-    out = np.zeros((m, n), dtype=np.result_type(a, b))
+    if kdim != b.shape[0] or out.shape != (m, n):
+        raise ShapeError(f"matmul mismatch: {a.shape} x {b.shape} into "
+                         f"{out.shape}")
+    if not _DETERMINISTIC:
+        return np.matmul(a, b, out=out)
+    out[...] = 0
     if m * n == 1 or m * n >= _BLOCK_MAX_OUTPUT:
         for k in range(kdim):
             out += a[:, k][:, None] * b[k][None, :]

@@ -537,9 +537,10 @@ class TestBackwardOverPlans:
         """Every kind's tape entry is the dict its forward saved, holding
         what its backward reads: relu its sign mask, max pool its window
         argmax, average pool and gap their input shape, add its input
-        count, concat and slice channel counts.  Only linear keeps an
-        input array, and no entry holds a Tensor.  Saved arrays and shapes
-        are channel-major (c, n, h, w), as the interpreter runs."""
+        count, concat and slice channel counts, conv and linear (a 1x1
+        conv) their patch matrix and input shape.  No entry holds a
+        Tensor.  Saved arrays and shapes are channel-major (c, n, h, w), as
+        the interpreter runs."""
         g = _every_kind_graph()
         p = g.batched_plan()
         ids = {s.name: s.id for s in p.steps}
@@ -574,7 +575,9 @@ class TestBackwardOverPlans:
         assert tape[sl] == {"channels": 4}
         assert tape[cat] == {"channels": [2, 2]}
         assert tape[gp] == {"in_shape": (4, 2, 3, 3)}
-        assert set(tape[fc]) == {"x"} and tape[fc]["x"].shape == (4, 2, 1, 1)
+        assert set(tape[fc]) == {"cols", "in_shape"}
+        assert tape[fc]["in_shape"] == (4, 2, 1, 1)
+        assert tape[fc]["cols"].shape == (4, 2)
         # the kink signature reads the relu mask and the max-pool argmax as
         # it read the relu input
         want = (np.packbits(conv_out > 0).tobytes()

@@ -148,12 +148,13 @@ class TestConvGroupedForward:
                                   hi=1).data)
         w = np.random.default_rng(9).normal(size=p.weight_shape) \
             .astype(np.float32)
-        seen = []
+        seen, bufs = [], []
         real_mm = ops.mm
 
-        def spy(a, b):
+        def spy(a, b, out):
             seen.append((a.shape, deterministic_enabled()))
-            return real_mm(a, b)
+            bufs.append(out.base)
+            return real_mm(a, b, out)
 
         monkeypatch.setattr(ops, "mm", spy)
         fast = ops.conv2d_forward(x, w, p)
@@ -164,6 +165,9 @@ class TestConvGroupedForward:
             set_deterministic(False)
         # one gemm per group over its whole reduction: 4*9 patch rows
         assert seen == [((2, 36), False)] * 3 + [((2, 36), True)] * 3
+        # each group's gemm writes its rows of the output itself: no copy
+        assert all(buf is fast.base for buf in bufs[:3])
+        assert all(buf is det.base for buf in bufs[3:])
         # the sequential reduction of each group, in one pass
         cols = im2col_nd(x, p.kernel, p.stride, p.pad)
         assert cols.shape == (12 * 9, 2 * 5 * 5)
@@ -733,12 +737,19 @@ class TestHead:
         x = swap_nc(rng.normal(size=(3, 4, 1, 1)))
         w = rng.normal(size=(5, 4))
         b = rng.normal(size=5)
-        y = swap_nc(ops.linear(x, w, b))
+        saved = {}
+        y = swap_nc(ops.linear(x, w, b, saved))
         assert y.shape == (3, 5, 1, 1)
         # the features' n @ W.T, one row per sample
         assert np.allclose(y.reshape(3, 5), swap_nc(x).reshape(3, 4) @ w.T + b)
+        # the head saves what its 1x1 conv saves
+        assert set(saved) == {"cols", "in_shape"}
+        assert saved["in_shape"] == (4, 3, 1, 1)
         go = swap_nc(rng.normal(size=(3, 5, 1, 1)))
-        gx, gw, gb = ops.linear_backward(go, x, w)
+        gx, gw, gb = ops.linear_backward(go, saved, w)
+        assert gx.shape == x.shape and gw.shape == w.shape
+        # the bias gradient is the per-channel row sum of grad_out
+        assert gb.tobytes() == go.reshape(5, 3).sum(axis=1).tobytes()
         fx = numeric_grad(
             lambda xx: float((ops.linear(xx, w, b) * go).sum()), x)
         fw = numeric_grad(
@@ -748,6 +759,52 @@ class TestHead:
         assert max_rel_err(gx, fx) < 1e-3
         assert max_rel_err(gw, fw) < 1e-3
         assert max_rel_err(gb, fb) < 1e-3
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_linear_is_the_1x1_conv_plus_bias(self, deterministic):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(16, 3, 1, 1)).astype(np.float32)
+        w = rng.normal(size=(7, 16)).astype(np.float32)
+        b = rng.normal(size=7).astype(np.float32)
+        set_deterministic(deterministic)
+        try:
+            got = ops.linear(x, w, b)
+            conv = ops.conv2d_forward(x, w.reshape(7, 16, 1, 1),
+                                      ConvParams(7, 16))
+        finally:
+            set_deterministic(False)
+        assert got.tobytes() == (conv + b[:, None, None, None]).tobytes()
+        if deterministic:
+            # each logit sums its products in feature order from +0.0
+            acc = np.zeros((7, 3), dtype=np.float32)
+            for k in range(16):
+                acc += w[:, k][:, None] * x[k, :, 0, 0][None, :]
+            assert got.tobytes() == (acc + b[:, None])[..., None, None] \
+                .tobytes()
+
+    def test_head_op_finite_difference_float64(self):
+        """OPS["linear"] forward and backward, as the interpreter calls
+        them, against central differences for x, W and b."""
+        op = OPS["linear"]
+        cfg = {"in_features": 6, "out_features": 4}
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(6, 3, 1, 1))
+        table = {"weight": rng.normal(size=(4, 6)), "bias": rng.normal(size=4)}
+        go = rng.normal(size=(4, 3, 1, 1))
+        saved = {}
+        y = op.forward(cfg, [x], table, saved)
+        assert y.dtype == np.float64 and y.shape == (4, 3, 1, 1)
+        (gx,), pg = op.backward(cfg, go, saved, table)
+
+        def loss(xx=x, ww=table["weight"], bb=table["bias"]):
+            return float((op.forward(cfg, [xx], {"weight": ww, "bias": bb},
+                                     None) * go).sum())
+
+        assert max_rel_err(gx, numeric_grad(lambda v: loss(xx=v), x)) < 1e-6
+        assert max_rel_err(pg["weight"], numeric_grad(
+            lambda v: loss(ww=v), table["weight"])) < 1e-6
+        assert max_rel_err(pg["bias"], numeric_grad(
+            lambda v: loss(bb=v), table["bias"])) < 1e-6
 
     def test_linear_requires_1x1(self):
         with pytest.raises(ShapeError):

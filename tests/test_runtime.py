@@ -9,6 +9,7 @@ from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
 from cosnet.graph import (GraphBuilder, graph_backward, graph_forward,
                           infer_shapes, reinit_weights)
+from cosnet.ops import ConvParams
 from cosnet.tensor import tensor_create
 
 
@@ -74,6 +75,28 @@ class TestPlan:
         level1 = next(s for s in p.steps if s.name == "u1.col.level1")
         assert level1.kind == "conv" and ir[0].id not in level1.inputs
         assert p.num_steps() == len(g.order) - 1
+
+    @pytest.mark.parametrize("mode", runtime.MODES)
+    def test_branch_off_the_output_path_gets_no_step(self, mode):
+        # a replication, a grouped conv and a batch norm whose outputs
+        # reach no output node: neither mode lowers them
+        b = GraphBuilder()
+        x = b.add("input")
+        live = b.add("conv", [x], "live", params=ConvParams(
+            out_channels=4, in_channels=3, kernel=(3, 3), pad=(1, 1)))
+        cur = b.add("relu", [b.add("bn", [live], "live.bn", channels=4)])
+        rep = b.add("ir", [cur], "dead.ir", m=2)
+        dead = b.add("conv", [rep], "dead", params=ConvParams(
+            out_channels=4, in_channels=8, groups=2))
+        dead_bn = b.add("bn", [dead], "dead.bn", channels=4)
+        fc = b.add("linear", [b.add("gap", [cur])], "fc", in_features=4,
+                   out_features=10)
+        g = b.freeze(b.add("output", [fc]), seed=0)
+        p = runtime.plan(g, mode)
+        assert [s.src_node for s in p.steps] == [
+            n for n in g.order
+            if n not in (g.input_id, rep, dead, dead_bn)]
+        assert p.steps[-1].id == p.output_id
 
     def test_unrolled_expands_grouped_convs(self):
         g = _unit(m=4, l=3)

@@ -66,12 +66,15 @@ def test_traced_execute_counts_replicated_bytes():
 
 
 def test_traced_batched_execute_spans_every_conv():
-    # the per-layer conv metric covers grouped convs: each conv step of the
-    # batched plan, grouped or not, is one ops.conv2d_forward span
+    # the per-layer conv metric covers grouped convs and the head: each
+    # conv step of the batched plan, grouped or not, is one
+    # ops.conv2d_forward span, and the linear head runs the conv kernel
+    # once more, inside its ops.linear span
     spans = _spans()
     p = build_mini_network(columns=4, seed=0).batched_plan()
     convs = [s.config["params"].groups for s in p.steps if s.kind == "conv"]
-    assert 1 in convs and max(convs) == 4
+    heads = [s for s in p.steps if s.kind == "linear"]
+    assert 1 in convs and max(convs) == 4 and len(heads) == 1
     x = tensor.tensor_create((2, 3, 32, 32), "uniform", seed=1)
     tracer = spans.Tracer()
     restore = spans.instrument(tracer, cosnet)
@@ -80,7 +83,12 @@ def test_traced_batched_execute_spans_every_conv():
     finally:
         restore()
     summary = tracer.summary()
-    assert summary[("setup", "ops.conv2d_forward")]["calls"] == len(convs)
+    assert summary[("setup", "ops.conv2d_forward")]["calls"] == \
+        len(convs) + len(heads)
+    names = [rec[0] for rec in tracer.spans]
+    head = names.index("ops.linear")
+    assert tracer.spans[head + 1][0] == "ops.conv2d_forward"
+    assert tracer.spans[head + 1][3] == head
 
 
 def _traced(fn):

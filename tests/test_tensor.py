@@ -481,6 +481,15 @@ MM_CASES = {
 }
 
 
+def _fresh_mm(a, b):
+    """``mm`` into a new buffer of the product's shape and dtype, filled
+    with NaN: the product must never read what ``out`` held."""
+    out = np.full((a.shape[0], b.shape[1]), np.nan, np.result_type(a, b))
+    got = mm(a, b, out)
+    assert got is out
+    return got
+
+
 class TestMatmul:
     @pytest.mark.parametrize("case", MM_CASES)
     def test_deterministic_is_the_sequential_loop(self, case):
@@ -489,7 +498,7 @@ class TestMatmul:
         want = _sequential_mm(a, b)
         set_deterministic(True)
         try:
-            got = mm(a, b)
+            got = _fresh_mm(a, b)
         finally:
             set_deterministic(False)
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -497,16 +506,44 @@ class TestMatmul:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mm(np.zeros((2, 3)), np.zeros((4, 2)))
+            mm(np.zeros((2, 3)), np.zeros((4, 2)), np.empty((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+    def test_output_must_have_the_product_shape(self, shape):
+        a = np.ones((2, 4), dtype=np.float32)
+        b = np.ones((4, 2), dtype=np.float32)
+        with pytest.raises(ShapeError, match="into"):
+            mm(a, b, np.empty(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_row_block_of_a_larger_buffer(self, deterministic):
+        """A conv writes each group's product into its rows of one output
+        buffer: those bytes are the product into a fresh buffer, and no
+        row outside the block is touched."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 40)).astype(np.float32)
+        b = rng.normal(size=(40, 33)).astype(np.float32)
+        big = rng.normal(size=(16, 33)).astype(np.float32)
+        before = big.copy()
+        set_deterministic(deterministic)
+        try:
+            want = _fresh_mm(a, b)
+            got = mm(a, b, big[5:11])
+        finally:
+            set_deterministic(False)
+        assert got.base is big
+        assert big[5:11].tobytes() == want.tobytes()
+        assert big[:5].tobytes() == before[:5].tobytes()
+        assert big[11:].tobytes() == before[11:].tobytes()
 
     def test_fast_vs_deterministic_agree(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(17, 64)).astype(np.float32)
         b = rng.normal(size=(64, 23)).astype(np.float32)
-        fast = mm(a, b)
+        fast = _fresh_mm(a, b)
         set_deterministic(True)
         try:
-            det = mm(a, b)
+            det = _fresh_mm(a, b)
         finally:
             set_deterministic(False)
         denom = max(1.0, float(np.abs(fast).max()))
@@ -518,7 +555,7 @@ class TestMatmul:
         b = rng.normal(size=(40, 7)).astype(np.float32)
         set_deterministic(True)
         try:
-            assert np.array_equal(mm(a, b), mm(a, b))
+            assert np.array_equal(_fresh_mm(a, b), _fresh_mm(a, b))
         finally:
             set_deterministic(False)
 

@@ -247,8 +247,9 @@ class TestTraining:
         assert batches == [32, 32]
 
     def test_conv_off_the_output_path_gets_no_gradient(self, monkeypatch):
-        # a conv whose output reaches no output node: graph_backward skips
-        # its step, and train leaves its weights alone (no decay either)
+        # a conv whose output reaches no output node: lowering drops its
+        # step and its batch norm's, so graph_backward has nothing of them
+        # to run, and train leaves their weights alone (no decay either)
         b = GraphBuilder()
         x = b.add("input")
         live = b.add("conv", [x], "live", params=ops.ConvParams(
@@ -262,6 +263,10 @@ class TestTraining:
         g = b.freeze(b.add("output", [fc]), seed=0)
         before = {nid: {f: a.copy() for f, a in table.items()}
                   for nid, table in g.weights.items()}
+        for mode in runtime.MODES:
+            srcs = {s.src_node for s in plan(g, mode).steps}
+            assert live in srcs and fc in srcs
+            assert dead not in srcs and dead + 1 not in srcs
         ds = synth_dataset(count=40, size=8, seed=0)
         out, tape = graph_forward(g, Tensor(ds.images[:4]), mode="train")
         backwards = []
@@ -273,15 +278,20 @@ class TestTraining:
         assert not tape
         assert live in pgrads and fc in pgrads
         assert dead not in pgrads
-        assert backwards == [g.node(live).config["params"]]
+        # the head runs the conv kernel as a 1x1 conv, then the live conv
+        assert backwards == [ops.ConvParams(10, 4),
+                             g.node(live).config["params"]]
         train(g, ds, TrainConfig(epochs=2, batch_size=8))
-        # the dead batch norm's forward runs, so its running statistics
-        # move; the dead weight, gamma and beta do not
+        # no dead step runs: the dead weight, gamma and beta stay as they
+        # were, and so do the dead batch norm's running statistics
         frozen = [(nid, f) for nid, f in g.param_names()
                   if nid in (dead, dead + 1)]
         assert len(frozen) == 3
+        frozen += [(dead + 1, "running_mean"), (dead + 1, "running_var")]
         for nid, f in frozen:
             assert g.weights[nid][f].tobytes() == before[nid][f].tobytes()
+        assert not np.array_equal(g.weights[live + 1]["running_mean"],
+                                  before[live + 1]["running_mean"])
         assert not np.array_equal(g.weights[live]["weight"],
                                   before[live]["weight"])
 
@@ -333,8 +343,11 @@ class TestTraining:
 
     def test_backward_recomputes_nothing(self, monkeypatch):
         """One SGD step of mini M=2: the forward builds one patch matrix
-        per conv step of the batched plan and normalises each BN once; the
-        backward reads that state from the tape and builds none."""
+        per conv step of the batched plan and one for the head (a 1x1
+        conv), and normalises each BN once; the backward reads that state
+        from the tape and builds none.  Every gemm runs in the conv
+        kernels: per conv step one per group forward and two per group
+        backward, for the head one and two."""
         calls = []
         phase = ["other"]
 
@@ -354,6 +367,7 @@ class TestTraining:
             return wrapped
 
         monkeypatch.setattr(ops, "im2col_nd", spy("im2col", ops.im2col_nd))
+        monkeypatch.setattr(ops, "mm", spy("mm", ops.mm))
         monkeypatch.setattr(ops, "_bn_normalize",
                             spy("bn", ops._bn_normalize))
         monkeypatch.setattr(training, "graph_forward",
@@ -364,12 +378,19 @@ class TestTraining:
         assert len(ds.train_idx) == 32   # one batch of 32: one SGD step
         g = build_mini_network(columns=2, seed=0)
         train(g, ds, TrainConfig(epochs=1, batch_size=32))
-        kinds = [s.kind for s in plan(g, "batched").steps]
+        steps = plan(g, "batched").steps
+        kinds = [s.kind for s in steps]
+        groups = sum(s.config["params"].groups for s in steps
+                     if s.kind == "conv")
         counts = Counter(calls)
         assert counts["backward", "im2col"] == 0
         assert counts["backward", "bn"] == 0
-        assert counts["forward", "im2col"] == kinds.count("conv")
+        assert kinds.count("linear") == 1
+        assert counts["forward", "im2col"] == kinds.count("conv") + 1
         assert counts["forward", "bn"] == kinds.count("bn")
+        assert groups > kinds.count("conv")
+        assert counts["forward", "mm"] == groups + 1
+        assert counts["backward", "mm"] == 2 * groups + 2
 
     def test_max_pool_backward_builds_no_windows(self, monkeypatch):
         """Max-pool backward and the gradient check's kink fingerprint read
