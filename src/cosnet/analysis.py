@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 
-from .arch import PAPER_REFERENCE, VariantSpec, build_network
+from .arch import PAPER_REFERENCE, build_network
 from .errors import ConfigError, GraphError
 from .graph import OPS, Graph, infer_shapes, last_reads, program_of
 
@@ -177,14 +177,6 @@ def render_table(report: AnalysisReport) -> str:
     return "\n".join(lines)
 
 
-def analyze_variant(spec: VariantSpec, input_res: int = 224,
-                    compare: bool = False) -> AnalysisReport:
-    graph = build_network(spec, init=False)
-    paper_row = PAPER_REFERENCE.get(spec.name) if compare else None
-    return emit_report(graph, (1, 3, input_res, input_res),
-                       paper_row=paper_row)
-
-
 def calibrate_registry(input_res: int = 224):
     """Sweep both architecture knobs over every registry variant and compare
     parameter/MAC totals against the published numbers.
@@ -197,7 +189,8 @@ def calibrate_registry(input_res: int = 224):
     """
     from .arch import FIRST_LEVEL_INPUTS, FUSIONS, registry_lookup
 
-    names = [n for n in PAPER_REFERENCE if not n.startswith("ResNet")]
+    rows = {n: r for n, r in PAPER_REFERENCE.items()
+            if not n.startswith("ResNet")}
     combos = {}
     worst = {}
     mean_abs = {}
@@ -205,10 +198,11 @@ def calibrate_registry(input_res: int = 224):
         for flv in FIRST_LEVEL_INPUTS:
             deltas = {}
             w = 0.0
-            for name in names:
+            for name, row in rows.items():
                 spec = replace(registry_lookup(name), fusion=fusion,
                                first_level_input=flv)
-                rep = analyze_variant(spec, input_res, compare=True)
+                rep = emit_report(build_network(spec, init=False),
+                                  (1, 3, input_res, input_res), row)
                 _, dp, df = rep.deltas()
                 deltas[name] = (dp, df)
                 w = max(w, abs(dp), abs(df))

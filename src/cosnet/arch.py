@@ -33,9 +33,8 @@ class UnitConfig:
     squeeze_channels: int           # S: width of the squeeze 1x1
     columns: int                    # M
     kernels_per_layer: int          # N: kernels per column level
-    column_depth: int               # l: stacked kxk convs per column
+    column_depth: int               # l: stacked 3x3 convs per column
     expand_channels: int            # P: width of the expand 1x1
-    kernel_size: int = 3
     downsample: bool = True
     pff: bool = False
     shallow_proj: bool = True
@@ -49,8 +48,6 @@ class UnitConfig:
                      "kernels_per_layer", "column_depth", "expand_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if self.kernel_size < 3 or self.kernel_size % 2 == 0:
-            raise ConfigError("kernel_size must be an odd integer >= 3")
         if self.fusion not in FUSIONS:
             raise ConfigError(f"fusion must be one of {FUSIONS}")
         if self.first_level_input not in FIRST_LEVEL_INPUTS:
@@ -136,8 +133,6 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
     """Wire one columnar unit into the builder; returns the output node id."""
     m = cfg.columns
     n = cfg.kernels_per_layer
-    k = cfg.kernel_size
-    pad = (k - 1) // 2
     col_in = (cfg.squeeze_channels if cfg.first_level_input == "squeezed"
               else n)
 
@@ -155,8 +150,8 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
         conv = b.add("conv", [cur], f"{stage_name}.col.level{level}",
                      params=ConvParams(out_channels=m * n,
                                        in_channels=m * prev_c,
-                                       kernel=(k, k), stride=(stride, stride),
-                                       pad=(pad, pad), groups=m))
+                                       kernel=(3, 3), stride=(stride, stride),
+                                       pad=(1, 1), groups=m))
         bn = b.add("bn", [conv], f"{stage_name}.col.level{level}.bn",
                    channels=m * n)
         # shallow projection: identity skip over the (i, i+1) level pair,
@@ -218,14 +213,13 @@ def build_unit(b: GraphBuilder, cfg: UnitConfig, stage_name: str,
     return b.add("relu", [lf], f"{stage_name}.relu")
 
 
-def build_unit_graph(cfg: UnitConfig, seed: int = 0,
-                     init: bool = True) -> Graph:
+def build_unit_graph(cfg: UnitConfig, seed: int = 0) -> Graph:
     """A standalone graph wrapping a single unit (for tests and checks)."""
     b = GraphBuilder()
     x = b.add("input", name="input")
     out = build_unit(b, cfg, "u1", x)
     out = b.add("output", [out], "output")
-    return b.freeze(out, seed=seed, init=init)
+    return b.freeze(out, seed=seed)
 
 
 def build_network(spec: VariantSpec, seed: int = 0,
@@ -308,10 +302,9 @@ def build_resnet50_reference(num_classes: int = 1000, seed: int = 0,
     return b.freeze(out, seed=seed, init=init)
 
 
-def build_mini_network(num_classes: int = 10, columns: int = 2,
-                       kernels: int = 8, column_depth: int = 2,
-                       seed: int = 0) -> Graph:
-    """Three-stage desk-scale network for 32x32 training experiments."""
+def build_mini_network(columns: int = 2, seed: int = 0) -> Graph:
+    """Three-stage desk-scale network for 32x32 training experiments: ten
+    classes, and M columns of two levels of eight 3x3 kernels per unit."""
     b = GraphBuilder()
     x = b.add("input", name="input")
     cur = _conv_bn(b, x, "stem", 3, 16, kernel=(3, 3), stride=(2, 2),
@@ -319,13 +312,13 @@ def build_mini_network(num_classes: int = 10, columns: int = 2,
     cin = 16
     for stage, (s, p) in enumerate(zip((16, 32, 64), (32, 64, 128))):
         cfg = UnitConfig(in_channels=cin, squeeze_channels=s, columns=columns,
-                         kernels_per_layer=kernels, column_depth=column_depth,
+                         kernels_per_layer=8, column_depth=2,
                          expand_channels=p)
         cur = build_unit(b, cfg, f"u{stage + 1}", cur)
         cin = p
     cur = b.add("gap", [cur], "head.gap")
     cur = b.add("linear", [cur], "head.fc", in_features=cin,
-                out_features=num_classes)
+                out_features=10)
     out = b.add("output", [cur], "output")
     return b.freeze(out, seed=seed)
 

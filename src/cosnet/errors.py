@@ -18,7 +18,7 @@ class ConfigError(CosnetError):
 
 
 class GraphError(CosnetError):
-    """Graph construction or shape-propagation failure."""
+    """Graph construction, shape-propagation or execution failure."""
 
 
 class VariantLookupError(CosnetError):

@@ -162,8 +162,14 @@ def _conv_backward(cfg, grad_out, saved, table):
 
 def _he_normal(rng, shape, fan_in) -> np.ndarray:
     """He normal (He et al. 2015, arXiv:1502.01852): float32 draws scaled
-    in place to std sqrt(2/fan_in), with no float64 temporary."""
-    w = rng.standard_normal(shape, dtype=np.float32)
+    in place to std sqrt(2/fan_in), with no float64 temporary.  A table
+    too large to allocate raises :class:`ConfigError` naming its shape."""
+    try:
+        w = rng.standard_normal(shape, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a request this large before allocating any of it
+        raise ConfigError(f"cannot allocate a weight table of shape "
+                          f"{shape}: {exc}") from None
     w *= np.float32(np.sqrt(2.0 / fan_in))
     return w
 
@@ -457,14 +463,20 @@ def _init_weights(nodes, seed: int) -> dict:
     fills an array, so tables of :data:`_POOL_MIN_PARAMS` or more are drawn
     on a pool of :func:`_init_workers` threads, largest first, while the
     calling thread draws the rest; a graph with no such table starts no
-    thread.
+    thread.  A table too large to allocate raises :class:`ConfigError`
+    naming its node.
     """
     check_seed(seed)
     nodes = list(nodes)
 
     def init(n):
         op = OPS[n.kind]
-        return op.init(n.config, seeded_rng(seed, n.id) if op.draws else None)
+        try:
+            return op.init(n.config,
+                           seeded_rng(seed, n.id) if op.draws else None)
+        except (ConfigError, MemoryError, ValueError) as exc:
+            # numpy refuses a table this large before allocating any of it
+            raise ConfigError(f"node {n.name}: {exc}") from None
 
     large = sorted((n for n in nodes if OPS[n.kind].draws
                     and OPS[n.kind].params(n.config) >= _POOL_MIN_PARAMS),
@@ -534,24 +546,25 @@ def _swap_nc(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
 
 
-def last_reads(program, error=GraphError) -> list:
+def last_reads(program) -> list:
     """The lifetime rule of plan tensors: for each of ``program``'s steps,
     in order, the ids of the tensors whose last reader it is.
     :func:`run_steps` frees arrays by it and ``analysis.branch_stats``
     counts with it.  A tensor lives from its step (the input from the
     start) until its last reader has run; one that no step reads, and the
     output, which is returned, live to the end.  A read of a tensor that no
-    earlier step made, or an output that no step makes, raises ``error``."""
+    earlier step made, or an output that no step makes, raises
+    :class:`GraphError`."""
     made, last = {program.input_id}, {}
     for i, s in enumerate(program.steps):
         for src in s.inputs:
             if src not in made:
-                raise error(f"step {s.id} ({s.name}) reads unknown tensor "
-                            f"{src}")
+                raise GraphError(f"step {s.id} ({s.name}) reads unknown "
+                                 f"tensor {src}")
             last[src] = i
         made.add(s.id)
     if program.output_id not in made - {program.input_id}:
-        raise error("the program never produced its output tensor")
+        raise GraphError("the program never produced its output tensor")
     last.pop(program.output_id, None)
     dying = [[] for _ in program.steps]
     for src, i in last.items():
@@ -559,7 +572,7 @@ def last_reads(program, error=GraphError) -> list:
     return dying
 
 
-def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
+def run_steps(program, x: np.ndarray, weights, mode: str):
     """The forward interpreter of :func:`graph_forward` and
     ``runtime.execute``, on arrays.
 
@@ -574,18 +587,18 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     step with a ``group`` index reads only that group's block of the table's
     rows, ``[group*k, (group+1)*k)`` with k its own ``out_channels``.
     Arrays are freed at their last read (:func:`last_reads`), which also
-    refuses, as ``error``, a program that reads an unknown tensor or never
-    makes its output.  In train mode each step's forward gets a fresh
+    refuses a program that reads an unknown tensor or never makes its
+    output.  In train mode each step's forward gets a fresh
     ``saved`` dict, and the :class:`Tape` records that dict, keyed by step
     id, the program, the weight table and the output's shape and dtype: it
     keeps an array alive only while some backward reads it.  Any
     :class:`CosnetError` or missing table entry raised inside a step is
-    re-raised as ``error``, naming the step.
+    re-raised as :class:`GraphError`, naming the step.
 
     Returns (output, tape); the tape is None in eval mode.
     """
     weights = program.graph.weights if weights is None else weights
-    dying = last_reads(program, error)
+    dying = last_reads(program)
     acts = {program.input_id: _swap_nc(x)}
     tape = Tape() if mode == "train" else None
     for s, dead in zip(program.steps, dying):
@@ -600,8 +613,8 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
             saved = {} if tape is not None else None
             acts[s.id] = op.forward(s.config, ins, table, saved)
         except (CosnetError, KeyError) as exc:
-            raise error(f"forward failed at step {s.id} ({s.name}): "
-                        f"{exc}") from exc
+            raise GraphError(f"forward failed at step {s.id} ({s.name}): "
+                             f"{exc}") from exc
         if tape is not None:
             tape[s.id] = saved
         for src in dead:
@@ -613,11 +626,11 @@ def run_steps(program, x: np.ndarray, weights, mode: str, error=GraphError):
     return out, tape
 
 
-def _array_of(x: Tensor, error) -> np.ndarray:
+def _array_of(x: Tensor) -> np.ndarray:
     """The array of ``x``, which must be a :class:`Tensor` (else
-    ``error``): the check where arrays come in from a caller."""
+    :class:`GraphError`): the check where arrays come in from a caller."""
     if not isinstance(x, Tensor):
-        raise error(f"expected a Tensor, got {type(x).__name__}")
+        raise GraphError(f"expected a Tensor, got {type(x).__name__}")
     return x.data
 
 
@@ -630,8 +643,7 @@ def graph_forward(program, x: Tensor, mode: str = "eval", weights=None):
     """
     if mode not in ("train", "eval"):
         raise GraphError(f"unknown mode {mode!r}")
-    out, tape = run_steps(program_of(program), _array_of(x, GraphError),
-                          weights, mode)
+    out, tape = run_steps(program_of(program), _array_of(x), weights, mode)
     return Tensor(out), tape
 
 
@@ -660,7 +672,7 @@ def graph_backward(tape, grad_output: Tensor):
     if grouped is not None:
         raise GraphError(f"cannot differentiate the per-group step "
                          f"{grouped.name}; run the graph or its batched plan")
-    go = _array_of(grad_output, GraphError)
+    go = _array_of(grad_output)
     shape, dtype = tape.out
     if (go.shape, go.dtype) != (shape, dtype):
         raise GraphError(f"grad_output is {go.dtype} {go.shape}; the "

@@ -26,6 +26,11 @@ plans in both modes.
 Training, evaluation and the gradient check run the ``batched`` plan,
 through ``graph.graph_forward`` and ``graph.graph_backward``; an
 ``unrolled`` plan's per-group steps cannot be differentiated.
+
+:func:`plan` refuses what it cannot lower with :class:`PlanError`.  Running
+a plan is ``graph.run_steps``'s job, so :func:`execute` raises the same
+``GraphError``, with the same message, that ``graph.graph_forward`` raises
+for the same fault.
 """
 
 from __future__ import annotations
@@ -155,9 +160,9 @@ def plan(graph: Graph, mode: str) -> ExecutionPlan:
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:
     """Run a plan in inference mode; arrays are freed at their last read
-    (``graph.last_reads``), and a malformed plan raises :class:`PlanError`."""
-    out, _ = run_steps(p, _array_of(x, PlanError), weights, "eval",
-                       error=PlanError)
+    (``graph.last_reads``).  A fault raises the :class:`GraphError` that
+    ``graph.graph_forward`` raises for it."""
+    out, _ = run_steps(p, _array_of(x), weights, "eval")
     return Tensor(out)
 
 

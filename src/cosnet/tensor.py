@@ -117,11 +117,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
-def tensor_create(shape, fill: str = "zeros", *, value: float = 0.0,
-                  seed: int = 0, lo: float = 0.0, hi: float = 1.0,
-                  mean: float = 0.0, std: float = 1.0,
+def tensor_create(shape, fill: str = "zeros", *, seed: int = 0,
+                  lo: float = 0.0, hi: float = 1.0,
                   dtype=np.float32) -> Tensor:
-    """Create a tensor; random fills are fully determined by ``seed``."""
+    """Create a tensor filled with ``"zeros"``, ``"ones"`` or ``"uniform"``
+    draws in [lo, hi), which are fully determined by ``seed``."""
     shape = _check_shape(shape)
     # random fills draw float64 first
     if math.prod(shape) > np.iinfo(np.intp).max // 8:
@@ -132,14 +132,9 @@ def tensor_create(shape, fill: str = "zeros", *, value: float = 0.0,
             data = np.zeros(shape, dtype=dtype)
         elif fill == "ones":
             data = np.ones(shape, dtype=dtype)
-        elif fill == "constant":
-            data = np.full(shape, value, dtype=dtype)
         elif fill == "uniform":
             rng = seeded_rng(seed)
             data = rng.uniform(lo, hi, size=shape).astype(dtype)
-        elif fill == "normal":
-            rng = seeded_rng(seed)
-            data = rng.normal(mean, std, size=shape).astype(dtype)
         else:
             raise ShapeError(f"unknown fill kind {fill!r}")
     except MemoryError as exc:
@@ -227,16 +222,6 @@ def im2col_nd(x: np.ndarray, kernel, stride, pad) -> np.ndarray:
     return cols.reshape(c * kh * kw, n * ho * wo)
 
 
-def _pixel_patches(n: int, h: int, w: int, kernel, stride,
-                   pad) -> np.ndarray:
-    """The patch matrix of im2col on n maps of h x w whose values are the
-    pixels' own indices, n*h*w for padding: (kh*kw, n*Ho*Wo)."""
-    ho, wo = _out_hw(h, w, kernel, stride, pad)
-    cells = np.arange(n * h * w, dtype=np.intp).reshape(1, n, h, w)
-    return _im2col_copy(cells, kernel, stride, pad, ho, wo,
-                        fill=n * h * w).reshape(kernel[0] * kernel[1], -1)
-
-
 @functools.lru_cache(maxsize=32)
 def _gather_index(n: int, h: int, w: int, kernel, stride,
                   pad) -> np.ndarray:
@@ -244,9 +229,11 @@ def _gather_index(n: int, h: int, w: int, kernel, stride,
     patch matrix's (kernel row, kernel col, sample, output pixel) order:
     the pixel's column of the (c, n*h*w + 1) source, or n*h*w, the source's
     zero column, for padding.  It is the strided copy of the pixels' own
-    indices (:func:`_pixel_patches`), built at first use and kept
-    read-only."""
-    idx = _pixel_patches(n, h, w, kernel, stride, pad).reshape(-1)
+    indices, padded with n*h*w, built at first use and kept read-only."""
+    ho, wo = _out_hw(h, w, kernel, stride, pad)
+    cells = np.arange(n * h * w, dtype=np.intp).reshape(1, n, h, w)
+    idx = _im2col_copy(cells, kernel, stride, pad, ho, wo,
+                       fill=n * h * w).reshape(-1)
     idx.flags.writeable = False
     return idx
 
@@ -261,12 +248,12 @@ def _scatter_index(n: int, h: int, w: int, kernel, stride,
     window puts the pixel at that offset.  A pixel sits at one offset of at
     most one window, so the index is well defined; built at first use and
     kept read-only."""
-    reads = _pixel_patches(n, h, w, kernel, stride, pad)
-    kk, outs = reads.shape
-    idx = np.full((kk, n * h * w), kk * outs, dtype=np.intp)
-    for k, row in enumerate(reads):
-        hit = np.flatnonzero(row < n * h * w)
-        idx[k, row[hit]] = k * outs + hit
+    reads = _gather_index(n, h, w, kernel, stride, pad)
+    kk = kernel[0] * kernel[1]
+    idx = np.full((kk, n * h * w), reads.size, dtype=np.intp)
+    # patch entry e reads pixel reads[e] at kernel offset e // (n*Ho*Wo)
+    hit = np.flatnonzero(reads < n * h * w)
+    idx[hit // (reads.size // kk), reads[hit]] = hit
     idx.flags.writeable = False
     return idx
 

@@ -35,6 +35,10 @@ DATASET_VERSION = 1
 CHECKPOINT_MAGIC = b"COSN"
 CHECKPOINT_VERSION = 1
 LR_SCHEDULES = ("constant", "cosine")
+TEST_FRACTION = 0.2     # share of a data set held out for testing
+DATASET_SPLIT_SEED = 1  # split seed of a data set read from a file
+SYNTH_NOISE = 0.08      # std of the synthetic set's pixel noise
+EVAL_BATCH = 64         # images per forward pass of :func:`evaluate`
 
 
 @dataclass
@@ -57,22 +61,19 @@ class Dataset:
                 f"labels must lie in [0, {self.num_classes})")
 
 
-def split_indices(count: int, test_fraction: float = 0.2, seed: int = 0):
-    """Seeded train/test index split; ``test_fraction`` lies in [0, 1)."""
-    # written so that NaN fails the test
-    if not 0.0 <= test_fraction < 1.0:
-        raise ConfigError(
-            f"test_fraction must lie in [0, 1), got {test_fraction}")
+def split_indices(count: int, seed: int = 0):
+    """Seeded train/test index split holding out :data:`TEST_FRACTION` of
+    the ``count`` indices."""
     rng = seeded_rng(seed)
     perm = rng.permutation(count)
-    n_test = int(round(count * test_fraction))
+    n_test = int(round(count * TEST_FRACTION))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
-                  channels: int = 3, noise: float = 0.08,
-                  seed: int = 0) -> Dataset:
-    """Oriented-grating classification set; class k has angle pi*k/K.
+                  channels: int = 3, seed: int = 0) -> Dataset:
+    """Oriented-grating classification set; class k has angle pi*k/K, and
+    each pixel gets Gaussian noise of std :data:`SYNTH_NOISE`.
 
     Pixels are quantized to the 8-bit grid so the raw-file round trip is
     exact.
@@ -94,7 +95,7 @@ def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
         wave = np.sin(2 * math.pi * freq
                       * (xx * math.cos(theta) + yy * math.sin(theta)) + phase)
         img = 0.5 + 0.35 * wave[None, :, :] * gains[:, None, None]
-        img = img + rng.normal(0.0, noise, size=img.shape)
+        img = img + rng.normal(0.0, SYNTH_NOISE, size=img.shape)
         images[i] = np.clip(img, 0.0, 1.0)
     images = np.round(images * 255.0) / np.float32(255.0)
     train_idx, test_idx = split_indices(count, seed=seed + 1)
@@ -129,19 +130,27 @@ def nearest_centroid_accuracy(ds: Dataset) -> float:
 # raw dataset file format
 
 
+def _record_dtype(pixels: int) -> np.dtype:
+    """One record of the raw dataset format: a little-endian 16-bit label,
+    then the image's ``pixels`` 8-bit values in (c, h, w) order."""
+    return np.dtype([("label", "<u2"), ("pixels", "u1", (pixels,))])
+
+
 def save_dataset(path: str, ds: Dataset) -> None:
-    """Write the 8-bit raw format (labels and quantized pixels)."""
+    """Write the 8-bit raw format: header, then one record
+    (:func:`_record_dtype`) of label and quantized pixels per image."""
     count, c, h, w = ds.images.shape
     if count == 0:
         raise DatasetFormatError("refusing to write an empty dataset")
+    recs = np.empty(count, dtype=_record_dtype(c * h * w))
+    recs["label"] = ds.labels
+    recs["pixels"] = np.round(ds.images * 255.0).astype(np.uint8).reshape(
+        count, -1)
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<HIHHHH", DATASET_VERSION, count,
                             ds.num_classes, c, h, w))
-        q = np.round(ds.images * 255.0).astype(np.uint8)
-        for i in range(count):
-            f.write(struct.pack("<H", int(ds.labels[i])))
-            f.write(q[i].tobytes())
+        f.write(recs.tobytes())
 
 
 class _Reader:
@@ -166,8 +175,9 @@ class _Reader:
         return len(self.buf) - self.off
 
 
-def load_dataset(path: str, test_fraction: float = 0.2,
-                 split_seed: int = 1) -> Dataset:
+def load_dataset(path: str) -> Dataset:
+    """Read the 8-bit raw format that :func:`save_dataset` writes, split by
+    :data:`DATASET_SPLIT_SEED`."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != DATASET_MAGIC:
@@ -193,8 +203,7 @@ def load_dataset(path: str, test_fraction: float = 0.2,
     if r.left() > need:
         raise DatasetFormatError("trailing bytes after last record")
     recs = np.frombuffer(r.take(need, "records"),
-                         dtype=[("label", "<u2"),
-                                ("pixels", "u1", (rec_bytes,))])
+                         dtype=_record_dtype(rec_bytes))
     bad = np.flatnonzero(recs["label"] >= classes)
     if bad.size:
         i = int(bad[0])
@@ -203,7 +212,7 @@ def load_dataset(path: str, test_fraction: float = 0.2,
     images = recs["pixels"].reshape(count, c, h, w).astype(np.float32) \
         / np.float32(255.0)
     labels = recs["label"].astype(np.int64)
-    train_idx, test_idx = split_indices(count, test_fraction, split_seed)
+    train_idx, test_idx = split_indices(count, DATASET_SPLIT_SEED)
     return Dataset(images=images, labels=labels, num_classes=classes,
                    train_idx=train_idx, test_idx=test_idx)
 
@@ -251,20 +260,17 @@ class EpochMetrics:
     accuracy: float
 
 
-def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 64):
-    """Mean loss and accuracy in eval mode over the batched plan; argmax
-    ties pick the lower index."""
+def evaluate(graph: Graph, images: np.ndarray, labels: np.ndarray):
+    """Mean loss and accuracy in eval mode over the batched plan, in
+    batches of :data:`EVAL_BATCH`; argmax ties pick the lower index."""
     count = len(labels)
     if count == 0:
         raise ConfigError("cannot evaluate over zero images")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
-    for lo in range(0, count, batch_size):
-        xb = Tensor(images[lo:lo + batch_size])
-        yb = labels[lo:lo + batch_size]
+    for lo in range(0, count, EVAL_BATCH):
+        xb = Tensor(images[lo:lo + EVAL_BATCH])
+        yb = labels[lo:lo + EVAL_BATCH]
         out, _ = graph_forward(graph, xb, mode="eval")
         loss, _ = softmax_cross_entropy(out, yb)
         total_loss += loss * len(yb)

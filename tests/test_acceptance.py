@@ -79,7 +79,7 @@ def test_criterion_04_stage_depth_reduction(capsys):
     bottleneck = build_bottleneck_stage_graph(cin=64, width=64, blocks=3)
     unit = build_unit_graph(UnitConfig(
         in_channels=64, squeeze_channels=64, columns=4, kernels_per_layer=16,
-        column_depth=3, expand_channels=256), init=False)
+        column_depth=3, expand_channels=256))
     db = analysis.count_depth(bottleneck)
     du = analysis.count_depth(unit)
     _emit(capsys, 4, "stage-level depth reduction, exact",

@@ -47,14 +47,14 @@ class TestDepth:
             cfg = UnitConfig(in_channels=8, squeeze_channels=8, columns=2,
                              kernels_per_layer=4, column_depth=l,
                              expand_channels=16)
-            g = build_unit_graph(cfg, init=False)
+            g = build_unit_graph(cfg)
             assert analysis.count_depth(g) == l + 2
 
     def test_pff_adds_l_minus_1(self):
         cfg = UnitConfig(in_channels=8, squeeze_channels=8, columns=2,
                          kernels_per_layer=4, column_depth=3,
                          expand_channels=16, pff=True)
-        g = build_unit_graph(cfg, init=False)
+        g = build_unit_graph(cfg)
         assert analysis.count_depth(g) == 3 + 2 + 2
 
 
@@ -93,7 +93,7 @@ class TestFlops:
     def test_zero_cost_kinds(self):
         g = build_unit_graph(UnitConfig(
             in_channels=4, squeeze_channels=4, columns=2, kernels_per_layer=2,
-            column_depth=1, expand_channels=8), init=False)
+            column_depth=1, expand_channels=8))
         rep = analysis.emit_report(g, (1, 4, 8, 8))
         for row in rep.rows:
             if row.kind not in ("conv", "linear"):

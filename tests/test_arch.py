@@ -49,10 +49,6 @@ class TestUnitConfig:
         with pytest.raises(ConfigError):
             _unit(m=0)
 
-    def test_rejects_even_kernel(self):
-        with pytest.raises(ConfigError):
-            _unit(kernel_size=4)
-
     def test_rejects_bad_fusion(self):
         with pytest.raises(ConfigError):
             _unit(fusion="mean")
@@ -231,7 +227,7 @@ class TestNetworks:
         graphs = [build_network(registry_lookup(name), init=False)
                   for name in REGISTRY]
         graphs += [build_mini_network(columns=m) for m in (1, 2, 3, 4)]
-        graphs += [build_unit_graph(_unit(m=m, pff=pff), init=False)
+        graphs += [build_unit_graph(_unit(m=m, pff=pff))
                    for m, pff in ((1, False), (2, False), (2, True),
                                   (3, True))]
         for g in graphs:

@@ -159,6 +159,28 @@ def test_unallocatable_input_is_one_error_line(capsys):
     assert "(100000, 3, 100000, 100000)" in err[0]
 
 
+@pytest.mark.parametrize("argv", [["verify", "--input-res", "8"],
+                                  ["train", "--epochs", "1"], ["bench"]],
+                         ids=["verify", "train", "bench"])
+@pytest.mark.parametrize("text, error", [
+    ("N = 1,1,1,1\nnum_classes = 10000000000000000\n",
+     "node head.fc: cannot allocate a weight table of shape "
+     "(10000000000000000, 2048): "),
+    ("N = 10000000000000000,1,1,1\n",
+     "node u1.col.level1.bn: Unable to allocate 35.5 PiB for an array with "
+     "shape (10000000000000000,)")], ids=["head", "batch_norm"])
+def test_unallocatable_weight_table_is_one_error_line(tmp_path, capsys,
+                                                      argv, text, error):
+    # numpy refuses a table of 10**16 rows before allocating any of it
+    path = tmp_path / "v.txt"
+    path.write_text(f"name = x\nM = 1,1,1,1\nl = 1,1,1,1\n{text}")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith(f"error: {error}")
+
+
 class TestGradcheck:
     def test_default_unit_passes(self, capsys):
         assert main(["gradcheck"]) == 0

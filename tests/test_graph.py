@@ -224,6 +224,17 @@ class TestWeights:
         assert not np.array_equal(g1.weights[3]["weight"],
                                   g1.weights[4]["weight"])
 
+    def test_unallocatable_table_is_a_config_error(self, monkeypatch):
+        class Refuses:   # as numpy refuses a table it cannot allocate
+            def standard_normal(self, shape, dtype):
+                raise MemoryError(f"Unable to allocate 14.9 TiB for an "
+                                  f"array with shape {shape}")
+
+        monkeypatch.setattr(graphmod, "seeded_rng", lambda *key: Refuses())
+        with pytest.raises(ConfigError, match=r"^node c1: cannot allocate a "
+                           r"weight table of shape \(3, 2, 3, 3\): Unable"):
+            _chain_graph()
+
     def test_he_normal_float32(self):
         g = _branch_graph([128, 160, 8, 8], seed=0)
         w = g.weights[1]["weight"]              # 73728 draws, fan_in 576

@@ -505,7 +505,7 @@ class TestBatchNorm:
         table = _bn_table(1)
         table["gamma"][:] = 3.0
         table["beta"][:] = 1.0
-        x = tensor_create((1, 1, 2, 2), "constant", value=2.0).data
+        x = np.full((1, 1, 2, 2), 2.0, dtype=np.float32)
         y = ops.batchnorm2d(x, table)
         assert np.allclose(y, 7.0, atol=1e-3)
 
@@ -829,7 +829,7 @@ class TestSoftmaxCrossEntropy:
         assert max_rel_err(grad.data, fz) < 1e-3
 
     def test_large_logits_stable(self):
-        z = tensor_create((1, 3, 1, 1), "constant", value=1e4)
+        z = Tensor(np.full((1, 3, 1, 1), 1e4, dtype=np.float32))
         loss, grad = ops.softmax_cross_entropy(z, [1])
         assert np.isfinite(loss)
         assert np.isfinite(grad.data).all()

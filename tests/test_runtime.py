@@ -20,6 +20,20 @@ def _unit(m=2, n=4, l=2, **kw):
     return build_unit_graph(cfg, seed=1)
 
 
+def _forward_error(g, x):
+    """The :class:`GraphError` that ``graph_forward(g, x)`` raises, after
+    checking that ``execute`` of either plan of ``g`` raises a GraphError
+    with the same message and the same type of cause."""
+    with pytest.raises(GraphError) as want:
+        graph_forward(g, x)
+    for mode in runtime.MODES:
+        with pytest.raises(GraphError) as got:
+            runtime.execute(runtime.plan(g, mode), x)
+        assert str(got.value) == str(want.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+    return want.value
+
+
 # mini M=4, and a unit whose batched plan keeps its ir (the level-(1,2)
 # shallow skip reads it)
 _GRAPHS = [(lambda: build_mini_network(columns=4, seed=0), 3),
@@ -203,13 +217,9 @@ class TestExecute:
     def test_kernel_error_names_the_step(self):
         g = build_mini_network(seed=0)
         x = tensor_create((2, 8, 32, 32), "uniform", seed=1)   # 3 expected
-        for mode in runtime.MODES:
-            with pytest.raises(PlanError, match="stem") as info:
-                runtime.execute(runtime.plan(g, mode), x)
-            assert isinstance(info.value.__cause__, ConfigError)
-        with pytest.raises(GraphError, match="stem") as info:
-            graph_forward(g, x)
-        assert isinstance(info.value.__cause__, ConfigError)
+        err = _forward_error(g, x)
+        assert "forward failed at step 0 (stem)" in str(err)
+        assert isinstance(err.__cause__, ConfigError)
 
     @pytest.mark.parametrize("read", [False, True],
                              ids=["input_alone", "input_read_by_relu"])
@@ -220,17 +230,12 @@ class TestExecute:
             b.add("relu", [x])
         g = b.freeze(x, init=False)
         xt = tensor_create((1, 2, 4, 4), "uniform", seed=0)
-        for mode in runtime.MODES:
-            with pytest.raises(PlanError, match="never produced"):
-                runtime.execute(runtime.plan(g, mode), xt)
-        with pytest.raises(GraphError, match="never produced"):
-            graph_forward(g, xt)
+        assert "never produced" in str(_forward_error(g, xt))
 
     def test_input_must_be_a_tensor(self):
-        p = runtime.plan(build_mini_network(seed=0), "batched")
         x = tensor_create((2, 3, 32, 32), "uniform", seed=1)
-        with pytest.raises(PlanError, match="expected a Tensor"):
-            runtime.execute(p, x.data)
+        err = _forward_error(build_mini_network(seed=0), x.data)
+        assert "expected a Tensor" in str(err)
 
     def test_mini_network_executes(self):
         g = build_mini_network(seed=0)

@@ -49,8 +49,6 @@ class TestCreate:
     def test_fills(self):
         assert tensor_create((1, 1, 2, 2), "zeros").data.sum() == 0
         assert tensor_create((1, 1, 2, 2), "ones").data.sum() == 4
-        assert tensor_create((1, 1, 2, 2), "constant",
-                             value=2.5).data.sum() == 10
 
     def test_seeded_fills_reproduce(self):
         a = tensor_create((2, 3, 4, 4), "uniform", seed=7)
@@ -59,15 +57,11 @@ class TestCreate:
         assert np.array_equal(a.data, b.data)
         assert not np.array_equal(a.data, c.data)
 
-    @pytest.mark.parametrize("fill", ["uniform", "normal"])
+    @pytest.mark.parametrize("fill", ["uniform"])
     def test_negative_seed_rejected(self, fill):
         # every seeded generator of the package goes through seeded_rng
         with pytest.raises(ConfigError, match="seeds"):
             tensor_create((1, 1, 2, 2), fill, seed=-1)
-
-    def test_normal_stats(self):
-        t = tensor_create((4, 16, 16, 16), "normal", std=2.0, seed=0)
-        assert abs(t.data.std() - 2.0) < 0.05
 
     @pytest.mark.parametrize("fill", ["zeros", "uniform"])
     def test_unallocatable_shape_is_a_config_error(self, fill):
@@ -82,7 +76,7 @@ class TestCreate:
             tensor_create((1, 1, 1, 1), "sparkles")
 
     def test_finite(self):
-        for fill in ("zeros", "ones", "uniform", "normal"):
+        for fill in ("zeros", "ones", "uniform"):
             assert np.isfinite(tensor_create((2, 2, 3, 3), fill).data).all()
 
 
@@ -568,8 +562,8 @@ class TestMatmul:
 
 class TestElementwise:
     def test_add(self):
-        a = tensor_create((1, 1, 2, 2), "constant", value=3.0).data
-        b = tensor_create((1, 1, 2, 2), "constant", value=2.0).data
+        a = np.full((1, 1, 2, 2), 3.0, dtype=np.float32)
+        b = np.full((1, 1, 2, 2), 2.0, dtype=np.float32)
         assert elementwise(a, b).flat[0] == 5
 
     def test_shape_mismatch(self):
