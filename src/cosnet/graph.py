@@ -41,11 +41,14 @@ from .tensor import (Tensor, _check_shape, _out_hw, check_seed, elementwise,
 
 @dataclass(frozen=True)
 class LayerNode:
+    """A graph node, or a step of an execution plan (``runtime.plan``)."""
     id: int
     kind: str
     config: dict
     inputs: tuple[int, ...]
     name: str
+    # an unrolled per-group conv's (grouped conv's node id, group index)
+    group: tuple[int, int] | None = None
 
 
 @dataclass
@@ -583,9 +586,9 @@ def run_steps(program, x: np.ndarray, weights, mode: str):
 
     ``program`` (an execution plan) has ``steps``, ``input_id`` and
     ``output_id``; ``weights`` None means its graph's table.  Each step runs
-    ``OPS[step.kind].forward`` on the weight table of its ``src_node``.  A
-    step with a ``group`` index reads only that group's block of the table's
-    rows, ``[group*k, (group+1)*k)`` with k its own ``out_channels``.
+    ``OPS[step.kind].forward`` on the weight table of its id.  A step with a
+    ``group`` (node, g) reads only group g's block of that node's table
+    rows, ``[g*k, (g+1)*k)`` with k its own ``out_channels``.
     Arrays are freed at their last read (:func:`last_reads`), which also
     refuses a program that reads an unknown tensor or never makes its
     output.  In train mode each step's forward gets a fresh
@@ -604,11 +607,12 @@ def run_steps(program, x: np.ndarray, weights, mode: str):
     for s, dead in zip(program.steps, dying):
         op = OPS[s.kind]
         try:
-            table = weights.get(s.src_node, {})
+            table = weights.get(s.id, {})
             if s.group is not None:
+                nid, gi = s.group
                 k = s.config["params"].out_channels
-                table = {f: a[s.group * k:(s.group + 1) * k]
-                         for f, a in table.items()}
+                table = {f: a[gi * k:(gi + 1) * k]
+                         for f, a in weights.get(nid, {}).items()}
             ins = [acts[src] for src in s.inputs]
             saved = {} if tape is not None else None
             acts[s.id] = op.forward(s.config, ins, table, saved)
@@ -659,8 +663,8 @@ def graph_backward(tape, grad_output: Tensor):
     gradient are (n, c, h, w); every gradient in between is channel-major,
     as the activations of :func:`run_steps` are.
 
-    Returns (grad table keyed like the weight table, by each step's
-    ``src_node``; grad w.r.t. the input as a Tensor).  Every step reads an
+    Returns (grad table keyed like the weight table, by step id; grad
+    w.r.t. the input as a Tensor).  Every step reads an
     earlier one and every backward returns a gradient per input, so the
     input always gets one.
     """
@@ -686,12 +690,12 @@ def graph_backward(tape, grad_output: Tensor):
         try:
             in_grads, pgrads = OPS[s.kind].backward(
                 s.config, out_grads.pop(s.id), saved,
-                weights.get(s.src_node, {}))
+                weights.get(s.id, {}))
         except (CosnetError, KeyError) as exc:
             raise GraphError(f"backward failed at step {s.id} ({s.name}): "
                              f"{exc}") from exc
         if pgrads:
-            param_grads[s.src_node] = pgrads
+            param_grads[s.id] = pgrads
         for src, g in zip(s.inputs, in_grads):
             if src in out_grads:
                 out_grads[src] = out_grads[src] + g

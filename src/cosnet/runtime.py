@@ -4,8 +4,11 @@ running it, in two column-execution modes.
 Every layer kind is defined once, in ``graph.OPS``, and one interpreter,
 ``graph.run_steps``, runs every plan, through :func:`execute` or
 ``graph.graph_forward``.  Every forward and backward pass runs one of the
-two plans below; a graph runs as its ``batched`` plan.  The modes differ
-only in how they lower a grouped convolution:
+two plans below; a graph runs as its ``batched`` plan.  Plan steps are
+``graph.LayerNode`` records, and one that stands for a graph node keeps
+its id, which keys its weight table, tape entry and gradients and names
+it in errors, as in ``describe``.  The modes differ only in how they
+lower a grouped convolution:
 
 ``batched`` keeps it as one ``conv`` step (``ops.conv2d_forward``: one
 im2col, then one gemm per group over that group's patch rows).  It also
@@ -37,27 +40,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace as dc_replace
+from itertools import count
 
 import numpy as np
 
 from .errors import ConfigError, PlanError
-from .graph import Graph, _array_of, reinit_weights, run_steps
+from .graph import Graph, LayerNode, _array_of, reinit_weights, run_steps
 from .ops import ConvParams
 from .tensor import Tensor, tensor_create
 
 MODES = ("batched", "unrolled")
 INPUT_ID = -1   # plan-level id of the external input tensor
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    id: int
-    kind: str
-    config: dict
-    inputs: tuple
-    name: str
-    src_node: int | None = None   # graph node whose weight table this reads
-    group: int | None = None      # group index for unrolled per-group convs
 
 
 @dataclass
@@ -82,80 +75,72 @@ def _replication_folds(graph: Graph):
 
     ``ir(M)`` feeding a conv with groups=M hands every group the same
     un-replicated input, so the pair is one dense conv over that input with
-    the identical weight tensor (M*N, S, k, k).  Returns {conv node: ir
-    node} for each such conv.
+    the identical weight tensor (M*N, S, k, k).  Returns {conv node: the
+    ir's inputs} for each such conv.
     """
-    nodes = [graph.node(nid) for nid in graph.order if nid != graph.input_id]
     folds = {}
-    for n in nodes:
+    for n in map(graph.node, graph.order):
         p = n.config.get("params")
         if n.kind == "conv" and p.groups > 1:
             src = graph.node(n.inputs[0])
             if src.kind == "ir" and src.config["m"] == p.groups:
-                folds[n.id] = src.id
+                folds[n.id] = src.inputs
     return folds
 
 
 def plan(graph: Graph, mode: str) -> ExecutionPlan:
-    """Lower a graph into an ordered step list for the chosen mode.  Only
-    nodes the output reads, directly or through others, get steps: one
-    reverse pass over the inputs as the plan reads them decides, so a
-    branch that reaches no output never runs, nor an ``ir`` that only
-    folded convs read."""
+    """Lower a graph into an ordered list of steps for the chosen mode,
+    each under its node's id, reading the input as :data:`INPUT_ID`; an
+    unrolled grouped conv's ``.join`` takes the conv's id, and its
+    per-group slices and convs fresh ids above the graph's.  Only nodes
+    the output reads, directly or through others, get steps: one reverse
+    pass over the inputs as the plan reads them decides, so a branch that
+    reaches no output never runs, nor an ``ir`` that only folded convs
+    read."""
     if mode not in MODES:
         raise PlanError(f"unknown execution mode {mode!r}; pick from {MODES}")
     steps = []
-    produced = {graph.input_id: INPUT_ID}   # graph node -> plan tensor id
     folds = _replication_folds(graph) if mode == "batched" else {}
+    fresh = count(graph.order[-1] + 1)
 
-    def sources(node):
-        return (graph.node(folds[node.id]).inputs if node.id in folds
-                else node.inputs)
+    def plan_id(nid):
+        return INPUT_ID if nid == graph.input_id else nid
 
     live = {graph.output_id}
     for nid in reversed(graph.order):
         if nid in live:
-            live.update(sources(graph.node(nid)))
-
-    def emit(kind, config, inputs, name, src_node=None, group=None):
-        sid = len(steps)
-        steps.append(PlanStep(id=sid, kind=kind, config=config,
-                              inputs=tuple(inputs), name=name,
-                              src_node=src_node, group=group))
-        return sid
+            live.update(folds.get(nid, graph.node(nid).inputs))
 
     for node in map(graph.node, graph.order):
         nid = node.id
         if nid == graph.input_id or nid not in live:
             continue
-        kind, config, srcs = node.kind, dict(node.config), sources(node)
-        p: ConvParams | None = config.get("params")
+        ins = tuple(map(plan_id, folds.get(nid, node.inputs)))
+        p: ConvParams | None = node.config.get("params")
         if nid in folds:
-            p = config["params"] = dc_replace(
-                p, in_channels=p.in_channels // p.groups, groups=1)
-        try:
-            ins = [produced[src] for src in srcs]
-        except KeyError as exc:
-            raise PlanError(f"node {node.name} reads unplanned node "
-                            f"{exc.args[0]}") from None
-        if kind == "conv" and p.groups > 1 and mode == "unrolled":
+            p = dc_replace(p, in_channels=p.in_channels // p.groups, groups=1)
+            node = dc_replace(node, config={**node.config, "params": p})
+        if node.kind == "conv" and p.groups > 1 and mode == "unrolled":
             g = p.groups
             cin_g = p.in_channels // g
             gp = dc_replace(p, in_channels=cin_g,
                             out_channels=p.out_channels // g, groups=1)
             parts = []
             for gi in range(g):
-                sl = emit("slice",
-                          {"start": gi * cin_g, "stop": (gi + 1) * cin_g},
-                          ins, f"{node.name}.g{gi}.slice")
-                parts.append(emit("conv", {"params": gp}, [sl],
-                                  f"{node.name}.g{gi}", src_node=nid,
-                                  group=gi))
-            produced[nid] = emit("concat", {}, parts, f"{node.name}.join")
+                sl = LayerNode(next(fresh), "slice",
+                               {"start": gi * cin_g, "stop": (gi + 1) * cin_g},
+                               ins, f"{node.name}.g{gi}.slice")
+                conv = LayerNode(next(fresh), "conv", {"params": gp},
+                                 (sl.id,), f"{node.name}.g{gi}",
+                                 group=(nid, gi))
+                steps += [sl, conv]
+                parts.append(conv.id)
+            steps.append(LayerNode(nid, "concat", {}, tuple(parts),
+                                   f"{node.name}.join"))
             continue
-        produced[nid] = emit(kind, config, ins, node.name, src_node=nid)
+        steps.append(dc_replace(node, inputs=ins))
     return ExecutionPlan(mode=mode, graph=graph, steps=steps,
-                         output_id=produced[graph.output_id])
+                         output_id=plan_id(graph.output_id))
 
 
 def execute(p: ExecutionPlan, x: Tensor, weights=None) -> Tensor:

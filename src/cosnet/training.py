@@ -37,7 +37,10 @@ CHECKPOINT_VERSION = 1
 LR_SCHEDULES = ("constant", "cosine")
 TEST_FRACTION = 0.2     # share of a data set held out for testing
 DATASET_SPLIT_SEED = 1  # split seed of a data set read from a file
-SYNTH_NOISE = 0.08      # std of the synthetic set's pixel noise
+SYNTH_CLASSES = 10      # classes of the synthetic set
+SYNTH_SIZE = 32         # side of its square images, in pixels
+SYNTH_CHANNELS = 3      # channels of its images
+SYNTH_NOISE = 0.08      # std of its pixel noise
 EVAL_BATCH = 64         # images per forward pass of :func:`evaluate`
 
 
@@ -70,26 +73,26 @@ def split_indices(count: int, seed: int = 0):
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
-                  channels: int = 3, seed: int = 0) -> Dataset:
-    """Oriented-grating classification set; class k has angle pi*k/K, and
-    each pixel gets Gaussian noise of std :data:`SYNTH_NOISE`.
+def synth_dataset(count: int, seed: int = 0) -> Dataset:
+    """Oriented-grating classification set of ``count`` images of
+    :data:`SYNTH_CHANNELS` x :data:`SYNTH_SIZE` x :data:`SYNTH_SIZE`; class
+    k of K = :data:`SYNTH_CLASSES` has angle pi*k/K, and each pixel gets
+    Gaussian noise of std :data:`SYNTH_NOISE`.
 
     Pixels are quantized to the 8-bit grid so the raw-file round trip is
     exact.
     """
-    for name, value in (("count", count), ("num_classes", num_classes),
-                        ("size", size), ("channels", channels)):
-        if value < 1:
-            raise ConfigError(
-                f"synthetic dataset {name} must be >= 1, got {value}")
+    if count < 1:
+        raise ConfigError(
+            f"synthetic dataset count must be >= 1, got {count}")
     rng = seeded_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float32) / size
-    images = np.empty((count, channels, size, size), dtype=np.float32)
-    labels = rng.integers(0, num_classes, size=count).astype(np.int64)
-    gains = np.linspace(0.9, 1.1, channels, dtype=np.float32)
+    yy, xx = np.indices((SYNTH_SIZE, SYNTH_SIZE), np.float32) / SYNTH_SIZE
+    images = np.empty((count, SYNTH_CHANNELS, SYNTH_SIZE, SYNTH_SIZE),
+                      dtype=np.float32)
+    labels = rng.integers(0, SYNTH_CLASSES, size=count).astype(np.int64)
+    gains = np.linspace(0.9, 1.1, SYNTH_CHANNELS, dtype=np.float32)
     for i in range(count):
-        theta = math.pi * labels[i] / num_classes
+        theta = math.pi * labels[i] / SYNTH_CLASSES
         freq = 3.0 + rng.uniform(-0.3, 0.3)
         phase = rng.uniform(0.0, 2 * math.pi)
         wave = np.sin(2 * math.pi * freq
@@ -100,7 +103,7 @@ def synth_dataset(count: int = 250, num_classes: int = 10, size: int = 32,
     images = np.round(images * 255.0) / np.float32(255.0)
     train_idx, test_idx = split_indices(count, seed=seed + 1)
     return Dataset(images=images.astype(np.float32), labels=labels,
-                   num_classes=num_classes, train_idx=train_idx,
+                   num_classes=SYNTH_CLASSES, train_idx=train_idx,
                    test_idx=test_idx)
 
 
@@ -138,10 +141,18 @@ def _record_dtype(pixels: int) -> np.dtype:
 
 def save_dataset(path: str, ds: Dataset) -> None:
     """Write the 8-bit raw format: header, then one record
-    (:func:`_record_dtype`) of label and quantized pixels per image."""
+    (:func:`_record_dtype`) of label and quantized pixels per image.  A set
+    whose count, class count or an image dimension is 0 or more than the
+    header holds is refused before the file is opened."""
     count, c, h, w = ds.images.shape
-    if count == 0:
-        raise DatasetFormatError("refusing to write an empty dataset")
+    for name, value, bits in (("count", count, 32),
+                              ("classes", ds.num_classes, 16),
+                              ("channels", c, 16), ("height", h, 16),
+                              ("width", w, 16)):
+        if not 1 <= value < 1 << bits:
+            raise DatasetFormatError(
+                f"dataset {name} {value} does not fit the file header "
+                f"(1 to {(1 << bits) - 1})")
     recs = np.empty(count, dtype=_record_dtype(c * h * w))
     recs["label"] = ds.labels
     recs["pixels"] = np.round(ds.images * 255.0).astype(np.uint8).reshape(
@@ -394,14 +405,14 @@ def _ck_text(raw, what):
         raise CheckpointError(f"{what} is not UTF-8: {exc}") from None
 
 
-def load_checkpoint(path: str, graph: Graph | None = None):
-    """Read a checkpoint; returns ``(spec_text, tensors_by_name)``.
+def load_checkpoint(path: str, graph: Graph) -> str:
+    """Read a checkpoint, install its tensors into ``graph``'s weight table
+    and return its variant text.
 
-    When ``graph`` is given, the tensors are also installed into its weight
-    table; unknown names and shape mismatches raise :class:`CheckpointError`
-    naming the offending tensor.  So do a repeated name, a value that is not
-    finite and a negative running variance, whether or not ``graph`` is
-    given.
+    A repeated name, a value that is not finite, a negative running
+    variance, and a missing, unknown or wrongly shaped tensor raise
+    :class:`CheckpointError` naming the offending tensor, before any tensor
+    is installed.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -439,9 +450,8 @@ def load_checkpoint(path: str, graph: Graph | None = None):
         tensors[name] = arr
     if r.left():
         raise CheckpointError("trailing bytes after last tensor")
-    if graph is not None:
-        _install(graph, tensors)
-    return spec_text, tensors
+    _install(graph, tensors)
+    return spec_text
 
 
 def _install(graph: Graph, tensors) -> None:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cosnet.graph import LayerNode
-from cosnet.runtime import INPUT_ID, PlanStep
+from cosnet.runtime import INPUT_ID
 from cosnet.tensor import col2im_nd, deterministic_enabled, set_deterministic
+from cosnet.training import DATASET_SPLIT_SEED, Dataset, split_indices
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,18 @@ def pool_oracle(x, kind, kernel, stride, pad, grad_out=None):
     return out, arg, gx
 
 
+def random_dataset(count, num_classes=10, side=32, channels=3, seed=0):
+    """A :class:`Dataset` of ``count`` seeded uniform images on the 8-bit
+    grid, with uniform labels below ``num_classes``, split as a data set
+    file is: for a test that needs a class count or an image shape that
+    ``synth_dataset`` does not make."""
+    rng = np.random.default_rng(seed)
+    images = rng.integers(0, 256, (count, channels, side, side))
+    return Dataset(images.astype(np.float32) / np.float32(255.0),
+                   rng.integers(0, num_classes, count), num_classes,
+                   *split_indices(count, DATASET_SPLIT_SEED))
+
+
 def nan_canonical_bytes(a):
     """``a``'s bytes with every NaN replaced by one NaN: which of two NaN
     operands a float add returns depends on the machine loop numpy picks
@@ -123,7 +136,5 @@ def node_program(g):
     over its replicated input.  The reference the batched plan is checked
     against; it has no weight table of its own, so pass ``weights``."""
     return SimpleNamespace(
-        steps=[PlanStep(n.id, n.kind, n.config, n.inputs, n.name,
-                        src_node=n.id)
-               for n in map(g.node, g.order) if n.id != g.input_id],
+        steps=[g.node(nid) for nid in g.order if nid != g.input_id],
         input_id=g.input_id, output_id=g.output_id)

@@ -260,7 +260,7 @@ def test_criterion_10_serialization(capsys, tmp_path):
     blob[len(blob) // 2] ^= 0x01
     cpath.write_bytes(bytes(blob))
     try:
-        training.load_checkpoint(cpath)
+        training.load_checkpoint(cpath, g2)
         corrupt_ok = False
     except Exception:
         corrupt_ok = True

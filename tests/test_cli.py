@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_dataset
 from cosnet import analysis, cli
-from cosnet.arch import REGISTRY
+from cosnet.arch import REGISTRY, build_mini_network
 from cosnet.cli import main
 from cosnet.runtime import MODES
 from cosnet.tensor import deterministic_enabled
@@ -208,9 +209,12 @@ class TestTrain:
                      "--batch-size", "16", "--out", str(ck)]) == 0
         out = capsys.readouterr().out
         assert "train acc" in out and "test acc" in out
-        text, tensors = load_checkpoint(ck)
-        assert text == "name = mini\n"
-        assert tensors
+        g = build_mini_network(seed=0)
+        before = g.copy_weights()
+        assert load_checkpoint(ck, g) == "name = mini\n"
+        # the trained weights replaced the seed-0 ones
+        assert any(not np.array_equal(g.weights[n][f], before[n][f])
+                   for n in before for f in before[n])
 
     def test_dataset_file(self, tmp_path, capsys):
         ds = synth_dataset(count=24, seed=0)
@@ -252,7 +256,7 @@ class TestTrain:
     def test_more_classes_than_outputs_is_usage_error(self, tmp_path,
                                                       capsys):
         path = tmp_path / "d20.bin"
-        save_dataset(path, synth_dataset(count=40, num_classes=20))
+        save_dataset(path, random_dataset(count=40, num_classes=20))
         assert main(["train", "mini", "--dataset", str(path),
                      "--epochs", "1"]) == 2
         captured = capsys.readouterr()
@@ -265,7 +269,7 @@ class TestTrain:
     def test_images_the_network_cannot_take_is_usage_error(self, tmp_path,
                                                             capsys):
         path = tmp_path / "d1.bin"
-        save_dataset(path, synth_dataset(count=40, channels=1))
+        save_dataset(path, random_dataset(count=40, channels=1))
         assert main(["train", "mini", "--dataset", str(path),
                      "--epochs", "1"]) == 2
         captured = capsys.readouterr()

@@ -443,10 +443,13 @@ class TestLastReads:
         x = b.add("input")
         r1 = b.add("relu", [x], "a")
         r2 = b.add("relu", [x], "b")
-        out = b.add("output", [b.add("add", [r1, r2], "join")])
+        join = b.add("add", [r1, r2], "join")
+        out = b.add("output", [join])
         p = b.freeze(out, init=False).batched_plan()
-        # steps a, b, join, output: the output itself is never freed
-        assert last_reads(p) == [[], [INPUT_ID], [0, 1], [2]]
+        # steps a, b, join, output, under their node ids 1..4: the output
+        # itself is never freed
+        assert [s.id for s in p.steps] == [r1, r2, join, out] == [1, 2, 3, 4]
+        assert last_reads(p) == [[], [INPUT_ID], [r1, r2], [join]]
 
     def test_an_output_read_later_lives_to_the_end(self):
         step = lambda sid, *ins: SimpleNamespace(id=sid, inputs=ins,
@@ -564,10 +567,10 @@ class TestBackwardOverPlans:
         for s in p.steps:
             for value in tape[s.id].values():
                 assert not isinstance(value, Tensor)
-        conv = p.steps[c]
-        conv_out = ops.conv2d_forward(swap_nc(xt.data),
-                                      g.weights[conv.src_node]["weight"],
-                                      conv.config["params"])
+        # the step keeps its node's id, so it is that node and reads its
+        # weight table
+        conv_out = ops.conv2d_forward(swap_nc(xt.data), g.weights[c]["weight"],
+                                      g.node(c).config["params"])
         relu_out = np.maximum(conv_out, 0)
         arg = window_stack(relu_out, (2, 2), (2, 2), (0, 0),
                            -np.inf).argmax(axis=2)

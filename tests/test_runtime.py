@@ -7,8 +7,8 @@ from conftest import PlanAsGraph
 from cosnet import analysis, runtime
 from cosnet.arch import UnitConfig, build_mini_network, build_unit_graph
 from cosnet.errors import ConfigError, GraphError, PlanError
-from cosnet.graph import (GraphBuilder, graph_backward, graph_forward,
-                          infer_shapes, reinit_weights)
+from cosnet.graph import (OPS, GraphBuilder, describe, graph_backward,
+                          graph_forward, infer_shapes, reinit_weights)
 from cosnet.ops import ConvParams
 from cosnet.tensor import tensor_create
 
@@ -54,8 +54,27 @@ class TestPlan:
         folded = [n for n in g.order if g.node(n).kind == "ir"]
         assert len(folded) == 1
         assert p.num_steps() == len(g.order) - 1 - len(folded)
-        assert [s.src_node for s in p.steps] == [
+        # each step keeps its node's id
+        assert [s.id for s in p.steps] == [
             n for n in g.order if n != g.input_id and n not in folded]
+
+    @pytest.mark.parametrize("graph, channels", _GRAPHS, ids=_GRAPH_IDS)
+    def test_batched_steps_are_their_graph_nodes(self, graph, channels):
+        # but for reading the input as INPUT_ID; a level-1 conv folded with
+        # the replication it read differs in its params and inputs alone
+        g = graph()
+        folded = 0
+        for s in g.batched_plan().steps:
+            node = g.node(s.id)
+            s = dc_replace(s, inputs=tuple(
+                g.input_id if i == runtime.INPUT_ID else i for i in s.inputs))
+            if s.config != node.config:
+                rep = g.node(node.inputs[0])
+                assert rep.kind == "ir" and s.inputs == rep.inputs
+                s = dc_replace(s, config=node.config, inputs=node.inputs)
+                folded += 1
+            assert s == node
+        assert folded
 
     def test_batched_folds_replication_into_level1(self):
         g = _unit(m=4)
@@ -63,15 +82,14 @@ class TestPlan:
         assert not [s for s in p.steps if s.kind == "ir"]
         ir = next(n for n in g.order if g.node(n).kind == "ir")
         level1 = next(s for s in p.steps if s.name == "u1.col.level1")
-        gp = g.node(level1.src_node).config["params"]
+        gp = g.node(level1.id).config["params"]
         assert level1.kind == "conv"
         assert level1.config["params"] == dc_replace(
             gp, in_channels=gp.in_channels // 4, groups=1)
         # it reads what the ir read, with the graph node's weight table
-        src = next(s for s in p.steps if s.src_node == g.node(ir).inputs[0])
-        assert level1.inputs == (src.id,)
+        assert level1.inputs == g.node(ir).inputs
         assert level1.config["params"].weight_shape == \
-            g.weights[level1.src_node]["weight"].shape
+            g.weights[level1.id]["weight"].shape
         # the later levels stay one grouped conv each
         later = [s for s in p.steps if ".col.level" in s.name
                  and s.kind == "conv" and s is not level1]
@@ -107,7 +125,7 @@ class TestPlan:
                    out_features=10)
         g = b.freeze(b.add("output", [fc]), seed=0)
         p = runtime.plan(g, mode)
-        assert [s.src_node for s in p.steps] == [
+        assert [s.id for s in p.steps] == [
             n for n in g.order
             if n not in (g.input_id, rep, dead, dead_bn)]
         assert p.steps[-1].id == p.output_id
@@ -129,31 +147,54 @@ class TestPlan:
         (lambda: _unit(m=3, l=3, pff=True, downsample=False), 8)],
         ids=["mini", "pff_unit"])
     def test_infer_shapes_over_plan_steps(self, mode, graph, channels):
+        """The id contract over mini M=4 and an odd-M PFF unit: plan
+        steps keep their graph node's id."""
         g = graph()
         shape = (2, channels, 16, 16)
         want = infer_shapes(g, shape)
         p = runtime.plan(g, mode)
         got = infer_shapes(PlanAsGraph(p), shape)
-        by_name = {g.node(n).name: n for n in g.order}
-        # a batched plan folds each replication that only level-1 convs
-        # read into them; every other node keeps a step
-        folded = {n for n in g.order if g.node(n).kind == "ir"
-                  and not any(s.src_node == n for s in p.steps)}
-        assert bool(folded) == (mode == "batched")
-        matched = 0
+        ids = [s.id for s in p.steps]
+        assert len(set(ids)) == len(ids)
+        # a step under a graph id has that node's output shape; every node
+        # but the input has one, except the replications a batched plan
+        # folds into level-1 convs
         for s in p.steps:
-            if s.src_node is not None and s.group is None:
-                nid = s.src_node
-            elif s.kind == "concat":
-                # the join of an unrolled grouped conv holds the node tensor
-                nid = by_name[s.name.removesuffix(".join")]
-            else:
-                continue
-            assert got[s.id] == want[nid], s.name
-            matched += 1
-        # every node but the input and the folded replications
-        assert matched == len(g.order) - 1 - len(folded)
-        assert got[p.output_id] == want[g.output_id]
+            if s.id in g.nodes:
+                assert got[s.id] == want[s.id], s.name
+        missing = set(g.order) - set(ids) - {g.input_id}
+        assert {g.node(n).kind for n in missing} == (
+            {"ir"} if mode == "batched" else set())
+        assert p.output_id == g.output_id
+        # the only other steps are the unrolled per-group convs and the
+        # slices they read, all above every graph id; each per-group conv
+        # names its grouped conv, whose id the .join concat took
+        per_group = [s for s in p.steps if s.group is not None]
+        slices = {s.inputs[0] for s in per_group}
+        assert set(ids) - set(g.nodes) == {s.id for s in per_group} | slices
+        assert all(i > max(g.order) for i in set(ids) - set(g.nodes))
+        assert bool(per_group) == (mode == "unrolled")
+        steps = {s.id: s for s in p.steps}
+        for s in per_group:
+            nid, gi = s.group
+            assert g.node(nid).config["params"].groups > 1
+            assert steps[nid].kind == "concat"
+            assert steps[nid].inputs[gi] == s.id
+            assert steps[s.inputs[0]].kind == "slice"
+        # the weighted steps read exactly the graph's tables; the gradient
+        # table is keyed by the same ids
+        weighted = {s.group[0] if s.group else s.id for s in p.steps
+                    if OPS[s.kind].params(s.config)}
+        assert weighted == set(g.weights)
+        x = tensor_create(shape, "uniform", seed=0, lo=-1, hi=1)
+        out, tape = graph_forward(p, x, mode="train")
+        ones = tensor_create(out.shape, "ones")
+        if mode == "unrolled":
+            with pytest.raises(GraphError, match="per-group step"):
+                graph_backward(tape, ones)
+        else:
+            pgrads, _ = graph_backward(tape, ones)
+            assert set(pgrads) == weighted
 
     def test_single_group_graph_plans_identical(self):
         g = _unit(m=1)
@@ -218,7 +259,11 @@ class TestExecute:
         g = build_mini_network(seed=0)
         x = tensor_create((2, 8, 32, 32), "uniform", seed=1)   # 3 expected
         err = _forward_error(g, x)
-        assert "forward failed at step 0 (stem)" in str(err)
+        # the step number is the node id that describe lists
+        nid = next(int(line[1:4]) for line in describe(g).splitlines()
+                   if line[6:].split()[0] == "stem")
+        assert nid == 1
+        assert f"forward failed at step {nid} (stem)" in str(err)
         assert isinstance(err.__cause__, ConfigError)
 
     @pytest.mark.parametrize("read", [False, True],
